@@ -369,7 +369,9 @@ def perturb_and_recount(
         raise ValueError("need one perturbation per factor")
 
     def pipeline(pots):
-        factors = [fast_factor_spectrum(p, N, gamma) for p in pots]
+        # one factor solve per distinct potential: the factors are often copies
+        spectra = {p: fast_factor_spectrum(p, N, gamma) for p in dict.fromkeys(pots)}
+        factors = [spectra[p] for p in pots]
         if len(factors) == 2:
             cs = assemble_2d(factors[0], factors[1], kappa, N)
         else:

@@ -478,6 +478,13 @@ def _deep_design(N, gamma, frac, tolerance, report):
     return fit.build(z), fit
 
 
+def _reflect(p: Potential) -> Potential:
+    """The Fourier potential evaluating as v(-x): sine terms flip, so does the shift."""
+    return fourier_potential(
+        [(t.k, t.cos, -t.sin) for t in p.fourier], constant=p.constant, shift=-p.shift
+    )
+
+
 def _matrix_band_structure(p: Potential, N: int, mb_mu, mu, nu) -> BandStructure:
     """BandStructure assembled from the matrix route plus shooting signs.
 
@@ -557,12 +564,18 @@ def construct_model_potential(
         nu = sm.galerkin_neumann(p, N + 1, dim=fit.gdim)
         mb_mu = integrate_batch(p, mu, count_zeros=True)
         expected = np.arange(1, N + 1)
+        want = (-1.0) ** (expected + 1)
+        if np.all(mb_mu.a_sign * want < 0):
+            # the translation seeds are symmetric about the well, so the fit
+            # can land on the mirror image: same edges and mu, every sheet
+            # flipped.  Its reflection v(-x) has the target sheets.
+            p = _reflect(p)
+            mb_mu = integrate_batch(p, mu, count_zeros=True)
         counts_ok = (mb_mu.phi_zeros == expected) | (mb_mu.phi_zeros == expected - 1)
         if not np.all(counts_ok):
             raise PostconditionFail(
                 f"shooting oscillation counts {mb_mu.phi_zeros} do not bracket the states"
             )
-        want = (-1.0) ** (expected + 1)
         if not np.all(mb_mu.a_sign * want > 0):
             raise SignUnreachable(
                 f"shooting sheet signs {mb_mu.a_sign} disagree with bound-state targets"

@@ -50,7 +50,7 @@ class NotNormalized(HillOctantError):
 
 
 class NoConvergence(HillOctantError):
-    """Optimizer hit its iteration cap before meeting tolerance."""
+    """An optimizer or eigensolver stopped before meeting its tolerance."""
 
     def __init__(self, message, best_residual=None, potential=None):
         super().__init__(message)

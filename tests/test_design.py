@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hill_octant import bands, design as dz, monodromy as mo
+from hill_octant import spectral_matrix as sm
 from hill_octant.errors import RhoNotPositive
 from hill_octant.potential import fourier_potential, l2_norm, translate
 
@@ -143,3 +144,29 @@ def test_condition_p_zero_shift_gives_zero_a():
 def test_condition_p_rejects_bad_args():
     with pytest.raises(ValueError):
         dz.condition_p_potential(delta=0.5, eps=0.05, t=0.2)
+
+
+@pytest.fixture(scope="module")
+def deep_n1():
+    return dz.construct_model_potential(1, 0.1, 2)
+
+
+def test_deep_design_lands_on_the_bound_sheet(deep_n1):
+    # this build once raised SignUnreachable: the fit chose the mirror-image seed
+    p, gamma, bs, rep = deep_n1
+    assert rep.converged
+    assert [s.sign for s in bs.states] == [1]
+    assert bs.gap_lengths[0] == pytest.approx(gamma, rel=1e-4)
+
+
+def test_reflection_keeps_spectrum_and_flips_sheets(deep_n1):
+    p = deep_n1[0]
+    q = dz._reflect(p)
+    x = np.linspace(0.0, 1.0, 17)
+    assert np.allclose(q.evaluate(x), p.evaluate(-x), rtol=0, atol=1e-9 * p.sup_norm_bound)
+    edges_p, edges_q = sm.hill_band_edges(p, 1), sm.hill_band_edges(q, 1)
+    for ep, eq in zip(edges_p, edges_q):
+        assert np.allclose(ep, eq, rtol=1e-9, atol=1e-6)
+    mu_p, mu_q = sm.galerkin_dirichlet(p, 1), sm.galerkin_dirichlet(q, 1)
+    assert mu_q == pytest.approx(mu_p, rel=1e-9)
+    assert mo.integrate_batch(q, mu_q).a_sign[0] == -mo.integrate_batch(p, mu_p).a_sign[0]
