@@ -11,9 +11,12 @@ sign change for every band edge, which subdivision plus a Newton polish
 near-closed gaps and for states sitting exactly on an edge.
 
 Gaps narrower than the double-precision resolution of F -+ 1 (roots become
-near-double) fall back to the hull [min(mu, nu), max(mu, nu)], which is a
-guaranteed inner approximation computed from well-conditioned simple roots;
-gaps below the merge tolerance collapse to a point.
+near-double) take their edges from the Hill-matrix route for Fourier
+potentials; piecewise potentials fall back to the hull [min(mu, nu),
+max(mu, nu)], a guaranteed inner approximation computed from
+well-conditioned simple roots.  Either way the edges still contain mu and
+nu, gaps below the merge tolerance collapse to a point, and each gap state
+records the route that certified its edges.
 
 All searches are batched: each refinement round costs one integration pass
 over a single vector of energies.  Bracketing rounds run the integrator at
@@ -36,7 +39,6 @@ __all__ = [
     "GapState",
     "BandStructure",
     "band_structure",
-    "band_edges",
     "dirichlet_eigs",
     "neumann_eigs",
     "classify_states",
@@ -61,6 +63,7 @@ class GapState:
     a_value: float
     discriminant: float
     phi_lam: float
+    certified_by: str  # route of the gap's edges: "shooting", "matrix" or "hull"
 
     @property
     def b_sheet1(self) -> float:
@@ -391,7 +394,15 @@ def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure
     lambda0 = math.nan
     gap_lo = hull_lo.copy()
     gap_hi = hull_hi.copy()
-    next_band_end = hull_lo[n_need - 1] if not resolved[n_need - 1] else math.nan
+    next_band_end = hull_lo[n_need - 1]
+    # below the discriminant's resolution the Hill matrices still give the
+    # edges; the hull is only a fallback for piecewise potentials
+    fallback = "hull"
+    if p.fourier and not np.all(resolved):
+        fallback = "matrix"
+        _, m_lo, m_hi, next_band_end = sm.hill_band_edges(p, N)
+        gap_lo[:N] = m_lo
+        gap_hi[:N] = m_hi
     for (kind, n), val in zip(t_tag, roots):
         if kind == "edge0":
             lambda0 = float(val)
@@ -410,9 +421,7 @@ def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure
     # collapse point-like gaps and anything below the merge tolerance
     closed_flags = np.zeros(N, dtype=bool)
     for i in range(N):
-        if (not resolved[i] or (gap_hi[i] - gap_lo[i]) < merge_tol[i]) and (
-            hull_hi[i] - hull_lo[i]
-        ) < merge_tol[i]:
+        if (gap_hi[i] - gap_lo[i]) < merge_tol[i] and (hull_hi[i] - hull_lo[i]) < merge_tol[i]:
             mid = 0.5 * (hull_lo[i] + hull_hi[i])
             gap_lo[i] = gap_hi[i] = mid
             closed_flags[i] = True
@@ -453,7 +462,8 @@ def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure
                 sign = +1
             else:
                 sign = -1
-        states.append(GapState(n, mu_n, sign, bool(closed_flags[i]), a_n, F_n, phl_n))
+        route = "shooting" if resolved[i] else fallback
+        states.append(GapState(n, mu_n, sign, bool(closed_flags[i]), a_n, F_n, phl_n, route))
         xi1 = 0.5 * (gap_lo[i] + gap_hi[i]) - mu_n
         xi2 = math.sqrt(abs(0.25 * width**2 - xi1**2)) * sign
         xi[i] = (xi1, xi2)
@@ -470,11 +480,6 @@ def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure
         states=tuple(states),
         xi=xi,
     )
-
-
-def band_edges(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure:
-    """Edges for gaps 1..N (classification comes along for free)."""
-    return band_structure(p, N, rtol=rtol)
 
 
 def dirichlet_eigs(p: Potential, N: int, rtol: float = mo.RTOL) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -501,7 +501,7 @@ def _matrix_band_structure(p: Potential, N: int, mb_mu, mu, nu) -> BandStructure
         sgn = +1 if a_sign[n - 1] * (-1.0) ** (n + 1) > 0 else -1
         a_sat = math.inf * a_sign[n - 1]
         states.append(
-            GapState(n, float(mu[n - 1]), sgn, False, a_sat, math.inf, math.inf)
+            GapState(n, float(mu[n - 1]), sgn, False, a_sat, math.inf, math.inf, "matrix")
         )
         width = ghi[n - 1] - glo[n - 1]
         xi1 = 0.5 * (glo[n - 1] + ghi[n - 1]) - mu[n - 1]
@@ -608,10 +608,7 @@ def construct_model_potential(
 
 def _shift_band_structure(bs: BandStructure, c: float, p_new: Potential) -> BandStructure:
     """Spectral data of the potential shifted by a constant: everything moves by c."""
-    states = tuple(
-        type(s)(s.index, s.mu + c, s.sign, s.closed, s.a_value, s.discriminant, s.phi_lam)
-        for s in bs.states
-    )
+    states = tuple(replace(s, mu=s.mu + c) for s in bs.states)
     return BandStructure(
         potential=p_new,
         n_gaps=bs.n_gaps,

@@ -7,9 +7,14 @@ function F = (phi'(1) + theta(1))/2, the auxiliary a = (phi'(1) -
 theta(1))/2, the gap branch b and the Weyl function m_+.
 
 Two evaluation routes:
-  * Fourier-form potentials: adaptive embedded Runge-Kutta (Verner 6(5)
-    pair) on the coupled 8-dimensional system, vectorized over a batch of
-    energies; per-step tolerance 1e-12 relative / 1e-13 absolute.
+  * Fourier-form potentials: the embedded Runge-Kutta pair of Verner
+    (Numer. Algorithms 53, 2010; 6(5), "most robust") on the coupled
+    8-dimensional system, per-step tolerance 1e-12 relative / 1e-13
+    absolute.  Steps go in blocks of equal trial steps: the system is
+    linear, so each step is a map that one vectorized pass computes for
+    every (step, lambda) lane of the block, prefix products give the state
+    at every node, and each step then meets the usual embedded error test.
+    A block keeps the steps before its first failure.
   * Piecewise-constant (and constant) potentials: exact per-segment
     transfer matrices with derivatives by the product rule.
 
@@ -176,11 +181,19 @@ def _initial_state(n: int) -> np.ndarray:
     return u
 
 
-# --- adaptive Runge-Kutta route (Fourier potentials) ----------------------
+# --- block-stepped Runge-Kutta route (Fourier potentials) ---------------
 
 _A_MAT = np.zeros((9, 9))
 for _i, _row in enumerate(_A):
     _A_MAT[_i, : len(_row)] = _row
+
+# (step, lambda) lanes per block; fewer steps when the (9 x steps, terms)
+# phase array of Potential.evaluate would be larger than one (8, lanes) state
+# array
+LANE_BUDGET = 2048
+# a block's exact solution grows at most e^MAX_BLOCK_GROWTH, so states that
+# start below the 1e120 renormalization threshold stay finite inside it
+MAX_BLOCK_GROWTH = 200.0
 
 
 def _rhs_into(out, u, w):
@@ -191,47 +204,101 @@ def _rhs_into(out, u, w):
     out[7] -= u[2]
 
 
-def _rk_segment(p, lams, u, x0, x1, rtol, atol, trackers, log_scale):
-    """Advance the batch state from x0 to x1 with embedded RK steps.
+def _compose(X2, X1):
+    """The map X2 after X1; both have the form [[P, 0], [Q, P]].
 
-    Columns whose magnitude passes 1e120 are renormalized, with the factor
-    recorded in log_scale (deep potentials grow like e^{sqrt(v - lambda)}).
+    Arrays are the packed 8-row states reshaped to (2, 2, 2, ...), indexed
+    [P or Q, column, row]: a state (theta, theta', phi, phi' and their
+    lambda-derivatives) is itself such a map, the fundamental matrix M with
+    its lambda-derivative D.  The product is (P2 P1, Q2 P1 + P2 Q1).
+    """
+    out = X2[:, None, 0] * X1[0, :, 0:1] + X2[:, None, 1] * X1[0, :, 1:2]
+    out[1] += X2[0, None, 0] * X1[1, :, 0:1] + X2[0, None, 1] * X1[1, :, 1:2]
+    return out
+
+
+def _step_maps(p, lams, x, h, steps):
+    """Step and error maps of `steps` equal RK steps of size h from x.
+
+    The system is linear, so one step is a map of the form [[P, 0], [Q, P]],
+    and the RK step applied to the identity state (theta = 1, phi' = 1,
+    derivatives 0) gives its packed 8 rows.  Every (step, lambda) lane is
+    evaluated at once.  Returns two (2, 2, 2, steps, n) arrays.
     """
     n = lams.size
-    k = np.empty((9, 8, n))
-    kf = k.reshape(9, 8 * n)
+    lanes = steps * n
+    xs = x + h * np.arange(steps)
+    vs = p.evaluate(np.add.outer(xs, _C * h))  # (steps, 9)
+    k = np.empty((9, 8, lanes))
+    kf = k.reshape(9, 8 * lanes)
+    u0 = _initial_state(lanes)
+    for i in range(9):
+        w = (vs[:, i, None] - lams).ravel()
+        ui = u0 + h * (_A_MAT[i, :i] @ kf[:i]).reshape(8, lanes) if i else u0
+        _rhs_into(k[i], ui, w)
+    R = u0 + h * (_B @ kf).reshape(8, lanes)
+    E = h * (_ERR @ kf).reshape(8, lanes)
+    return R.reshape(2, 2, 2, steps, n), E.reshape(2, 2, 2, steps, n)
+
+
+def _rk_segment(p, lams, u, x0, x1, rtol, atol, trackers, log_scale):
+    """Advance the batch state from x0 to x1 in blocks of equal RK steps.
+
+    Each block evaluates the maps of its trial steps at once, then takes the
+    state at every node by prefix products (doubling).  The embedded error
+    of step k is E_k u_{k-1} against atol + rtol max(|u_{k-1}|, |u_k|), as
+    for one step at a time; the block keeps the steps before the first
+    failure and the controller sets the next step size from that failure,
+    or from the largest error ratio when every step passes.  Columns whose
+    magnitude passes 1e120 are renormalized at the end of a block, with the
+    factor recorded in log_scale (deep potentials grow like
+    e^{sqrt(v - lambda)}).
+    """
+    n = lams.size
+    max_steps = max(1, min(LANE_BUDGET // n, 8 * LANE_BUDGET // (9 * len(p.fourier))))
+    q_max = p.sup_norm_bound - float(np.min(lams))
     scale0 = math.sqrt(max(1.0, p.sup_norm_bound + float(np.max(np.abs(lams)))))
     h = min(0.1, (x1 - x0), 0.5 / scale0)
     x = x0
+    S = u.reshape(2, 2, 2, n)
     while x < x1 - 1e-15:
-        h = min(h, x1 - x)
-        vs = p.evaluate(x + _C * h)
-        _rhs_into(k[0], u, vs[0] - lams)
-        for i in range(1, 9):
-            ui = u + h * (_A_MAT[i, :i] @ kf[:i]).reshape(8, n)
-            _rhs_into(k[i], ui, vs[i] - lams)
-        u_new = u + h * (_B @ kf).reshape(8, n)
-        err = h * (_ERR @ kf).reshape(8, n)
-        tol = atol + rtol * np.maximum(np.abs(u), np.abs(u_new))
-        ratio = float(np.max(np.abs(err) / tol))
-        if not math.isfinite(ratio):
-            raise StepUnderflow(f"non-finite state during integration near x={x:.6g}")
-        if ratio <= 1.0:
-            x += h
+        rest = x1 - x
+        steps = min(max_steps, math.ceil(rest / h))
+        if q_max > 0.0:
+            steps = max(1, min(steps, int(MAX_BLOCK_GROWTH / (h * math.sqrt(q_max)))))
+        last = steps * h >= rest
+        if last:
+            h = rest / steps
+        R, E = _step_maps(p, lams, x, h, steps)
+        d = 1
+        while d < steps:  # R_k <- R_k ... R_1
+            R[..., d:, :] = _compose(R[..., d:, :], R[..., :-d, :])
+            d *= 2
+        U = _compose(R, S[..., None, :])  # node states u_1 .. u_steps
+        prev = np.concatenate((S[..., None, :], U[..., :-1, :]), axis=-2)
+        tol = atol + rtol * np.maximum(np.abs(prev), np.abs(U))
+        ratio = np.max(np.abs(_compose(E, prev)) / tol, axis=(0, 1, 2, 4))
+        fail = np.nonzero(~(ratio <= 1.0))[0]
+        accepted = int(fail[0]) if fail.size else steps
+        if accepted < steps and not math.isfinite(ratio[accepted]):
+            raise StepUnderflow(f"non-finite state during integration near x={x + accepted * h:.6g}")
+        if accepted:
+            x = x1 if accepted == steps and last else x + accepted * h
             if trackers is not None:
-                trackers.update(u_new)
-            m = np.max(np.abs(u_new), axis=0)
+                trackers.update(U[0, 0, 0, :accepted], U[0, 1, 0, :accepted])
+            S = U[..., accepted - 1, :].copy()
+            m = np.max(np.abs(S), axis=(0, 1, 2))
             big = m > 1e120
             if np.any(big):
                 f = np.where(big, m, 1.0)
-                u_new = u_new / f
+                S /= f
                 log_scale += np.log(f)
-            u = u_new
-        factor = 0.9 * ratio ** -_ORDER_EXP if ratio > 0 else 5.0
+        r = float(ratio[accepted]) if accepted < steps else float(np.max(ratio))
+        factor = 0.9 * r**-_ORDER_EXP if r > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if h < 1e-14:
             raise StepUnderflow(f"step size underflow at x={x:.6g}")
-    return u
+    return S.reshape(8, n)
 
 
 class _SignTrackers:
@@ -250,13 +317,19 @@ class _SignTrackers:
         self.theta_sign = np.ones(n)
         self.theta_count = np.zeros(n, dtype=int)
 
-    def update(self, u: np.ndarray) -> None:
-        s = np.sign(u[2])
-        self.phi_count += (self.phi_sign * s) < 0
-        self.phi_sign = np.where(s != 0, s, self.phi_sign)
-        s = np.sign(u[0])
-        self.theta_count += (self.theta_sign * s) < 0
-        self.theta_sign = np.where(s != 0, s, self.theta_sign)
+    def update(self, theta, phi) -> None:
+        """Add the sign changes along node values of shape (steps, n)."""
+        self.theta_sign = self._count(self.theta_sign, theta, self.theta_count)
+        self.phi_sign = self._count(self.phi_sign, phi, self.phi_count)
+
+    @staticmethod
+    def _count(sign, values, count):
+        s = np.concatenate((sign[None], np.sign(values)))
+        # an exact zero carries the sign before it
+        last = np.where(s != 0, np.arange(s.shape[0])[:, None], 0)
+        s = np.take_along_axis(s, np.maximum.accumulate(last, axis=0), axis=0)
+        count += np.sum(s[1:] * s[:-1] < 0, axis=0)
+        return s[-1]
 
 
 # --- exact transfer-matrix route (piecewise-constant potentials) ----------

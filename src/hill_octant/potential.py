@@ -102,11 +102,13 @@ class Potential:
                 mask = (xp >= s.lo) & (xp < s.hi)
                 vals = np.where(mask, self.constant + s.value, vals)
             return float(vals) if np.isscalar(x) or np.ndim(x) == 0 else vals
-        out = self.constant + np.sum(
-            self._ac * np.cos(np.multiply.outer(xp, self._ks))
-            + self._as * np.sin(np.multiply.outer(xp, self._ks)),
-            axis=-1,
-        )
+        # the (points, terms) phase is the largest array of an integrator
+        # pass; it is built once and reused for the sine terms
+        phase = np.multiply.outer(xp, self._ks)
+        terms = np.cos(phase)
+        terms *= self._ac
+        terms += np.multiply(np.sin(phase, out=phase), self._as, out=phase)
+        out = self.constant + np.sum(terms, axis=-1)
         return float(out) if np.ndim(x) == 0 else out
 
     # --- derived quantities ---------------------------------------------

@@ -167,6 +167,8 @@ def _hill_edges(p: Potential, n_gaps: int, modes: int | None):
     const, ks, a, b = _mode_coeffs(p)
     if modes is None:
         modes = max(DEFAULT_MODES, _turning_index(p, n_gaps, 2.0 * math.pi))
+    if 2 * modes < n_gaps + 1:  # the anti-periodic block has dimension 2 modes
+        raise ValueError(f"modes={modes} is too few for {n_gaps} gaps: need at least {(n_gaps + 2) // 2}")
     K = modes
     kmax = int(ks.max()) if ks.size else 0
     vhat = np.zeros(2 * kmax + 1, dtype=complex if np.any(b) else float)

@@ -159,11 +159,41 @@ def test_bound_state_sign_rule(bound_state_potential, bound_state_bands):
     assert bs_m.dirichlet[0] == pytest.approx(bound_state_bands.dirichlet[0], rel=1e-9)
 
 
-def test_band_edges_returns_same_struct(asym_potential):
-    b1 = bands.band_edges(asym_potential, 3)
-    b2 = bands.band_structure(asym_potential, 3)
-    assert np.allclose(b1.gap_lo, b2.gap_lo)
-    assert np.allclose(b1.gap_hi, b2.gap_hi)
+def _unresolved_gap_matches_matrix_route(p, N, n):
+    """Gap n is below F -+ 1 resolution: its length and sheet must still hold."""
+    bs = bands.band_structure(p, N)
+    _, glo, ghi, nbe = sm.hill_band_edges(p, N)
+    assert bs.state(n).certified_by == "matrix"
+    assert bs.gap_lengths[n - 1] == pytest.approx(ghi[n - 1] - glo[n - 1], rel=1e-6)
+    assert bs.gap_lo[n - 1] <= bs.dirichlet[n - 1] <= bs.gap_hi[n - 1]
+    # the sheet follows the sign of a at the Dirichlet point
+    a_mu = mo.integrate(p, float(bs.dirichlet[n - 1])).a_value
+    assert bs.state(n).sign == (1 if a_mu * (-1.0) ** (n + 1) > 0 else -1)
+    resolved = [s.certified_by == "shooting" for s in bs.states]
+    assert sum(resolved) == N - 1
+    return bs, nbe
+
+
+def test_asym_gap5_unresolved_reports_matrix_edges(asym_potential):
+    # F - 1 inside gap 5 is below the probe noise; the [mu, nu] hull is 18% short
+    bs, _ = _unresolved_gap_matches_matrix_route(asym_potential, 5, 5)
+    assert bs.state(5).sign == +1
+
+
+def test_seeded_gap6_unresolved_reports_matrix_edges():
+    # numpy.random.default_rng(24).uniform(-5, 5, 6): gap 6 has length
+    # 1.2373e-3, but F - 1 at its midpoint is 1.35e-10, under the probe noise
+    c = np.random.default_rng(24).uniform(-5.0, 5.0, 6)
+    p = fourier_potential([(k + 1, c[2 * k], c[2 * k + 1]) for k in range(3)])
+    bs, nbe = _unresolved_gap_matches_matrix_route(p, 6, 6)
+    assert bs.gap_lengths[5] == pytest.approx(1.2373e-3, rel=1e-4)
+    assert bs.next_band_end == pytest.approx(nbe, rel=1e-9)
+
+
+def test_piecewise_gaps_certified_by_shooting():
+    p = piecewise_potential([(0.0, 0.3, 15.0), (0.3, 1.0, 0.0)])
+    bs = bands.band_structure(p, 3)
+    assert [s.certified_by for s in bs.states] == ["shooting"] * 3
 
 
 def test_translation_sweeps_state_through_gap(bound_state_potential):

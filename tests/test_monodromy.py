@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hill_octant import monodromy as mo
-from hill_octant.errors import NonFiniteInput, OutsideGap, PoleAt
+from hill_octant import spectral_matrix as sm
+from hill_octant.errors import NonFiniteInput, OutsideGap, PoleAt, StepUnderflow
 from hill_octant.potential import (
     constant_potential,
     fourier_potential,
@@ -185,3 +186,77 @@ def test_branch_magnitude_equals_a_at_dirichlet_point(bound_state_potential, bou
     # phi(1, mu) = 0 forces a^2 = F^2 - 1 = b^2 through the Wronskian identity
     s = bound_state_bands.state(1)
     assert abs(s.b_sheet1) == pytest.approx(abs(s.a_value), rel=1e-8)
+
+
+def _states(mb):
+    return np.vstack(
+        [mb.theta_1, mb.theta_prime_1, mb.phi_1, mb.phi_prime_1,
+         mb.theta_lam, mb.theta_prime_lam, mb.phi_lam, mb.phi_prime_lam]
+    )
+
+
+def test_batch_matches_each_energy_alone(asym_potential):
+    # a wide batch takes few steps per block, a single energy hundreds
+    lams = np.linspace(-8.0, 420.0, 24)
+    mb = mo.integrate_batch(asym_potential, lams, count_zeros=True)
+    batch = _states(mb)
+    for i, lam in enumerate(lams):
+        one = mo.integrate_batch(asym_potential, [lam], count_zeros=True)
+        scale = max(1.0, np.max(np.abs(batch[:, i])))
+        assert np.max(np.abs(_states(one)[:, 0] - batch[:, i])) < 1e-10 * scale
+        assert one.phi_zeros[0] == mb.phi_zeros[i]
+        assert one.theta_zeros[0] == mb.theta_zeros[i]
+
+
+def test_deep_well_renormalized_across_blocks():
+    # barrier of height ~2e6: solutions grow past e^560, so the state is
+    # renormalized in several blocks, at different places for each grouping
+    p = fourier_potential([(1, -1e6, 0.0), (2, 2e5, 1.5e5)], constant=1e6)
+    vmin = float(np.min(p.evaluate(np.linspace(0.0, 1.0, 20001))))
+    lams = vmin + np.array([-100.0, 2e3, 7e3, 2.1e4, 5e4])
+    mb = mo.integrate_batch(p, lams, count_zeros=True)
+    assert np.all(mb.log_scale > 2 * math.log(1e120))
+    # Sturm: phi(., lambda) has one zero in (0, 1) per Dirichlet point below lambda
+    mu = sm.galerkin_dirichlet(p, 8)
+    assert list(mb.phi_zeros) == [int(np.sum(mu < lam)) for lam in lams]
+    for i, lam in enumerate(lams):
+        one = mo.integrate_batch(p, [lam], count_zeros=True)
+        assert one.phi_zeros[0] == mb.phi_zeros[i]
+        assert one.theta_zeros[0] == mb.theta_zeros[i]
+        assert one.a_sign[0] == mb.a_sign[i] != 0
+        F_one = one.phi_prime_1[0] + one.theta_1[0]
+        F_batch = mb.phi_prime_1[i] + mb.theta_1[i]
+        assert np.sign(F_one) == np.sign(F_batch) != 0
+        ratio_one = (one.phi_prime_1[0] - one.theta_1[0]) / F_one
+        ratio_batch = (mb.phi_prime_1[i] - mb.theta_1[i]) / F_batch
+        assert ratio_one == pytest.approx(ratio_batch, rel=1e-9)
+        log_F_one = one.log_scale[0] + math.log(abs(F_one))
+        log_F_batch = mb.log_scale[i] + math.log(abs(F_batch))
+        assert log_F_one == pytest.approx(log_F_batch, rel=1e-10)
+
+
+def test_checkpoints_inside_a_block(mathieu):
+    # one energy takes hundreds of steps per block; checkpoints cut them
+    cps = [0.13, 0.37, 0.5, 0.61, 0.9]
+    mb = mo.integrate_batch(mathieu, [41.0], checkpoints=cps)
+    assert sorted(mb.checkpoints) == cps
+    for x, state in mb.checkpoints.items():
+        w = state[0] * state[3] - state[1] * state[2]
+        assert np.max(np.abs(w - 1.0)) < 1e-9, f"checkpoint {x}"
+    whole = mo.integrate_batch(mathieu, [41.0])
+    assert np.max(np.abs(_states(mb) - _states(whole))) < 1e-10 * np.max(np.abs(_states(whole)))
+
+
+def test_unattainable_tolerance_raises_step_underflow(asym_potential):
+    with pytest.raises(StepUnderflow):
+        mo.integrate_batch(asym_potential, [1.0], rtol=1e-30, atol=1e-300)
+
+
+@pytest.mark.parametrize("lam, rtol, tol", [(-1e6, mo.RTOL, 1e-6), (-1e8, 1e-6, 1e-2)])
+def test_far_below_the_spectrum_stays_finite(mathieu, lam, rtol, tol):
+    # v - lambda ~ -lambda: F ~ e^sqrt(-lambda) / 2 (WKB), a growth that no
+    # single block may reach, least of all at a loose tolerance's long steps
+    mb = mo.integrate_batch(mathieu, [lam], rtol=rtol)
+    F_scaled = 0.5 * (mb.phi_prime_1[0] + mb.theta_1[0])
+    log_F = mb.log_scale[0] + math.log(F_scaled)
+    assert log_F == pytest.approx(math.sqrt(-lam) - math.log(2.0), abs=tol)

@@ -112,3 +112,15 @@ def test_repeated_calls_are_bit_identical():
     assert first[4].keys() == second[4].keys()
     for key in first[4]:
         assert np.array_equal(first[4][key][1], second[4][key][1])
+
+
+@pytest.mark.parametrize("n_gaps, modes", [(1, 0), (2, 1), (4, 2)])
+def test_too_few_modes_rejected(n_gaps, modes):
+    with pytest.raises(ValueError):
+        sm.hill_band_edges(POTENTIALS["asym"], n_gaps, modes=modes)
+
+
+def test_fewest_modes_accepted():
+    # the anti-periodic block of 2 modes holds exactly n_gaps + 1 eigenvalues
+    lam0, glo, ghi, nbe = sm.hill_band_edges(POTENTIALS["asym"], 3, modes=2)
+    assert lam0 < glo[0] < ghi[0] < glo[1] < ghi[1] < glo[2] < ghi[2] <= nbe
