@@ -20,7 +20,13 @@ records the route that certified its edges.
 
 All searches are batched: each refinement round costs one integration pass
 over a single vector of energies.  Bracketing rounds run the integrator at
-a coarse tolerance; final Newton polishes run at the full tolerance.
+a coarse tolerance; final Newton polishes, one loop for phases and edges,
+run at the full tolerance.  A search that reaches its cap raises.
+
+Gap state n is bound (+1) exactly when a(mu_n) has sign (-1)^(n+1), else
+anti-bound (-1), or virtual (0) when a(mu_n) is below the integration
+noise.  `sheet_signs` holds that rule for every route, and `BandStructure.xi`
+derives the xi map from the edges and the states.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from . import monodromy as mo
 from . import spectral_matrix as sm
-from .errors import BracketFailure, CountMismatch
+from .errors import BracketFailure, CountMismatch, NoConvergence
 from .potential import Potential
 
 __all__ = [
@@ -43,6 +49,7 @@ __all__ = [
     "neumann_eigs",
     "classify_states",
     "xi_map",
+    "sheet_signs",
 ]
 
 EDGE_MERGE_REL = 1e-9
@@ -50,6 +57,7 @@ VIRTUAL_EDGE_REL = 1e-7
 VIRTUAL_A_TOL = 1e-9
 COARSE_RTOL = 1e-8
 MAX_NEWTON = 60
+MAX_SCAN_ROUNDS = 80
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,6 @@ class BandStructure:
     dirichlet: np.ndarray
     neumann: np.ndarray
     states: tuple[GapState, ...] = ()
-    xi: np.ndarray | None = None
 
     def bands(self) -> list[tuple[float, float]]:
         """sigma_0 .. sigma_N as closed intervals (N+1 of them)."""
@@ -103,6 +110,26 @@ class BandStructure:
 
     def bound_states(self) -> list[GapState]:
         return [s for s in self.states if s.sign == +1 and not s.closed]
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Rows (xi_1n, xi_2n): gap centre minus mu_n, and the half-chord
+        sqrt(|gamma_n|^2 / 4 - xi_1n^2) signed by the sheet (0 when virtual)."""
+        mu = np.array([s.mu for s in self.states])
+        sign = np.array([s.sign for s in self.states])
+        xi1 = 0.5 * (self.gap_lo + self.gap_hi) - mu
+        xi2 = np.sqrt(np.abs(0.25 * self.gap_lengths**2 - xi1**2)) * sign
+        return np.column_stack((xi1, xi2))
+
+
+def sheet_signs(mb: mo.MonodromyBatch) -> np.ndarray:
+    """Sheets of the Dirichlet points from a batch evaluated at mu_1 .. mu_N in order.
+
+    +1 (bound) exactly where a(mu_n) has sign (-1)^(n+1), -1 otherwise.  It
+    reads `a_sign`, which is scale-free, so the rule holds in deep wells.
+    """
+    n = np.arange(1, mb.a_sign.size + 1)
+    return np.where(mb.a_sign * (-1.0) ** (n + 1) > 0, 1, -1)
 
 
 # --- Prufer angles ---------------------------------------------------------
@@ -137,28 +164,51 @@ def _initial_guesses(p: Potential, n_need: int):
     return mu, nu
 
 
-def _phase_solve(p, targets, kinds, lo, hi, rtol, tol_rel):
-    """Bracketed Newton on the monotone phases, iterating active entries only."""
+def _bracketed_newton(evaluate, lo, hi, s_lo, tol):
+    """Bracketed Newton on a batch of roots, evaluating the active entries only.
+
+    `evaluate(x, idx)` returns (g, g') at the points x of entries idx, and
+    `s_lo` is the sign of g at `lo`.  A Newton step that leaves the bracket
+    is replaced by bisection.  An entry stops when its Newton step is at
+    most tol * max(1, |x|), when its iterate moves by at most that, or when
+    its bracket is below four times that.  Raises NoConvergence after
+    MAX_NEWTON passes.
+    """
     x = 0.5 * (lo + hi)
     active = np.ones(x.size, dtype=bool)
     for _ in range(MAX_NEWTON):
         idx = np.nonzero(active)[0]
-        angD, dD, angN, dN = _angles(p, x[idx], rtol)
-        f = np.where(kinds[idx], angN, angD) - targets[idx]
-        df = np.where(kinds[idx], dN, dD)
-        below = f <= 0
-        lo[idx] = np.where(below, x[idx], lo[idx])
-        hi[idx] = np.where(~below, x[idx], hi[idx])
+        xa = x[idx]
+        g, dg = evaluate(xa, idx)
+        left = np.sign(g) == s_lo[idx]
+        lo[idx] = np.where(left, xa, lo[idx])
+        hi[idx] = np.where(~left, xa, hi[idx])
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = x[idx] - f / df
+            step = g / dg
+        x_new = xa - step
+        scale = tol * np.maximum(1.0, np.abs(xa))
+        # a tiny step that leaves the bracket means a bracket end already
+        # sits on the root: stop at x instead of bisecting toward it
+        tiny = np.abs(step) <= scale
         inside = (x_new > lo[idx]) & (x_new < hi[idx]) & np.isfinite(x_new)
-        x_new = np.where(inside, x_new, 0.5 * (lo[idx] + hi[idx]))
-        conv = np.abs(x_new - x[idx]) <= tol_rel * np.maximum(1.0, np.abs(x[idx]))
+        x_new = np.where(inside, x_new, np.where(tiny, xa, 0.5 * (lo[idx] + hi[idx])))
+        conv = tiny | (np.abs(x_new - xa) <= scale) | ((hi[idx] - lo[idx]) <= 4.0 * scale)
         x[idx] = x_new
         active[idx[conv]] = False
         if not np.any(active):
             return x
-    raise CountMismatch("Dirichlet/Neumann phase iteration did not converge")
+    raise NoConvergence(f"{int(np.sum(active))} Newton roots unconverged after {MAX_NEWTON} passes")
+
+
+def _phase_solve(p, targets, kinds, lo, hi, rtol, tol_rel):
+    """Dirichlet (kinds False) and Neumann (True) phases equal to their targets."""
+
+    def evaluate(x, idx):
+        angD, dD, angN, dN = _angles(p, x, rtol)
+        k = kinds[idx]
+        return np.where(k, angN, angD) - targets[idx], np.where(k, dN, dD)
+
+    return _bracketed_newton(evaluate, lo, hi, -np.ones(lo.size), tol_rel)
 
 
 def _anchor_points(p: Potential, n_need: int, rtol):
@@ -224,9 +274,14 @@ def _edge_roots(p, lo, hi, f_lo_disc, parities, rtol, tol_scale=1e-12, points=14
     lo = lo.astype(float).copy()
     hi = hi.astype(float).copy()
     offsets = np.arange(1, points + 1) / (points + 1.0)
-    for _ in range(80):
+
+    def evaluate(x, idx):
+        mb = mo.integrate_batch(p, x, rtol=rtol)
+        return sgn[idx] * mb.discriminant - 1.0, sgn[idx] * mb.discriminant_lam
+
+    for _ in range(MAX_SCAN_ROUNDS):
         if np.all(hi - lo <= 1e-4 * np.maximum(1.0, np.abs(hi))):
-            return _edge_newton(p, lo, hi, s_lo, sgn, rtol, tol_scale)
+            return _bracketed_newton(evaluate, lo, hi, s_lo, tol_scale)
         grid = lo[:, None] + (hi - lo)[:, None] * offsets
         mb = mo.integrate_batch(p, grid.ravel(), rtol=scan_rtol)
         fv = sgn[:, None] * mb.discriminant.reshape(m, points) - 1.0
@@ -240,33 +295,7 @@ def _edge_roots(p, lo, hi, f_lo_disc, parities, rtol, tol_scale=1e-12, points=14
         new_lo = np.where(has, new_lo, grid[:, -1])
         new_hi = np.where(has, np.take_along_axis(grid, first[:, None], 1)[:, 0], hi)
         lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
-
-
-def _edge_newton(p, lo, hi, s_lo, sgn, rtol, tol_scale):
-    """Bracketed Newton; falls back to bisection whenever the Newton step
-    escapes (the discriminant has interior critical points in flat gaps)."""
-    x = 0.5 * (lo + hi)
-    active = np.ones(x.size, dtype=bool)
-    for _ in range(60):
-        idx = np.nonzero(active)[0]
-        mb = mo.integrate_batch(p, x[idx], rtol=rtol)
-        g = sgn[idx] * mb.discriminant - 1.0
-        dg = sgn[idx] * mb.discriminant_lam
-        left = np.sign(g) == s_lo[idx]
-        lo[idx] = np.where(left, x[idx], lo[idx])
-        hi[idx] = np.where(~left, x[idx], hi[idx])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = x[idx] - g / dg
-        ok = (x_new > lo[idx]) & (x_new < hi[idx]) & np.isfinite(x_new)
-        x_new = np.where(ok, x_new, 0.5 * (lo[idx] + hi[idx]))
-        scale = tol_scale * np.maximum(1.0, np.abs(x[idx]))
-        conv = (np.abs(x_new - x[idx]) <= scale) | ((hi[idx] - lo[idx]) <= 4.0 * scale)
-        x[idx] = x_new
-        active[idx[conv]] = False
-        if not np.any(active):
-            return x
-    return x
+    raise BracketFailure(f"band-edge brackets still wide after {MAX_SCAN_ROUNDS} scan rounds")
 
 
 # --- main computation ------------------------------------------------------
@@ -438,15 +467,14 @@ def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure
             gap_lo[i + 1] = gap_hi[i]
     next_band_end = max(next_band_end, gap_hi[N - 1])
 
+    sheets = sheet_signs(mb_mu)
     states = []
-    xi = np.empty((N, 2))
     for n in range(1, N + 1):
         i = n - 1
         mu_n = float(mu[i])
         a_n = float(mb_mu.a_value[i])
         F_n = float(mb_mu.discriminant[i])
         phl_n = float(mb_mu.phi_lam[i])
-        width = gap_hi[i] - gap_lo[i]
         if closed_flags[i]:
             sign = 0
             mu_n = gap_lo[i]
@@ -454,19 +482,13 @@ def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure
             edge_dist = min(mu_n - gap_lo[i], gap_hi[i] - mu_n)
             # |a(mu)| = sqrt(F^2 - 1) at the Dirichlet point measures the
             # sheet distance; it is well-conditioned even for tiny gaps
-            if abs(a_n) <= VIRTUAL_A_TOL * max(1.0, abs(F_n)) or (
-                edge_dist < VIRTUAL_EDGE_REL * width and abs(a_n) <= 1e-6 * max(1.0, abs(F_n))
-            ):
-                sign = 0
-            elif a_n * (-1.0) ** (n + 1) > 0:
-                sign = +1
-            else:
-                sign = -1
+            virtual = abs(a_n) <= VIRTUAL_A_TOL * max(1.0, abs(F_n)) or (
+                edge_dist < VIRTUAL_EDGE_REL * (gap_hi[i] - gap_lo[i])
+                and abs(a_n) <= 1e-6 * max(1.0, abs(F_n))
+            )
+            sign = 0 if virtual else int(sheets[i])
         route = "shooting" if resolved[i] else fallback
         states.append(GapState(n, mu_n, sign, bool(closed_flags[i]), a_n, F_n, phl_n, route))
-        xi1 = 0.5 * (gap_lo[i] + gap_hi[i]) - mu_n
-        xi2 = math.sqrt(abs(0.25 * width**2 - xi1**2)) * sign
-        xi[i] = (xi1, xi2)
 
     return BandStructure(
         potential=p,
@@ -478,7 +500,6 @@ def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure
         dirichlet=mu[:N].copy(),
         neumann=nu[: N + 1].copy(),
         states=tuple(states),
-        xi=xi,
     )
 
 

@@ -159,33 +159,21 @@ def cmd_discriminant_sweep(args) -> int:
     return EXIT_OK
 
 
-def _tau_eigen_rows(task):
-    p, tau, N, bs = task
-    hs = gap_eigenvalues(p, tau, N, bs=bs)
-    return [(tau, j, lam, wronskian(p, tau, lam, j)) for j, lam in hs.eigenvalues]
-
-
 def cmd_halfsolid(args) -> int:
     cfg = _load_config(args)
     p = load_spec(_require(args, cfg, "potential"))
     N = int(_opt(args, cfg, "N", 3))
     gap_index = int(_opt(args, cfg, "gap_index", 1))
-    jobs = max(1, int(_opt(args, cfg, "jobs", 1)))
     out = _out_dir(args, cfg)
     if _opt(args, cfg, "tau") is not None:
         taus = [float(_opt(args, cfg, "tau"))]
     else:
         taus = list(_parse_tau_grid(_require(args, cfg, "tau_grid")))
     bs = band_structure(p, N)
-    tasks = [(p, tau, N, bs) for tau in taus]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_tau = list(pool.map(_tau_eigen_rows, tasks))
-    else:
-        per_tau = [_tau_eigen_rows(t) for t in tasks]
-    rows = [row for chunk in per_tau for row in chunk]
+    rows = []
+    for tau in taus:
+        hs = gap_eigenvalues(p, tau, N, bs=bs)
+        rows.extend((tau, j, lam, wronskian(p, tau, lam, j)) for j, lam in hs.eigenvalues)
     _write_csv(out / "eigenvalues.csv", ["tau", "j", "mu_j_tau", "w_residual"], rows)
     report = {}
     if len(taus) >= 4 and any(s.sign == +1 for s in bs.states):
@@ -340,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--out", help="output directory (default: .)")
-        sp.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
 
     sp = sub.add_parser("bands", help="band edges, gap states, xi map (CSV)")
     common(sp)

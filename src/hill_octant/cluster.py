@@ -7,6 +7,13 @@ eigenvalue clusters, and spectrum-free separating intervals around each
 eigenvalue cluster.  Cluster membership is combinatorial - a sum belongs
 to the cluster of its index total - while the position bounds are recorded
 as validations.
+
+`assemble_2d` and `assemble_3d` are entry points into one assembler for d
+factors.  It takes e_1 once, from the first factor's lowest bound state
+moved down by its gap index - 1, and uses it for the separating margin,
+the position checks and the separation bound alike.  Matrix-route factor
+spectra (`fast_factor_spectrum`) take their sheets from
+`bands.sheet_signs`, the rule the shooting band structure uses.
 """
 
 from __future__ import annotations
@@ -15,9 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .bands import BandStructure, band_structure
+from .bands import BandStructure, band_structure, sheet_signs
 from .errors import CountChanged, NoGroundState, SeparationFail
 from .halfsolid import HalfSolidSpectrum
 from .intervals import Interval, IntervalSet, minkowski_sum  # noqa: F401  (re-exported)
@@ -130,8 +135,8 @@ def _eigen_items(ns: NormalizedSpectrum1D):
     return [(n, e) for n, e in ns.eigenvalues]
 
 
-def _assemble(factors, kappa, N):
-    """Shared cluster assembly for 2 or 3 factors."""
+def _clusters(factors, N):
+    """Band and eigenvalue clusters of the Minkowski sum of d = len(factors) spectra."""
     d = len(factors)
     tol = _merge_tol(N)
     bands = [_band_items(f) for f in factors]
@@ -174,7 +179,7 @@ def _assemble(factors, kappa, N):
     return band_clusters, eigen_clusters
 
 
-def _separating_intervals(band_clusters, eigen_clusters, kappa, margin, N):
+def _separating_intervals(band_clusters, eigen_clusters, margin, N):
     """Spectrum-free interval around each eigenvalue cluster.
 
     The interval spans the gap between the a.c. pieces sandwiching the
@@ -204,12 +209,18 @@ def _separating_intervals(band_clusters, eigen_clusters, kappa, margin, N):
     return separating
 
 
-def _validate(band_clusters, eigen_clusters, separating, factors, kappa, N, d):
+def _e1(factors):
+    """e_1: the first factor's lowest bound state, moved down by its gap index - 1
+    (None when it has none)."""
+    if not factors[0].eigenvalues:
+        return None
+    n, e = factors[0].eigenvalues[0]
+    return e - (n - 1)
+
+
+def _validate(band_clusters, eigen_clusters, separating, e1, margin, kappa, N, d):
     """Record the printed position/size bounds; failures are reported, not raised."""
     out = []
-    e1 = None
-    if factors[0].eigenvalues:
-        e1 = factors[0].eigenvalues[0][1] - (factors[0].eigenvalues[0][0] - 1)
     for (kind, n), iset in sorted(band_clusters.items()):
         if n > N or iset.empty:
             continue
@@ -233,12 +244,40 @@ def _validate(band_clusters, eigen_clusters, separating, factors, kappa, N, d):
     ac_all = IntervalSet([iv for s in band_clusters.values() for iv in s.intervals])
     for n, iv in separating.items():
         dist = ac_all.distance(iv)
-        need = 2.0 * kappa if d == 2 else min(2.0 * kappa, (e1 or 0.25) / 2)
-        out.append(Validation("separation", (n,), dist, need, dist >= need - 1e-12))
+        out.append(Validation("separation", (n,), dist, margin, dist >= margin - 1e-12))
         evs = eigen_clusters.get(n, [])
         inside = all(iv.contains(v) for _, v in evs)
         out.append(Validation("cluster containment", (n,), float(inside), 1.0, inside))
     return out
+
+
+def _assemble(factors, kappa, N, enforce_separation=True) -> ClusterSpectrum:
+    """Clusters, separating intervals and validations for 2 or 3 factors.
+
+    The separating margin is 2 kappa with two factors.  With three, the
+    sub-cell spacing is e_1 = 1/(4d) and the eigenvalue cluster sits e_1
+    above the nearest surface cluster, so the margin is capped at e_1 / 2
+    (the 2D margin 2 kappa does not fit unless kappa is very small).
+    """
+    d = len(factors)
+    band_clusters, eigen_clusters = _clusters(factors, N)
+    e1 = _e1(factors)
+    margin = 2.0 * kappa if d == 2 else min(2.0 * kappa, (e1 if e1 is not None else 0.25) / 2.0)
+    try:
+        separating = _separating_intervals(band_clusters, eigen_clusters, margin, N)
+    except SeparationFail:
+        if enforce_separation:
+            raise
+        separating = {}
+    cs = ClusterSpectrum(d, kappa, N, band_clusters, eigen_clusters, separating)
+    cs.validations = _validate(band_clusters, eigen_clusters, separating, e1, margin, kappa, N, d)
+    if enforce_separation:
+        for v in cs.validations:
+            if v.name == "separation" and not v.passed:
+                raise SeparationFail(
+                    f"separating interval {v.index} at distance {v.value:.4g} < {v.bound:.4g}"
+                )
+    return cs
 
 
 def assemble_2d(
@@ -249,23 +288,7 @@ def assemble_2d(
     enforce_separation: bool = True,
 ) -> ClusterSpectrum:
     """Clusters of a two-factor separable spectrum."""
-    band_clusters, eigen_clusters = _assemble([n1, n2], kappa, N)
-    margin = 2.0 * kappa
-    try:
-        separating = _separating_intervals(band_clusters, eigen_clusters, kappa, margin, N)
-    except SeparationFail:
-        if enforce_separation:
-            raise
-        separating = {}
-    cs = ClusterSpectrum(2, kappa, N, band_clusters, eigen_clusters, separating)
-    cs.validations = _validate(band_clusters, eigen_clusters, separating, [n1, n2], kappa, N, 2)
-    if enforce_separation:
-        for v in cs.validations:
-            if v.name == "separation" and not v.passed:
-                raise SeparationFail(
-                    f"separating interval {v.index} at distance {v.value:.4g} < {v.bound:.4g}"
-                )
-    return cs
+    return _assemble([n1, n2], kappa, N, enforce_separation)
 
 
 def assemble_3d(
@@ -276,32 +299,8 @@ def assemble_3d(
     N: int,
     enforce_separation: bool = True,
 ) -> ClusterSpectrum:
-    """Clusters of a three-factor separable spectrum.
-
-    The sub-cell spacing is e_1 = 1/(4d); with three factors the eigenvalue
-    cluster sits e_1 above the nearest surface cluster, so the separating
-    margin is capped at e_1 / 2 (the 2D margin 2 kappa does not fit unless
-    kappa is very small).
-    """
-    factors = [n1, n2, n3]
-    band_clusters, eigen_clusters = _assemble(factors, kappa, N)
-    e1 = factors[0].eigenvalues[0][1] if factors[0].eigenvalues else 0.25
-    margin = min(2.0 * kappa, e1 / 2.0)
-    try:
-        separating = _separating_intervals(band_clusters, eigen_clusters, kappa, margin, N)
-    except SeparationFail:
-        if enforce_separation:
-            raise
-        separating = {}
-    cs = ClusterSpectrum(3, kappa, N, band_clusters, eigen_clusters, separating)
-    cs.validations = _validate(band_clusters, eigen_clusters, separating, factors, kappa, N, 3)
-    if enforce_separation:
-        for v in cs.validations:
-            if v.name == "separation" and not v.passed:
-                raise SeparationFail(
-                    f"separating interval {v.index} at distance {v.value:.4g} < {v.bound:.4g}"
-                )
-    return cs
+    """Clusters of a three-factor separable spectrum."""
+    return _assemble([n1, n2, n3], kappa, N, enforce_separation)
 
 
 def count_in_interval(cs: ClusterSpectrum, interval) -> tuple[int, list, bool]:
@@ -331,8 +330,7 @@ def fast_factor_spectrum(p: Potential, N: int, gamma: float) -> NormalizedSpectr
     """
     lam0, glo, ghi, nbe = sm.hill_band_edges(p, N)
     mu = sm.galerkin_dirichlet(p, N)
-    mb = integrate_batch(p, mu)
-    signs = np.where(mb.a_sign * (-1.0) ** (np.arange(1, N + 1) + 1) > 0, 1, -1)
+    signs = sheet_signs(integrate_batch(p, mu))
     # deep wells make neighbouring edges degenerate to rounding; keep the
     # band intervals ordered
     bands = [(min(lam0, glo[0]), glo[0])]
@@ -371,11 +369,7 @@ def perturb_and_recount(
     def pipeline(pots):
         # one factor solve per distinct potential: the factors are often copies
         spectra = {p: fast_factor_spectrum(p, N, gamma) for p in dict.fromkeys(pots)}
-        factors = [spectra[p] for p in pots]
-        if len(factors) == 2:
-            cs = assemble_2d(factors[0], factors[1], kappa, N)
-        else:
-            cs = assemble_3d(*factors, kappa=kappa, N=N)
+        cs = _assemble([spectra[p] for p in pots], kappa, N)
         return [count_in_interval(cs, iv)[0] for iv in intervals]
 
     before = pipeline(list(potentials))

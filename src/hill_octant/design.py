@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral_matrix as sm
-from .bands import BandStructure, GapState, band_structure
+from .bands import BandStructure, GapState, band_structure, sheet_signs
 from .errors import (
     IllConditioned,
     NoConvergence,
@@ -208,17 +208,6 @@ def _state_targets(target: DesignTarget):
     return np.asarray(fr), np.asarray(sg, dtype=int)
 
 
-def _classify_quick(p: Potential, N: int) -> np.ndarray:
-    """Sheet signs from a(mu_n) at the matrix-route Dirichlet points.
-
-    Valid when every state sits well inside its gap (the designed case);
-    sign_n = +1 exactly when a(mu_n) has sign (-1)^{n+1}.
-    """
-    mu = sm.galerkin_dirichlet(p, N)
-    mb = integrate_batch(p, mu)
-    return np.where(mb.a_value * (-1.0) ** (np.arange(1, N + 1) + 1) > 0, 1, -1)
-
-
 def place_states(p0: Potential, target: DesignTarget, report: DesignReport | None = None) -> Potential:
     """Joint fit of gap lengths and in-gap Dirichlet positions, then verify signs.
 
@@ -288,9 +277,10 @@ def place_states(p0: Potential, target: DesignTarget, report: DesignReport | Non
             report.iterations += its
             report.restarts = trial
             report.residual = rn
-        got = _classify_quick(_potential_from_coeffs(x[:M], x[M:]), N)
+        p = _potential_from_coeffs(x[:M], x[M:])
+        got = sheet_signs(integrate_batch(p, sm.galerkin_dirichlet(p, N)))
         if np.array_equal(got, signs):
-            return _potential_from_coeffs(x[:M], x[M:])
+            return p
         # a global reflection flips every sheet at once
         if np.array_equal(-got, signs):
             return _potential_from_coeffs(x[:M], -x[M:])
@@ -492,31 +482,22 @@ def _matrix_band_structure(p: Potential, N: int, mb_mu, mu, nu) -> BandStructure
     a/F/phi_lam saturate at +-inf with the correct signs.
     """
     lam0, glo, ghi, nbe = sm.hill_band_edges(p, N)
-    lam0 = min(lam0, float(glo[0]))
-    nbe = max(nbe, float(ghi[-1]))
-    states = []
-    xi = np.empty((N, 2))
-    a_sign = mb_mu.a_sign
-    for n in range(1, N + 1):
-        sgn = +1 if a_sign[n - 1] * (-1.0) ** (n + 1) > 0 else -1
-        a_sat = math.inf * a_sign[n - 1]
-        states.append(
-            GapState(n, float(mu[n - 1]), sgn, False, a_sat, math.inf, math.inf, "matrix")
-        )
-        width = ghi[n - 1] - glo[n - 1]
-        xi1 = 0.5 * (glo[n - 1] + ghi[n - 1]) - mu[n - 1]
-        xi[n - 1] = (xi1, math.sqrt(abs(0.25 * width**2 - xi1**2)) * sgn)
+    signs = sheet_signs(mb_mu)
+    states = tuple(
+        GapState(n, float(mu[n - 1]), int(signs[n - 1]), False,
+                 math.inf * mb_mu.a_sign[n - 1], math.inf, math.inf, "matrix")
+        for n in range(1, N + 1)
+    )
     return BandStructure(
         potential=p,
         n_gaps=N,
-        lambda0=lam0,
+        lambda0=min(lam0, float(glo[0])),
         gap_lo=glo,
         gap_hi=ghi,
-        next_band_end=nbe,
+        next_band_end=max(nbe, float(ghi[-1])),
         dirichlet=np.asarray(mu, dtype=float),
         neumann=np.asarray(nu, dtype=float),
-        states=tuple(states),
-        xi=xi,
+        states=states,
     )
 
 
@@ -563,22 +544,23 @@ def construct_model_potential(
         mu = sm.galerkin_dirichlet(p, N, dim=fit.gdim)
         nu = sm.galerkin_neumann(p, N + 1, dim=fit.gdim)
         mb_mu = integrate_batch(p, mu, count_zeros=True)
-        expected = np.arange(1, N + 1)
-        want = (-1.0) ** (expected + 1)
-        if np.all(mb_mu.a_sign * want < 0):
+        signs = sheet_signs(mb_mu)
+        if np.all(signs == -1):
             # the translation seeds are symmetric about the well, so the fit
             # can land on the mirror image: same edges and mu, every sheet
             # flipped.  Its reflection v(-x) has the target sheets.
             p = _reflect(p)
             mb_mu = integrate_batch(p, mu, count_zeros=True)
+            signs = sheet_signs(mb_mu)
+        expected = np.arange(1, N + 1)
         counts_ok = (mb_mu.phi_zeros == expected) | (mb_mu.phi_zeros == expected - 1)
         if not np.all(counts_ok):
             raise PostconditionFail(
                 f"shooting oscillation counts {mb_mu.phi_zeros} do not bracket the states"
             )
-        if not np.all(mb_mu.a_sign * want > 0):
+        if not np.all(signs == 1):
             raise SignUnreachable(
-                f"shooting sheet signs {mb_mu.a_sign} disagree with bound-state targets"
+                f"shooting sheet signs {signs.tolist()} disagree with bound-state targets"
             )
         bs = _matrix_band_structure(p, N, mb_mu, mu, nu)
 
@@ -619,7 +601,6 @@ def _shift_band_structure(bs: BandStructure, c: float, p_new: Potential) -> Band
         dirichlet=bs.dirichlet + c,
         neumann=bs.neumann + c,
         states=states,
-        xi=bs.xi.copy() if bs.xi is not None else None,
     )
 
 

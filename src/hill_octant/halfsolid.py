@@ -15,7 +15,7 @@ one sign change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,53 +157,45 @@ def _scan_interval(p, tau, lo, hi, gap_index, tol_abs):
     return roots
 
 
+def _gap_root(p, tau, gap: GapInterval, bs: BandStructure):
+    """The junction eigenvalue in one surviving gap, or None.
+
+    Scans the gap on both sides of the Dirichlet pole mu_j of m_+, where w
+    is monotone; more than one sign change raises MultipleRoots.
+    """
+    j = gap.index
+    width_full = bs.gap_hi[j - 1] - bs.gap_lo[j - 1]
+    pad = 1e-12 * max(1.0, abs(gap.lo))
+    lo = gap.lo + pad
+    hi = gap.hi - (1e-9 * max(1.0, abs(tau)) if gap.truncated else pad)
+    if hi <= lo:
+        return None
+    mu_j = bs.dirichlet[j - 1]
+    split = POLE_SPLIT_REL * width_full
+    tol_abs = 1e-10 * max(1.0, abs(gap.hi))
+    if lo < mu_j - split and mu_j + split < hi:
+        pieces = [(lo, mu_j - split), (mu_j + split, hi)]
+    else:
+        pieces = [(lo, hi)]
+    roots = []
+    for a, b in pieces:
+        roots.extend(_scan_interval(p, tau, a, b, j, tol_abs))
+    if len(roots) > 1:
+        raise MultipleRoots(f"gap {j}: found {len(roots)} Wronskian sign changes")
+    return float(roots[0]) if roots else None
+
+
 def gap_eigenvalues(
-    p: Potential,
-    tau: float,
-    N: int,
-    bs: BandStructure | None = None,
-    hs: HalfSolidSpectrum | None = None,
-    gap_filter=None,
+    p: Potential, tau: float, N: int, bs: BandStructure | None = None
 ) -> HalfSolidSpectrum:
     """Locate the (at most one per gap) junction eigenvalues in gaps 1..N."""
-    if hs is None:
-        hs = ac_spectrum(p, tau, N, bs=bs)
-    bs = hs.band_data
-    found: list[tuple[int, float]] = []
+    hs = ac_spectrum(p, tau, N, bs=bs)
+    found = []
     for gap in hs.gap_list:
-        if gap_filter is not None and gap.index not in gap_filter:
-            continue
-        j = gap.index
-        width_full = bs.gap_hi[j - 1] - bs.gap_lo[j - 1]
-        pad = 1e-12 * max(1.0, abs(gap.lo))
-        lo = gap.lo + pad
-        hi = gap.hi - (1e-9 * max(1.0, abs(tau)) if gap.truncated else pad)
-        if hi <= lo:
-            continue
-        mu_j = bs.dirichlet[j - 1]
-        split = POLE_SPLIT_REL * width_full
-        tol_abs = 1e-10 * max(1.0, abs(gap.hi))
-        pieces = []
-        if lo < mu_j - split and mu_j + split < hi:
-            pieces = [(lo, mu_j - split), (mu_j + split, hi)]
-        else:
-            pieces = [(lo, hi)]
-        roots = []
-        for a, b in pieces:
-            roots.extend(_scan_interval(p, tau, a, b, j, tol_abs))
-        if len(roots) > 1:
-            raise MultipleRoots(f"gap {j}: found {len(roots)} Wronskian sign changes")
-        for r in roots:
-            found.append((j, float(r)))
-    return HalfSolidSpectrum(
-        tau=hs.tau,
-        tau0=hs.tau0,
-        ac_bands=hs.ac_bands,
-        gap_list=hs.gap_list,
-        eigenvalues=tuple(found),
-        ground_state=hs.ground_state,
-        band_data=bs,
-    )
+        lam = _gap_root(p, tau, gap, hs.band_data)
+        if lam is not None:
+            found.append((gap.index, lam))
+    return replace(hs, eigenvalues=tuple(found))
 
 
 def asymptotic_coefficient(p: Potential, gap_index: int, bs: BandStructure | None = None) -> float:
@@ -223,10 +215,9 @@ def asymptotic_coefficient(p: Potential, gap_index: int, bs: BandStructure | Non
 
 def _eigenvalue_near_mu(p, tau, gap_index, bs):
     hs = ac_spectrum(p, tau, gap_index, bs=bs)
-    hs = gap_eigenvalues(p, tau, gap_index, hs=hs, gap_filter={gap_index})
-    for j, lam in hs.eigenvalues:
-        if j == gap_index:
-            return lam
+    for gap in hs.gap_list:
+        if gap.index == gap_index:
+            return _gap_root(p, tau, gap, bs)
     return None
 
 

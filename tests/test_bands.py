@@ -5,6 +5,7 @@ import pytest
 
 from hill_octant import bands, monodromy as mo
 from hill_octant import spectral_matrix as sm
+from hill_octant.errors import BracketFailure, NoConvergence
 from hill_octant.potential import constant_potential, fourier_potential, piecewise_potential, zero_potential
 
 from conftest import random_corpus
@@ -157,6 +158,10 @@ def test_bound_state_sign_rule(bound_state_potential, bound_state_bands):
     bs_m = bands.band_structure(mirrored, 1)
     assert bs_m.state(1).sign == -1
     assert bs_m.dirichlet[0] == pytest.approx(bound_state_bands.dirichlet[0], rel=1e-9)
+    # the matrix-route callers apply the same rule through sheet_signs
+    for q, bs in ((bound_state_potential, bound_state_bands), (mirrored, bs_m)):
+        signs = bands.sheet_signs(mo.integrate_batch(q, bs.dirichlet))
+        assert signs.tolist() == [s.sign for s in bs.states]
 
 
 def _unresolved_gap_matches_matrix_route(p, N, n):
@@ -218,3 +223,31 @@ def test_add_constant_normalizes_lowest_edge(asym_potential):
     shifted = add_constant(asym_potential, -bs.lambda0)
     bs2 = bands.band_structure(shifted, 1)
     assert abs(bs2.lambda0) < 1e-9
+
+
+def test_newton_stops_on_a_root_at_the_bracket_end():
+    # the second iterate lands on the root and becomes the upper bracket
+    # end; its zero Newton step must end the search, not start a bisection
+    # crawl toward that end (about 40 passes at tolerance 1e-12)
+    passes = []
+
+    def evaluate(x, idx):
+        passes.append(x.size)
+        return x - 1.0, np.ones_like(x)
+
+    lo, hi = np.array([0.0]), np.array([1.0 + 1e-13])
+    root = bands._bracketed_newton(evaluate, lo, hi, np.array([-1.0]), 1e-12)
+    assert root[0] == 1.0
+    assert len(passes) == 2
+
+
+def test_newton_cap_raises(asym_potential, monkeypatch):
+    monkeypatch.setattr(bands, "MAX_NEWTON", 1)
+    with pytest.raises(NoConvergence):
+        bands.band_structure(asym_potential, 2)
+
+
+def test_edge_scan_cap_raises(asym_potential, monkeypatch):
+    monkeypatch.setattr(bands, "MAX_SCAN_ROUNDS", 1)
+    with pytest.raises(BracketFailure):
+        bands.band_structure(asym_potential, 2)

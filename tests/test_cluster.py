@@ -10,11 +10,12 @@ from hill_octant.cluster import (
     assemble_2d,
     assemble_3d,
     count_in_interval,
+    fast_factor_spectrum,
     ground_state_product,
     normalize,
     perturb_and_recount,
 )
-from hill_octant.errors import NoGroundState, SeparationFail
+from hill_octant.errors import CountChanged, NoGroundState, SeparationFail
 from hill_octant.halfsolid import GroundState, HalfSolidSpectrum
 from hill_octant.intervals import Interval, IntervalSet, minkowski_sum
 from hill_octant.potential import fourier_potential, zero_potential
@@ -232,6 +233,18 @@ def test_perturb_rejects_large_w():
     w = fourier_potential([(1, 5.0, 0.0)])
     with pytest.raises(ValueError):
         perturb_and_recount([p, p], [w, w], KAPPA**3, [(0.0, 1.0)], KAPPA, 1.0, 2)
+
+
+def test_perturbation_moving_a_count_raises(bound_state_potential):
+    # w = 1 moves every factor eigenvalue up by eps, so the two-factor sum
+    # moves by 2 eps / gamma and leaves an interval ending halfway there
+    p, gamma, kappa = bound_state_potential, 10.0, 0.1
+    eps = kappa**3
+    e = fast_factor_spectrum(p, 1, gamma).eigenvalues[0][1]
+    w = fourier_potential([], constant=1.0)
+    interval = (2 * e - 0.01, 2 * e + eps / gamma)
+    with pytest.raises(CountChanged):
+        perturb_and_recount([p, p], [w, w], eps, [interval], kappa, gamma, 1)
 
 
 # --- ground-state products ---------------------------------------------------

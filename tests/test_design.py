@@ -5,7 +5,7 @@ import pytest
 
 from hill_octant import bands, design as dz, monodromy as mo
 from hill_octant import spectral_matrix as sm
-from hill_octant.errors import RhoNotPositive
+from hill_octant.errors import IllConditioned, RhoNotPositive
 from hill_octant.potential import fourier_potential, l2_norm, translate
 
 
@@ -16,6 +16,15 @@ def test_target_validation():
         dz.DesignTarget(n_gaps=2, gap_lengths=(1.0, 1.0), state_fracs=(0.5, 1.5))
     with pytest.raises(ValueError):
         dz.DesignTarget(n_gaps=3, gap_lengths=(1.0,) * 3, basis_size=2)
+
+
+def test_gauss_newton_rejects_rank_deficient_jacobian():
+    # both residuals depend on x0 + x1 only: the Jacobian has rank 1
+    def residual(x):
+        return np.array([x[0] + x[1] - 1.0, 2.0 * (x[0] + x[1]) - 3.0])
+
+    with pytest.raises(IllConditioned):
+        dz._gauss_newton(residual, [0.0, 0.0], 1e-8, 1.0)
 
 
 def test_zero_targets_give_zero_potential():

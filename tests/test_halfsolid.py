@@ -75,7 +75,7 @@ def test_eigenvalue_approaches_bound_state(bound_state_potential, bound_state_ba
     assert c < 0  # Weyl-function residues are negative
     prev_err = None
     for tau in (1e4, 1e5, 1e6):
-        hs = hsm.gap_eigenvalues(bound_state_potential, tau, 2, bs=bs, gap_filter={1})
+        hs = hsm.gap_eigenvalues(bound_state_potential, tau, 2, bs=bs)
         evs = dict(hs.eigenvalues)
         assert 1 in evs
         lam = evs[1]
