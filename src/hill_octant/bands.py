@@ -6,9 +6,9 @@ and Neumann points nu_n (phase of theta through pi/2 + n pi) are found by a
 globally safe bracketed Newton iteration.  Both mu_n and nu_n lie in the
 closure of gap n, and for an open gap their midpoint lies strictly inside,
 so (-1)^n F > 1 there.  Those midpoints anchor brackets with exactly one
-sign change for every band edge, which subdivision plus a Newton polish
-(dF/dlambda comes from the variational system) resolves even for
-near-closed gaps and for states sitting exactly on an edge.
+sign change of (-1)^n F - 1 for every band edge, and the same bracketed
+Newton iteration (dF/dlambda comes from the variational system) resolves
+it, even for near-closed gaps and for states sitting exactly on an edge.
 
 Gaps narrower than the double-precision resolution of F -+ 1 (roots become
 near-double) take their edges from the Hill-matrix route for Fourier
@@ -18,10 +18,10 @@ well-conditioned simple roots.  Either way the edges still contain mu and
 nu, gaps below the merge tolerance collapse to a point, and each gap state
 records the route that certified its edges.
 
-All searches are batched: each refinement round costs one integration pass
-over a single vector of energies.  Bracketing rounds run the integrator at
-a coarse tolerance; final Newton polishes, one loop for phases and edges,
-run at the full tolerance.  A search that reaches its cap raises.
+All searches are batched: each Newton pass costs one integration pass over
+the energies still unconverged.  Phases run at the caller's tolerance and
+every band edge at min(rtol, 2e-13), since near-double roots amplify
+integration noise by 1/|dF/dlambda|.  A search that reaches its cap raises.
 
 Gap state n is bound (+1) exactly when a(mu_n) has sign (-1)^(n+1), else
 anti-bound (-1), or virtual (0) when a(mu_n) is below the integration
@@ -55,9 +55,7 @@ __all__ = [
 EDGE_MERGE_REL = 1e-9
 VIRTUAL_EDGE_REL = 1e-7
 VIRTUAL_A_TOL = 1e-9
-COARSE_RTOL = 1e-8
 MAX_NEWTON = 60
-MAX_SCAN_ROUNDS = 80
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ def _anchor_points(p: Potential, n_need: int, rtol):
     kinds2 = np.concatenate((kinds, kinds))
     targets2 = np.concatenate((targets, targets))
     for _ in range(40):
-        angD, dD, angN, dN = _angles(p, np.concatenate((lo, hi)), COARSE_RTOL)
+        angD, dD, angN, dN = _angles(p, np.concatenate((lo, hi)), rtol)
         f2 = np.where(kinds2, angN, angD) - targets2
         f_lo, f_hi = np.split(f2, 2)
         bad_lo = f_lo > 0
@@ -243,11 +241,7 @@ def _anchor_points(p: Potential, n_need: int, rtol):
     else:
         raise CountMismatch("could not bracket the Dirichlet/Neumann phases")
 
-    x = _phase_solve(p, targets, kinds, lo.copy(), hi.copy(), COARSE_RTOL, 1e-8)
-    # fine polish at the full tolerance from a tight bracket
-    w2 = 1e-7 * np.maximum(1.0, np.abs(x))
-    x = _phase_solve(p, targets, kinds, x - w2, x + w2, rtol, 3e-12)
-
+    x = _phase_solve(p, targets, kinds, lo, hi, rtol, 3e-12)
     mu = x[:n_need]
     nu = x[n_need:]
     if np.any(np.diff(mu) <= 0) or np.any(np.diff(nu) <= 0):
@@ -259,43 +253,16 @@ def _anchor_points(p: Potential, n_need: int, rtol):
 # --- band edges ------------------------------------------------------------
 
 
-def _edge_roots(p, lo, hi, f_lo_disc, parities, rtol, tol_scale=1e-12, points=14, scan_rtol=COARSE_RTOL):
-    """Roots of (-1)^parity F(lambda) = 1, one sign change per bracket.
-
-    Multi-point bracket subdivision (one batched integration per round) at
-    the scan tolerance, ending in a bracketed Newton polish at the full
-    tolerance.
-    """
-    m = lo.size
-    if m == 0:
-        return np.empty(0)
-    sgn = np.asarray([(-1.0) ** k for k in parities])
-    s_lo = np.sign(sgn * f_lo_disc - 1.0)
-    lo = lo.astype(float).copy()
-    hi = hi.astype(float).copy()
-    offsets = np.arange(1, points + 1) / (points + 1.0)
+def _edge_roots(p, lo, hi, f_lo_disc, parities, rtol):
+    """Roots of (-1)^parity F(lambda) = 1, one sign change per bracket."""
+    sgn = (-1.0) ** np.asarray(parities)
+    s_lo = np.sign(sgn * np.asarray(f_lo_disc) - 1.0)
 
     def evaluate(x, idx):
         mb = mo.integrate_batch(p, x, rtol=rtol)
         return sgn[idx] * mb.discriminant - 1.0, sgn[idx] * mb.discriminant_lam
 
-    for _ in range(MAX_SCAN_ROUNDS):
-        if np.all(hi - lo <= 1e-4 * np.maximum(1.0, np.abs(hi))):
-            return _bracketed_newton(evaluate, lo, hi, s_lo, tol_scale)
-        grid = lo[:, None] + (hi - lo)[:, None] * offsets
-        mb = mo.integrate_batch(p, grid.ravel(), rtol=scan_rtol)
-        fv = sgn[:, None] * mb.discriminant.reshape(m, points) - 1.0
-        signs = np.sign(fv)
-        flip = (signs != s_lo[:, None]) & (signs != 0)
-        first = np.argmax(flip, axis=1)
-        has = flip.any(axis=1)
-        new_lo = np.where(
-            first > 0, np.take_along_axis(grid, np.maximum(first - 1, 0)[:, None], 1)[:, 0], lo
-        )
-        new_lo = np.where(has, new_lo, grid[:, -1])
-        new_hi = np.where(has, np.take_along_axis(grid, first[:, None], 1)[:, 0], hi)
-        lo, hi = new_lo, new_hi
-    raise BracketFailure(f"band-edge brackets still wide after {MAX_SCAN_ROUNDS} scan rounds")
+    return _bracketed_newton(evaluate, np.array(lo, float), np.array(hi, float), s_lo, 1e-12)
 
 
 # --- main computation ------------------------------------------------------
@@ -310,7 +277,7 @@ def _gap_interiors(p, hull_lo, hull_hi, lam_min, N):
     Probes a ladder of candidates around the [mu, nu] hull of each gap;
     (-1)^n F > 1 identifies points inside gap n unambiguously because the
     probes stay between the neighbouring hulls.  Gaps where no probe beats
-    the coarse integration noise cannot be resolved through F -+ 1.
+    the integration noise cannot be resolved through F -+ 1.
     """
     n_need = hull_lo.size
     spacing_r = np.empty(n_need)
@@ -340,8 +307,7 @@ def _gap_interiors(p, hull_lo, hull_hi, lam_min, N):
     has = valid[np.arange(n_need), best]
     centers = np.where(has, probes[np.arange(n_need), best], np.nan)
     center_F = np.where(has, F[np.arange(n_need), best], np.nan)
-    best_excess = np.where(has, score[np.arange(n_need), best], np.nan)
-    return centers, center_F, best_excess
+    return centers, center_F
 
 
 def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure:
@@ -355,11 +321,8 @@ def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure
     hull_hi = np.maximum(mu, nu[1:])
     lam_min = -p.sup_norm_bound - 1.0
 
-    centers, center_F, center_excess = _gap_interiors(p, hull_lo, hull_hi, lam_min, N)
+    centers, center_F = _gap_interiors(p, hull_lo, hull_hi, lam_min, N)
     resolved = np.isfinite(centers)
-    # gaps whose discriminant excess sits within two decades of the coarse
-    # scan noise need the full tolerance even during bracketing
-    delicate = resolved & (center_excess < 100.0 * COARSE_RTOL * np.maximum(1.0, np.abs(center_F)))
     merge_tol = EDGE_MERGE_REL * np.maximum(1.0, np.abs(hull_lo))
 
     # neighbour anchors: interior point where available, hull midpoint
@@ -379,46 +342,18 @@ def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure
         (mo.integrate_batch(p, [lam_min], rtol=rtol).discriminant, anchor_Fv)
     )
 
-    t_lo, t_hi, t_flo, t_par, t_tag, t_fine = [], [], [], [], [], []
-
-    def add(lo_v, hi_v, flo_v, par, tag, fine):
-        t_lo.append(lo_v)
-        t_hi.append(hi_v)
-        t_flo.append(flo_v)
-        t_par.append(par)
-        t_tag.append(tag)
-        t_fine.append(fine)
-
-    add(x_anchor[0], x_anchor[1], F_anchor[0], 0, ("edge0", 0), False)
+    # one bracket (lower end, upper end, F at the lower end, parity, tag) per edge
+    brackets = [(x_anchor[0], x_anchor[1], F_anchor[0], 0, ("edge0", 0))]
     for n in range(1, n_need + 1):
         if not resolved[n - 1]:
             continue
-        fine = bool(delicate[n - 1])
-        add(x_anchor[n - 1], centers[n - 1], F_anchor[n - 1], n, ("lo", n), fine)
+        brackets.append((x_anchor[n - 1], centers[n - 1], F_anchor[n - 1], n, ("lo", n)))
         if n <= N:
-            add(centers[n - 1], x_anchor[n + 1], center_F[n - 1], n, ("hi", n), fine)
-
-    # near-double roots amplify integration noise by 1/|dF/dlambda|; the
-    # delicate group runs at a tighter tolerance throughout
-    fine_rtol = min(rtol, 2e-13)
-    roots = np.empty(len(t_lo))
-    t_fine = np.asarray(t_fine, dtype=bool)
-    for fine_mask, use_rtol, scan_rtol in (
-        (~t_fine, rtol, COARSE_RTOL),
-        (t_fine, fine_rtol, fine_rtol),
-    ):
-        idx = np.nonzero(fine_mask)[0]
-        if idx.size == 0:
-            continue
-        roots[idx] = _edge_roots(
-            p,
-            np.asarray(t_lo, dtype=float)[idx],
-            np.asarray(t_hi, dtype=float)[idx],
-            np.asarray(t_flo, dtype=float)[idx],
-            [t_par[i] for i in idx],
-            use_rtol,
-            scan_rtol=scan_rtol,
-        )
+            brackets.append((centers[n - 1], x_anchor[n + 1], center_F[n - 1], n, ("hi", n)))
+    t_lo, t_hi, t_flo, t_par, t_tag = zip(*brackets)
+    # near-double roots amplify integration noise by 1/|dF/dlambda|, so the
+    # edges run at a tighter tolerance than the anchors
+    roots = _edge_roots(p, t_lo, t_hi, t_flo, t_par, min(rtol, 2e-13))
 
     lambda0 = math.nan
     gap_lo = hull_lo.copy()

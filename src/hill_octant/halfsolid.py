@@ -8,8 +8,11 @@ eigenvalues live in the surviving gaps and are the zeros of the Wronskian
 
 with the positive square-root branch below tau and m_+ on the physical
 sheet.  On every pole-free stretch of a gap below tau both terms increase
-in lambda, so w is strictly monotone there and each sub-scan sees at most
-one sign change.
+in lambda, so w is strictly monotone there.  Each surviving gap is cut at
+its Dirichlet point mu_j, the only possible pole of m_+; a piece holds a
+root exactly when w < 0 at its lower end and w > 0 at its upper end, and
+every such piece goes to one batched bracketed Newton iteration, with
+dw/dlambda from the variational system.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import monodromy as mo
-from .bands import BandStructure, band_structure
+from .bands import BandStructure, _bracketed_newton, band_structure
 from .errors import (
     InsufficientPoints,
     MultipleRoots,
@@ -43,7 +46,6 @@ __all__ = [
     "ground_state_count",
 ]
 
-SCAN_POINTS = 512
 POLE_SPLIT_REL = 1e-8
 
 
@@ -122,67 +124,52 @@ def wronskian(p: Potential, tau: float, lam: float, gap_index: int) -> float:
     return mo.m_plus(p, lam, gap_index) - math.sqrt(tau - lam)
 
 
-def _wronskian_batch(p, tau, lams, gap_index):
-    return mo.m_plus_batch(p, lams, gap_index) - np.sqrt(tau - lams)
+def _w_and_slope(p, tau, lams, gap_index):
+    """w and dw/dlambda at energies below tau, one gap index per energy or one for all."""
+    m, dm = mo.m_plus_batch(p, lams, gap_index)
+    root = np.sqrt(tau - lams)
+    return m - root, dm + 0.5 / root
 
 
-def _scan_interval(p, tau, lo, hi, gap_index, tol_abs):
-    """At most one sign change of the (monotone) w on [lo, hi]."""
-    if hi <= lo:
-        return []
-    grid = np.linspace(lo, hi, SCAN_POINTS)
-    w = _wronskian_batch(p, tau, grid, gap_index)
-    sign = np.sign(w)
-    nz = (sign != 0) & ~np.isnan(w)
-    idx = np.nonzero(np.diff(sign[nz]) != 0)[0]
-    pos = np.nonzero(nz)[0]
-    roots = []
-    for i in idx:
-        a, b = grid[pos[i]], grid[pos[i + 1]]
-        wa = w[pos[i]]
-        # monotone refinement: batched subdivision, then secant
-        for _ in range(60):
-            if b - a <= tol_abs:
-                break
-            inner = np.linspace(a, b, 18)[1:-1]
-            wi = _wronskian_batch(p, tau, inner, gap_index)
-            flips = np.nonzero(np.sign(wi) != np.sign(wa))[0]
-            if flips.size:
-                k = flips[0]
-                b = inner[k]
-                a = inner[k - 1] if k > 0 else a
-            else:
-                a = inner[-1]
-        roots.append(0.5 * (a + b))
-    return roots
+def _gap_roots(p, tau, gaps, bs: BandStructure):
+    """The junction eigenvalues in the given surviving gaps, as (index, lambda).
 
-
-def _gap_root(p, tau, gap: GapInterval, bs: BandStructure):
-    """The junction eigenvalue in one surviving gap, or None.
-
-    Scans the gap on both sides of the Dirichlet pole mu_j of m_+, where w
-    is monotone; more than one sign change raises MultipleRoots.
+    Each gap is cut at its Dirichlet point mu_j, where m_+ may have its
+    pole; w is strictly increasing on each piece, so the signs of w at the
+    piece ends decide which pieces hold a root, and one batched Newton
+    iteration solves them all.  Roots on both sides of mu_j raise
+    MultipleRoots.
     """
-    j = gap.index
-    width_full = bs.gap_hi[j - 1] - bs.gap_lo[j - 1]
-    pad = 1e-12 * max(1.0, abs(gap.lo))
-    lo = gap.lo + pad
-    hi = gap.hi - (1e-9 * max(1.0, abs(tau)) if gap.truncated else pad)
-    if hi <= lo:
-        return None
-    mu_j = bs.dirichlet[j - 1]
-    split = POLE_SPLIT_REL * width_full
-    tol_abs = 1e-10 * max(1.0, abs(gap.hi))
-    if lo < mu_j - split and mu_j + split < hi:
-        pieces = [(lo, mu_j - split), (mu_j + split, hi)]
-    else:
-        pieces = [(lo, hi)]
-    roots = []
-    for a, b in pieces:
-        roots.extend(_scan_interval(p, tau, a, b, j, tol_abs))
-    if len(roots) > 1:
-        raise MultipleRoots(f"gap {j}: found {len(roots)} Wronskian sign changes")
-    return float(roots[0]) if roots else None
+    pieces = []  # (lower end, upper end, gap index)
+    for gap in gaps:
+        j = gap.index
+        pad = 1e-12 * max(1.0, abs(gap.lo))
+        a = gap.lo + pad
+        b = gap.hi - (1e-9 * max(1.0, abs(tau)) if gap.truncated else pad)
+        if b <= a:
+            continue
+        mu_j = bs.dirichlet[j - 1]
+        split = POLE_SPLIT_REL * (bs.gap_hi[j - 1] - bs.gap_lo[j - 1])
+        if a < mu_j - split and mu_j + split < b:
+            pieces += [(a, mu_j - split, j), (mu_j + split, b, j)]
+        else:
+            pieces.append((a, b, j))
+    if not pieces:
+        return ()
+    lo, hi, owner = (np.array(v) for v in zip(*pieces))
+    w, _ = _w_and_slope(p, tau, np.concatenate((lo, hi)), np.concatenate((owner, owner)))
+    w_lo, w_hi = np.split(w, 2)
+    has = (w_lo < 0) & (w_hi > 0)
+    hit, count = np.unique(owner[has], return_counts=True)
+    if np.any(count > 1):
+        raise MultipleRoots(f"gap {hit[count > 1][0]}: a Wronskian root on both sides of mu_j")
+    if not np.any(has):
+        return ()
+    owner = owner[has]
+    roots = _bracketed_newton(
+        lambda x, idx: _w_and_slope(p, tau, x, owner[idx]), lo[has], hi[has], -np.ones(owner.size), 1e-12
+    )
+    return tuple(zip(owner.tolist(), roots.tolist()))
 
 
 def gap_eigenvalues(
@@ -190,12 +177,7 @@ def gap_eigenvalues(
 ) -> HalfSolidSpectrum:
     """Locate the (at most one per gap) junction eigenvalues in gaps 1..N."""
     hs = ac_spectrum(p, tau, N, bs=bs)
-    found = []
-    for gap in hs.gap_list:
-        lam = _gap_root(p, tau, gap, hs.band_data)
-        if lam is not None:
-            found.append((gap.index, lam))
-    return replace(hs, eigenvalues=tuple(found))
+    return replace(hs, eigenvalues=_gap_roots(p, tau, hs.gap_list, hs.band_data))
 
 
 def asymptotic_coefficient(p: Potential, gap_index: int, bs: BandStructure | None = None) -> float:
@@ -215,10 +197,8 @@ def asymptotic_coefficient(p: Potential, gap_index: int, bs: BandStructure | Non
 
 def _eigenvalue_near_mu(p, tau, gap_index, bs):
     hs = ac_spectrum(p, tau, gap_index, bs=bs)
-    for gap in hs.gap_list:
-        if gap.index == gap_index:
-            return _gap_root(p, tau, gap, bs)
-    return None
+    roots = _gap_roots(p, tau, [g for g in hs.gap_list if g.index == gap_index], bs)
+    return roots[0][1] if roots else None
 
 
 @dataclass(frozen=True)
@@ -281,7 +261,7 @@ def ground_state_count(
     rho = (d0.a_value - math.sqrt(excess)) / d0.phi_1
     if rho <= 0 or not (nu0 < tau < rho**2):
         return GroundState(0, float(rho), nu0, None)
-    # locate E: w is strictly increasing on the lowest gap
+    # locate E by bracketed Newton: w is strictly increasing on the lowest gap
     tau0 = min(0.0, tau)
     hi = tau0 - 1e-9 * max(1.0, abs(tau0), tau - tau0)
     lo = min(nu0, -p.sup_norm_bound, tau) - 5.0
@@ -292,16 +272,9 @@ def ground_state_count(
             break
         lo -= 2.0 * (hi - lo)
         w_lo = wronskian(p, tau, lo, 0)
-    energy = None
-    if w_lo < 0 < w_hi:
-        a, b = lo, hi
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if b - a <= 1e-12 * max(1.0, abs(mid)):
-                break
-            if wronskian(p, tau, mid, 0) < 0:
-                a = mid
-            else:
-                b = mid
-        energy = 0.5 * (a + b)
-    return GroundState(1, float(rho), nu0, energy)
+    if not w_lo < 0 < w_hi:
+        return GroundState(1, float(rho), nu0, None)
+    energy = _bracketed_newton(
+        lambda x, idx: _w_and_slope(p, tau, x, 0), np.array([lo]), np.array([hi]), -np.ones(1), 1e-12
+    )
+    return GroundState(1, float(rho), nu0, float(energy[0]))

@@ -566,15 +566,26 @@ def m_plus(p: Potential, lam: float, gap_index: int) -> float:
     return (a - b) / data.phi_1
 
 
-def m_plus_batch(p: Potential, lams, gap_index: int) -> np.ndarray:
-    """Vectorized m_+ over energies inside one gap; no pole guard.
+def m_plus_batch(p: Potential, lams, gap_index) -> tuple[np.ndarray, np.ndarray]:
+    """m_+ and dm_+/dlambda at energies inside gaps; no pole guard.
 
-    Values near the Dirichlet point come out huge but correctly signed,
-    which is what sign-scanning root finders need.
+    `gap_index` is one gap index for all energies or one per energy.  The
+    slope comes from the variational system:
+
+        dm_+ = (a_lam - b_lam - m_+ phi_lam) / phi(1),
+        b_lam = (-1)^n F F_lam / sqrt(F^2 - 1).
+
+    Near the Dirichlet point both come out huge but correctly signed, which
+    is what bracketed root finders need.
     """
     mb = integrate_batch(p, lams)
     F = mb.discriminant
-    excess = np.maximum(F * F - 1.0, 0.0)
-    b = (-1) ** gap_index * np.sqrt(excess)
+    root = np.sqrt(np.maximum(F * F - 1.0, 0.0))
+    parity = (-1.0) ** np.asarray(gap_index)
+    a_lam = mb._rescale(0.5 * (mb.phi_prime_lam - mb.theta_lam))
+    phi_1 = mb._rescale(mb.phi_1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (mb.a_value - b) / mb.phi_1
+        m = (mb.a_value - parity * root) / phi_1
+        b_lam = parity * F * mb.discriminant_lam / root
+        dm = (a_lam - b_lam - m * mb._rescale(mb.phi_lam)) / phi_1
+    return m, dm

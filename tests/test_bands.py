@@ -6,7 +6,13 @@ import pytest
 from hill_octant import bands, monodromy as mo
 from hill_octant import spectral_matrix as sm
 from hill_octant.errors import BracketFailure, NoConvergence
-from hill_octant.potential import constant_potential, fourier_potential, piecewise_potential, zero_potential
+from hill_octant.potential import (
+    constant_potential,
+    fourier_potential,
+    piecewise_potential,
+    translate,
+    zero_potential,
+)
 
 from conftest import random_corpus
 
@@ -247,7 +253,25 @@ def test_newton_cap_raises(asym_potential, monkeypatch):
         bands.band_structure(asym_potential, 2)
 
 
-def test_edge_scan_cap_raises(asym_potential, monkeypatch):
-    monkeypatch.setattr(bands, "MAX_SCAN_ROUNDS", 1)
+def test_lambda0_above_the_first_gap_raises(asym_potential, monkeypatch):
+    edge_roots = bands._edge_roots
+
+    def misplaced(*args):
+        roots = edge_roots(*args)
+        roots[0] = roots[1] + 1.0  # lambda_0 above gap 1's lower edge
+        return roots
+
+    monkeypatch.setattr(bands, "_edge_roots", misplaced)
     with pytest.raises(BracketFailure):
         bands.band_structure(asym_potential, 2)
+
+
+def test_edges_do_not_depend_on_translation():
+    # band edges are translation-invariant; a shift changes every anchor
+    # and bracket of the search, so it shows how far its result drifts
+    p = random_corpus(1, seed=777)[0]
+    base = bands.band_structure(p, 6)
+    moved = bands.band_structure(translate(p, 0.13), 6)
+    for name in ("lambda0", "gap_lo", "gap_hi", "next_band_end"):
+        a, b = np.atleast_1d(getattr(base, name)), np.atleast_1d(getattr(moved, name))
+        assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) <= 1e-10, name

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from hill_octant import bands, halfsolid as hsm, monodromy as mo
-from hill_octant.errors import InsufficientPoints, NotBoundState, NotNormalized, OutsideGap
+from hill_octant.errors import (
+    InsufficientPoints,
+    MultipleRoots,
+    NotBoundState,
+    NotNormalized,
+    OutsideGap,
+)
 from hill_octant.potential import add_constant, fourier_potential, zero_potential
 from hill_octant import design as dz
 
@@ -180,3 +186,47 @@ def test_shift_derivative_identity(condition_p):
     p_at_t = base.evaluate(0.0)  # v(0) = p(t) for the shifted potential
     formula = -d.theta_prime_1 + p_at_t * d.phi_1
     assert fd == pytest.approx(formula, rel=1e-4)
+
+
+def _count_integrations(monkeypatch):
+    """Record the batch size of every integrator pass made through monodromy."""
+    sizes = []
+    integrate_batch = mo.integrate_batch
+
+    def counted(p, lams, *args, **kwargs):
+        sizes.append(np.size(lams))
+        return integrate_batch(p, lams, *args, **kwargs)
+
+    monkeypatch.setattr(mo, "integrate_batch", counted)
+    return sizes
+
+
+def test_gap_eigenvalues_root_budget(bound_state_potential, bound_state_bands, monkeypatch):
+    # one pass over the piece ends, then Newton on the pieces with a root
+    sizes = _count_integrations(monkeypatch)
+    hs = hsm.gap_eigenvalues(bound_state_potential, 1e4, 2, bs=bound_state_bands)
+    assert 1 in dict(hs.eigenvalues)
+    assert sum(sizes) <= 100
+
+
+def test_ground_state_pass_budget(condition_p, monkeypatch):
+    p = condition_p
+    bs = bands.band_structure(p, 1)
+    probe = hsm.ground_state_count(p, 1.0, bs=bs)
+    tau = probe.nu0 + 0.5 * (probe.rho**2 - probe.nu0)
+    sizes = _count_integrations(monkeypatch)
+    gs = hsm.ground_state_count(p, tau, bs=bs)
+    assert gs.count == 1 and gs.energy is not None
+    assert len(sizes) <= 30
+
+
+def test_sign_changes_on_both_sides_of_mu_raise(bound_state_potential, bound_state_bands, monkeypatch):
+    # gap 1 is cut at mu_1 into two pieces; w < 0 at both lower ends and
+    # w > 0 at both upper ends would put a root on each side
+    def both_sides(p, tau, lams, gap_index):
+        w = np.where(np.arange(lams.size) < lams.size // 2, -1.0, 1.0)
+        return w, np.ones_like(w)
+
+    monkeypatch.setattr(hsm, "_w_and_slope", both_sides)
+    with pytest.raises(MultipleRoots):
+        hsm.gap_eigenvalues(bound_state_potential, 1e4, 1, bs=bound_state_bands)

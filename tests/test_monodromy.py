@@ -260,3 +260,19 @@ def test_far_below_the_spectrum_stays_finite(mathieu, lam, rtol, tol):
     F_scaled = 0.5 * (mb.phi_prime_1[0] + mb.theta_1[0])
     log_F = mb.log_scale[0] + math.log(F_scaled)
     assert log_F == pytest.approx(math.sqrt(-lam) - math.log(2.0), abs=tol)
+
+
+def test_m_plus_batch_slope_matches_central_difference(bound_state_potential, bound_state_bands):
+    bs = bound_state_bands
+    mu, lo, hi = bs.dirichlet[0], bs.gap_lo[0], bs.gap_hi[0]
+    # gap 1 on both sides of its pole mu_1, and the lowest gap below lambda_0
+    lams = np.array([mu - 0.3 * (mu - lo), mu + 0.3 * (hi - mu), bs.lambda0 - 5.0])
+    gaps = np.array([1, 1, 0])
+    m, dm = mo.m_plus_batch(bound_state_potential, lams, gaps)
+    h = 1e-5
+    for lam, g, m_i, dm_i in zip(lams, gaps, m, dm):
+        assert m_i == pytest.approx(mo.m_plus(bound_state_potential, lam, g), rel=1e-10)
+        fd = (
+            mo.m_plus(bound_state_potential, lam + h, g) - mo.m_plus(bound_state_potential, lam - h, g)
+        ) / (2 * h)
+        assert dm_i == pytest.approx(fd, rel=1e-6)
