@@ -30,7 +30,8 @@ from .errors import (
     SeparationFail,
     SpecFormatError,
 )
-from .halfsolid import gap_eigenvalues, verify_sqrt_rate, wronskian
+from .halfsolid import _rate_fit, asymptotic_coefficient, gap_eigenvalues, wronskian
+from .halfsolid import verify_sqrt_rate  # noqa: F401  (the benchmark tracer wraps this binding)
 from .monodromy import integrate_batch
 from .potential import load_spec, save_spec
 
@@ -170,14 +171,17 @@ def cmd_halfsolid(args) -> int:
     else:
         taus = list(_parse_tau_grid(_require(args, cfg, "tau_grid")))
     bs = band_structure(p, N)
-    rows = []
+    rows, pairs = [], []
     for tau in taus:
         hs = gap_eigenvalues(p, tau, N, bs=bs)
         rows.extend((tau, j, lam, wronskian(p, tau, lam, j)) for j, lam in hs.eigenvalues)
+        pairs.append((float(tau), dict(hs.eigenvalues).get(gap_index)))
     _write_csv(out / "eigenvalues.csv", ["tau", "j", "mu_j_tau", "w_residual"], rows)
     report = {}
     if len(taus) >= 4 and any(s.sign == +1 for s in bs.states):
-        fit = verify_sqrt_rate(p, gap_index, taus, bs=bs)
+        # fit the sweep's roots; verify_sqrt_rate would search every tau again
+        c_direct = asymptotic_coefficient(p, gap_index, bs=bs)
+        fit = _rate_fit(pairs, bs.dirichlet[gap_index - 1], c_direct)
         report = {
             "slope": fit.slope,
             "constant": fit.constant,

@@ -326,12 +326,6 @@ class _DeepFitter:
         B = np.concatenate(([0.0], z[M : 2 * M - 1]))
         return fourier_potential([(k + 1, A[k], B[k]) for k in range(M)], shift=z[-1])
 
-    def forward(self, z):
-        p = self.build(z)
-        _, glo, ghi, _ = sm.hill_band_edges(p, self.N, modes=self.hill_modes)
-        mu = sm.galerkin_dirichlet(p, self.N, dim=self.gdim)
-        return ghi - glo, (mu - glo) / (ghi - glo)
-
     def forward_jac(self, z):
         M, N = self.M, self.N
         p = self.build(z)
@@ -420,30 +414,29 @@ def _deep_design(N, gamma, frac, tolerance, report):
     fit = _DeepFitter(N, gamma, M, hill_modes, gdim)
 
     # 2) translation seed: slide the well toward the Dirichlet wall until
-    # every state sits inside its gap
+    # every state sits inside its gap.  Translation moves only mu: the band
+    # edges are those of p_len itself.
     xs = np.linspace(0.0, 1.0, 4001)
     vx = p_len.evaluate(xs)
     xmin = xs[np.argmin(vx)]
     v2 = (p_len.evaluate(xmin + 1e-4) - 2.0 * p_len.evaluate(xmin) + p_len.evaluate(xmin - 1e-4)) / 1e-8
     ell = max(v2, 1.0) ** -0.25
     f_goal = np.full(N, frac)
+    z = np.zeros(2 * M)
+    z[:N] = x_len
+    _, glo, ghi, _ = sm.hill_band_edges(fit.build(z), N, modes=hill_modes)
     best = None
     for t in xmin + ell * np.linspace(-4.5, 4.5, 49):
-        z = np.zeros(2 * M)
-        z[:N] = x_len
         z[-1] = t % 1.0
-        _, fr = fit.forward(z)
+        fr = (sm.galerkin_dirichlet(fit.build(z), N, dim=gdim) - glo) / (ghi - glo)
         if not np.all((fr > 0.005) & (fr < 0.95)):
             continue
         cost = float(np.linalg.norm(_logit(fr) - _logit(f_goal)))
         if best is None or cost < best[0]:
-            best = (cost, z[-1], fr.copy())
+            best = (cost, z[-1], fr)
     if best is None:
         raise NoConvergence("no translation seed puts every state inside its gap")
-    z = np.zeros(2 * M)
-    z[:N] = x_len
-    z[-1] = best[1]
-    f_seed = best[2]
+    _, z[-1], f_seed = best
 
     # 3) continuation in the position targets (logit geodesic)
     tol_len = max(tolerance / 3.0, 1e-6)

@@ -222,17 +222,24 @@ def verify_sqrt_rate(
         bs = band_structure(p, max(gap_index, 1))
     c_direct = asymptotic_coefficient(p, gap_index, bs=bs)
     mu_j = bs.dirichlet[gap_index - 1]
+    pairs = [
+        (tau, _eigenvalue_near_mu(p, tau, gap_index, bs))
+        for tau in map(float, tau_grid)
+        if tau > mu_j  # _rate_fit skips the rest: no need to search them
+    ]
+    return _rate_fit(pairs, mu_j, c_direct)
+
+
+def _rate_fit(pairs, mu_j: float, c_direct: float) -> RateFit:
+    """The fit of verify_sqrt_rate over (tau, mu_j(tau)) pairs, None where gap j has no root."""
     taus, gaps = [], []
-    for tau in tau_grid:
-        if tau <= mu_j:
-            continue  # the bound-state stretch of the gap is not yet open
-        lam = _eigenvalue_near_mu(p, float(tau), gap_index, bs)
-        if lam is None:
-            continue
+    for tau, lam in pairs:
+        if tau <= mu_j or lam is None:
+            continue  # the bound-state stretch of the gap is not yet open, or holds no root
         diff = abs(lam - mu_j)
         if diff <= 1e-12 * max(1.0, abs(mu_j)):
             continue
-        taus.append(float(tau))
+        taus.append(tau)
         gaps.append(diff)
     if len(taus) < 4:
         raise InsufficientPoints(

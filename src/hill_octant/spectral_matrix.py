@@ -10,11 +10,12 @@ the two.
 Basis sizes auto-scale with the potential so that deep-well designs (whose
 low eigenvalues involve Fourier modes up to the classical turning index)
 stay resolved.  The Hill blocks are banded Hermitian and only their lowest
-few eigenpairs are wanted.  Shifted below the spectrum they are positive
-definite and diagonally dominant, so one banded LU factor applies
-(H - sigma)^-1, and block Lanczos on that inverse finds the lowest
-eigenpairs first: the spectral transformation of Ericsson and Ruhe (Math.
-Comp. 35, 1980) with the block iteration of Golub and Underwood (1977).
+few eigenpairs are wanted.  Shifted just below the spectrum, by a lower
+bound from the minimum of the potential, they are positive definite, so one
+banded LU factor applies (H - sigma)^-1, and block Lanczos on that inverse
+finds the lowest eigenpairs first: the spectral transformation of Ericsson
+and Ruhe (Math. Comp. 35, 1980) with the block iteration of Golub and
+Underwood (1977).
 The Galerkin matrices are dense and go to LAPACK through
 `scipy.linalg.eigh`.
 
@@ -46,6 +47,7 @@ DEFAULT_GALERKIN = 256
 LANCZOS_BLOCK = 2  # Hill eigenvalues have multiplicity at most 2
 LANCZOS_TOL = 1e-12  # Ritz residual bound, relative to the largest Ritz value
 RITZ_EVERY = 4  # Lanczos steps between Rayleigh-Ritz checks
+SYMBOL_GRID = 4096  # points on which the minimum of the Toeplitz symbol is sampled
 
 
 def _turning_index(p: Potential, count: int, spacing: float) -> int:
@@ -78,29 +80,54 @@ def _orthonormal_block(V, Q, rng):
     return Q
 
 
+def _hill_shift(vhat, wavenumbers, constant):
+    """A shift sigma at least 1 below every eigenvalue of the Hill block.
+
+    The Toeplitz part is a compression of multiplication by its symbol
+    f(x) = sum_j vhat_j e^{2 pi i j x}, so it is bounded below by min f, and
+    the diagonal by min w^2.  min f is sampled on SYMBOL_GRID points by one
+    FFT; the grid point nearest the minimizer lies within h/2, where f
+    exceeds its minimum by at most h^2/8 max|f''| <= h^2/8 sum (2 pi j)^2 |vhat_j|.
+    The Gershgorin shift constant - sum|vhat| - 1 is the floor.
+    """
+    bw = (vhat.size - 1) // 2
+    j = np.arange(-bw, bw + 1)
+    grid = max(SYMBOL_GRID, vhat.size)
+    coeffs = np.zeros(grid, dtype=complex)
+    coeffs[j % grid] = vhat
+    f_min = float(np.fft.fft(coeffs).real.min())  # f at -x on the grid: the same minimum
+    slack = float(np.sum((2.0 * np.pi * j) ** 2 * np.abs(vhat))) / (8.0 * grid**2)
+    gershgorin = constant - float(np.sum(np.abs(vhat)))
+    return max(gershgorin, constant + f_min - slack + float(np.min(wavenumbers**2))) - 1.0
+
+
 def _hill_block(vhat, wavenumbers, constant, n_lowest):
     """Lowest eigenpairs of the Fourier block diag(w^2 + constant) + Toeplitz(vhat).
 
-    Returns (values ascending, vectors as columns).  By Gershgorin the
-    shift sigma = constant - sum|vhat| - 1 gives H - sigma >= w^2 + 1, so it
-    is nonsingular.  Block Lanczos on (H - sigma)^-1 with full
-    reorthogonalization converges to the largest theta first, and
-    lambda = sigma + 1/theta.  Rayleigh-Ritz on V^H (H - sigma)^-1 V runs every
-    RITZ_EVERY steps once the basis holds 2 k vectors.  The start block is
-    seeded, so repeated calls agree bit for bit.
+    Returns (values ascending, vectors as columns).  The shift sigma from
+    `_hill_shift` gives H - sigma >= 1, so it is nonsingular; in a deep well
+    it sits about half a gap spacing below the lowest eigenvalue, so the
+    wanted end of the spectrum of (H - sigma)^-1 stands well apart from the
+    rest and Lanczos reaches it in few steps.  Block
+    Lanczos on (H - sigma)^-1 with full reorthogonalization converges to the
+    largest theta first, and lambda = sigma + 1/theta.  Rayleigh-Ritz on
+    V^H (H - sigma)^-1 V runs every RITZ_EVERY steps once the basis holds
+    2 k vectors.  The start block is seeded, so repeated calls agree bit for
+    bit.
     """
     dim = wavenumbers.size
     k = min(n_lowest, dim)
     bw = (vhat.size - 1) // 2  # largest coupled mode offset
-    sigma = constant - float(np.sum(np.abs(vhat))) - 1.0
+    sigma = _hill_shift(vhat, wavenumbers, constant)
     # Every BLAS/LAPACK call below goes through scipy, so all of them share one
     # OpenBLAS thread pool: numpy's products would use numpy's own pool, and
     # the idle workers of two pools spin for the same cores.  H - sigma is
     # positive definite, but banded Cholesky (pbtrf) makes a rank-1 update per
     # row that OpenBLAS threads once the band is wider than 16, and on a busy
     # machine each update waits for a core.  The band LU (gbtrf) keeps its
-    # updates on one thread; H - sigma is strictly diagonally dominant, so it
-    # exchanges no rows.
+    # updates on one thread.  H - sigma need not be diagonally dominant, so
+    # the LU may exchange rows; the bw extra rows on top of the band hold
+    # the fill that the exchanges bring.
     band = np.zeros((3 * bw + 1, dim), dtype=vhat.dtype)  # A[i, j] at [2 bw + i - j, j]
     for off in range(-bw, bw + 1):
         band[2 * bw + off, max(0, -off) : dim - max(0, off)] = vhat[bw + off]

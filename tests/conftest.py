@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hill_octant import bands
+from hill_octant import bands, design as dz
 from hill_octant.potential import fourier_potential, zero_potential
 
 
@@ -50,3 +50,32 @@ def random_corpus(count, n_modes=3, seed=20240813, amplitude=5.0):
 @pytest.fixture(scope="session")
 def small_corpus():
     return random_corpus(12)
+
+
+@pytest.fixture(scope="session")
+def modest_design():
+    """Desk-scale N=3 design with mid-gap bound states, for the tau-sweep
+    asymptotics.
+
+    The tau grid 1e2..1e6 must sit far above the spectrum range, which
+    forces modest gap lengths here (the full-size model potential has
+    gamma ~ 1.3e4, burying the low tau values inside gap 1).  Mid-gap
+    states make the regular part of m_+ at mu nearly vanish, so the
+    1/sqrt(tau) law is clean from tau = 100 onward; edge-proximal states
+    bias the fitted constant by ~15-20% at this grid regardless of the
+    gap size.
+    """
+    g = 6.0
+    target = dz.DesignTarget(
+        n_gaps=3,
+        gap_lengths=(g,) * 3,
+        state_fracs=(0.5,) * 3,
+        state_signs=(1,) * 3,
+        basis_size=4,
+        tolerance=1e-5,
+    )
+    p0 = dz.design_gap_lengths(
+        dz.DesignTarget(n_gaps=3, gap_lengths=(g,) * 3, tolerance=1e-5)
+    )
+    p = dz.place_states(p0, target)
+    return p, bands.band_structure(p, 3)

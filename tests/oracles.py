@@ -2,10 +2,12 @@
 
 The fixed-step fourth-order integrator below shares no code with the
 adaptive engine in the package; it is the oracle the monodromy outputs are
-checked against.
+checked against.  The dense Hill block below is the reference for the
+banded eigensolver.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 
 def rk4_monodromy(p, lam, nsteps=8192):
@@ -70,3 +72,19 @@ def dense_spectrum_samples(bands, eigenvalues, step):
         pts.extend(np.linspace(lo, hi, n))
     pts.extend(eigenvalues)
     return np.asarray(pts)
+
+
+def dense_hill_block(p, offset, modes):
+    """Eigenpairs of the full Hermitian Fourier block, coefficients sampled from v itself.
+
+    H[i, j] = (2 pi (j_i + offset))^2 delta_ij + vhat(j_i - j_j), with vhat
+    the exponential Fourier coefficients of v on 4 modes + 2 points: no
+    alias of a mode of v reaches an offset |j_i - j_j| <= 2 modes while v has
+    fewer than 2 modes + 2 of them, so the sampled coefficients are exact.
+    """
+    grid = np.arange(4 * modes + 2) / (4 * modes + 2)
+    vhat = np.fft.fft(p.evaluate(grid)) / grid.size
+    js = np.arange(-modes, modes + 1) if offset == 0.0 else np.arange(-modes, modes)
+    H = vhat[np.subtract.outer(js, js) % grid.size]
+    H[np.diag_indices_from(H)] += (2.0 * np.pi * (js + offset)) ** 2
+    return sla.eigh(H)

@@ -45,35 +45,6 @@ def model_design():
 
 
 @pytest.fixture(scope="module")
-def modest_design():
-    """Desk-scale N=3 design with mid-gap bound states, for the tau-sweep
-    asymptotics.
-
-    The tau grid 1e2..1e6 must sit far above the spectrum range, which
-    forces modest gap lengths here (the full-size model potential has
-    gamma ~ 1.3e4, burying the low tau values inside gap 1).  Mid-gap
-    states make the regular part of m_+ at mu nearly vanish, so the
-    1/sqrt(tau) law is clean from tau = 100 onward; edge-proximal states
-    bias the fitted constant by ~15-20% at this grid regardless of the
-    gap size.
-    """
-    g = 6.0
-    target = dz.DesignTarget(
-        n_gaps=3,
-        gap_lengths=(g,) * 3,
-        state_fracs=(0.5,) * 3,
-        state_signs=(1,) * 3,
-        basis_size=4,
-        tolerance=1e-5,
-    )
-    p0 = dz.design_gap_lengths(
-        dz.DesignTarget(n_gaps=3, gap_lengths=(g,) * 3, tolerance=1e-5)
-    )
-    p = dz.place_states(p0, target)
-    return p, bands.band_structure(p, 3)
-
-
-@pytest.fixture(scope="module")
 def condition_p_factor():
     p = dz.condition_p_potential(delta=0.5, eps=0.06, t=0.03)
     bs = bands.band_structure(p, 1)

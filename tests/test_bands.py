@@ -5,7 +5,7 @@ import pytest
 
 from hill_octant import bands, monodromy as mo
 from hill_octant import spectral_matrix as sm
-from hill_octant.errors import BracketFailure, NoConvergence
+from hill_octant.errors import BracketFailure, CountMismatch, NoConvergence
 from hill_octant.potential import (
     constant_potential,
     fourier_potential,
@@ -263,6 +263,30 @@ def test_lambda0_above_the_first_gap_raises(asym_potential, monkeypatch):
 
     monkeypatch.setattr(bands, "_edge_roots", misplaced)
     with pytest.raises(BracketFailure):
+        bands.band_structure(asym_potential, 2)
+
+
+def test_phase_bracket_expansion_cap_raises(asym_potential, monkeypatch):
+    # phases above every target at every energy: no lower bracket end exists
+    def too_high(p, lams, rtol):
+        big = np.full(np.size(lams), 1e9)
+        return big, np.ones_like(big), big, np.ones_like(big)
+
+    monkeypatch.setattr(bands, "_angles", too_high)
+    with pytest.raises(CountMismatch, match="could not bracket"):
+        bands.band_structure(asym_potential, 2)
+
+
+def test_unordered_anchor_points_raise(asym_potential, monkeypatch):
+    phase_solve = bands._phase_solve
+
+    def swapped(*args):
+        x = phase_solve(*args)
+        x[[0, 1]] = x[[1, 0]]  # mu_1 above mu_2
+        return x
+
+    monkeypatch.setattr(bands, "_phase_solve", swapped)
+    with pytest.raises(CountMismatch, match="ordering"):
         bands.band_structure(asym_potential, 2)
 
 

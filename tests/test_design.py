@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hill_octant import bands, design as dz, monodromy as mo
 from hill_octant import spectral_matrix as sm
-from hill_octant.errors import IllConditioned, RhoNotPositive
+from hill_octant.errors import IllConditioned, PostconditionFail, RhoNotPositive
 from hill_octant.potential import fourier_potential, l2_norm, translate
+
+from oracles import dense_hill_block
 
 
 def test_target_validation():
@@ -179,3 +182,117 @@ def test_reflection_keeps_spectrum_and_flips_sheets(deep_n1):
     mu_p, mu_q = sm.galerkin_dirichlet(p, 1), sm.galerkin_dirichlet(q, 1)
     assert mu_q == pytest.approx(mu_p, rel=1e-9)
     assert mo.integrate_batch(q, mu_q).a_sign[0] == -mo.integrate_batch(p, mu_p).a_sign[0]
+
+
+def _lift_bands(bs, gamma):
+    # every band a tenth of gamma higher: gap lengths unchanged, band sums not
+    return replace(bs, gap_lo=bs.gap_lo + 0.1 * gamma, gap_hi=bs.gap_hi + 0.1 * gamma)
+
+
+def _widen_gaps(bs, gamma):
+    return replace(bs, gap_hi=bs.gap_hi + 1e-3 * gamma)
+
+
+@pytest.mark.parametrize("spoil, message", [(_lift_bands, "accumulation"), (_widen_gaps, "miss gamma")])
+def test_deep_design_postconditions_raise(spoil, message, monkeypatch):
+    gamma = 4.0 * math.pi**2 * 4 / 0.1  # construct_model_potential(1, 0.1, 2)
+    assemble = dz._matrix_band_structure
+    monkeypatch.setattr(dz, "_matrix_band_structure", lambda *args: spoil(assemble(*args), gamma))
+    with pytest.raises(PostconditionFail, match=message):
+        dz.construct_model_potential(1, 0.1, 2)
+
+
+def test_deep_design_zero_count_postcondition_raises(monkeypatch):
+    integrate = dz.integrate_batch
+
+    def miscounted(*args, **kwargs):
+        mb = integrate(*args, **kwargs)
+        mb.phi_zeros = mb.phi_zeros + 2  # no longer n or n - 1 zeros at mu_n
+        return mb
+
+    monkeypatch.setattr(dz, "integrate_batch", miscounted)
+    with pytest.raises(PostconditionFail, match="oscillation counts"):
+        dz.construct_model_potential(1, 0.1, 2)
+
+
+@pytest.fixture(scope="module")
+def deep_n2_d3():
+    """construct_model_potential(2, 0.1, 3), the benchmark's design, with its Hill solves logged.
+
+    `events` orders the end of the gap-length fit, each Hill solve and each
+    continuation solve; `blocks` holds (dimension, Lanczos steps, shift) per
+    Hill block and `hill_args` the arguments of each Hill solve.
+    """
+    events, blocks, hill_args, widths = [], [], [], set()
+    lengths, solve = dz.design_gap_lengths, dz._DeepFitter.solve
+    hill_edges, block, shift, orth = sm._hill_edges, sm._hill_block, sm._hill_shift, sm._orthonormal_block
+
+    def logged_lengths(*args):
+        out = lengths(*args)
+        events.append("lengths")
+        return out
+
+    def logged_solve(self, *args):
+        events.append("solve")
+        return solve(self, *args)
+
+    def logged_edges(*args):
+        events.append("hill")
+        hill_args.append(args)
+        return hill_edges(*args)
+
+    def logged_shift(vhat, wavenumbers, constant):
+        sigma = shift(vhat, wavenumbers, constant)
+        blocks.append([wavenumbers.size, 0, sigma])
+        return sigma
+
+    def logged_block(*args):
+        widths.clear()
+        out = block(*args)
+        blocks[-1][1] = len(widths)  # one basis width per Lanczos step
+        return out
+
+    def logged_orth(V, Q, rng):
+        widths.add(V.shape[1])
+        return orth(V, Q, rng)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dz, "design_gap_lengths", logged_lengths)
+        m.setattr(dz._DeepFitter, "solve", logged_solve)
+        for name, fn in [("_hill_edges", logged_edges), ("_hill_shift", logged_shift),
+                         ("_hill_block", logged_block), ("_orthonormal_block", logged_orth)]:
+            m.setattr(sm, name, fn)
+        result = dz.construct_model_potential(2, 0.1, 3)
+    return result, events, blocks, hill_args
+
+
+def test_translation_scan_solves_the_hill_blocks_once(deep_n2_d3):
+    # the scan runs between the gap-length fit and the first continuation solve
+    _, events, _, _ = deep_n2_d3
+    scan = events[events.index("lengths") + 1 : events.index("solve")]
+    assert scan.count("hill") == 1
+
+
+def test_deep_model_meets_the_benchmark_checks(deep_n2_d3):
+    (p, gamma, bs, rep), _, _, _ = deep_n2_d3
+    assert rep.converged
+    _, glo, ghi, _ = sm.hill_band_edges(p, 2, modes=400)
+    mu = sm.galerkin_dirichlet(p, 2, dim=800)
+    assert np.max(np.abs((ghi - glo) - gamma)) < 1e-4 * gamma
+    assert np.max(np.abs(mu - (glo + gamma / 12))) < 1e-3 * gamma
+    assert [s.sign for s in bs.states] == [1, 1]
+
+
+def test_deep_blocks_converge_within_step_budget(deep_n2_d3):
+    _, _, blocks, _ = deep_n2_d3
+    steps = [n for dim, n, _ in blocks if dim == 541]
+    assert steps and max(steps) <= 24
+
+
+def test_shift_lies_below_a_deep_design_block(deep_n2_d3):
+    # the last Hill solve is on the finished design, periodic block first
+    _, _, blocks, hill_args = deep_n2_d3
+    p = hill_args[-1][0]
+    (dim_per, _, sigma_per), (dim_anti, _, sigma_anti) = blocks[-2:]
+    assert sigma_per < dense_hill_block(p, 0.0, (dim_per - 1) // 2)[0][0]
+    assert sigma_anti < dense_hill_block(p, 0.5, dim_anti // 2)[0][0]

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from hill_octant import spectral_matrix as sm
 from hill_octant.potential import fourier_potential, translate, zero_potential
+
+from conftest import random_corpus
+from oracles import dense_hill_block
 
 MODES = 24
 N_GAPS = 4
@@ -20,24 +22,10 @@ POTENTIALS = {
 }
 
 
-def dense_block(p, offset, modes=MODES):
-    """Full Hermitian Fourier block, coefficients sampled from v itself.
-
-    H[i, j] = (2 pi (j_i + offset))^2 delta_ij + vhat(j_i - j_j), with vhat
-    the exponential Fourier coefficients of v on a grid fine enough to be exact.
-    """
-    grid = np.arange(64) / 64.0
-    vhat = np.fft.fft(p.evaluate(grid)) / grid.size
-    js = np.arange(-modes, modes + 1) if offset == 0.0 else np.arange(-modes, modes)
-    H = vhat[np.subtract.outer(js, js) % grid.size]
-    H[np.diag_indices_from(H)] += (2.0 * np.pi * (js + offset)) ** 2
-    return sla.eigh(H)
-
-
 def edge_pairs(p, n_gaps=N_GAPS, modes=MODES):
     """(lambda, u, reference values, reference vectors) for every returned edge."""
     lam0, glo, ghi, nbe, info = sm.hill_edges_and_vectors(p, n_gaps, modes=modes)
-    blocks = {0.0: dense_block(p, 0.0, modes), 0.5: dense_block(p, 0.5, modes)}
+    blocks = {0.0: dense_hill_block(p, 0.0, modes), 0.5: dense_hill_block(p, 0.5, modes)}
     values = {("lambda0", 0): lam0, ("next", n_gaps + 1): nbe}
     for n in range(1, n_gaps + 1):
         values[("lo", n)] = glo[n - 1]
@@ -49,8 +37,8 @@ def edge_pairs(p, n_gaps=N_GAPS, modes=MODES):
 def test_hill_edges_match_dense_eigh(name):
     p = POTENTIALS[name]
     lam0, glo, ghi, nbe = sm.hill_band_edges(p, N_GAPS, modes=MODES)
-    w_per, _ = dense_block(p, 0.0)
-    w_anti, _ = dense_block(p, 0.5)
+    w_per, _ = dense_hill_block(p, 0.0, MODES)
+    w_anti, _ = dense_hill_block(p, 0.5, MODES)
     # edges of gap m are eigenvalues m - 1 and m of the block of m's parity
     want_lo = [(w_anti if m % 2 else w_per)[m - 1] for m in range(1, N_GAPS + 1)]
     want_hi = [(w_anti if m % 2 else w_per)[m] for m in range(1, N_GAPS + 1)]
@@ -124,3 +112,21 @@ def test_fewest_modes_accepted():
     # the anti-periodic block of 2 modes holds exactly n_gaps + 1 eigenvalues
     lam0, glo, ghi, nbe = sm.hill_band_edges(POTENTIALS["asym"], 3, modes=2)
     assert lam0 < glo[0] < ghi[0] < glo[1] < ghi[1] < glo[2] < ghi[2] <= nbe
+
+
+SHIFT_CASES = {
+    "asym": POTENTIALS["asym"],
+    "mathieu": fourier_potential([(1, 2.0, 0.0)]),
+    "zero": zero_potential(),
+    **{f"corpus{i}": q for i, q in enumerate(random_corpus(4, seed=31, amplitude=40.0))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+def test_shift_lies_below_both_blocks(name, monkeypatch):
+    p, shift, seen = SHIFT_CASES[name], sm._hill_shift, []
+    monkeypatch.setattr(sm, "_hill_shift", lambda *args: seen.append(shift(*args)) or seen[-1])
+    sm.hill_band_edges(p, N_GAPS, modes=MODES)
+    sigma_per, sigma_anti = seen  # the periodic block is solved first
+    assert sigma_per < dense_hill_block(p, 0.0, MODES)[0][0]
+    assert sigma_anti < dense_hill_block(p, 0.5, MODES)[0][0]
