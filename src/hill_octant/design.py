@@ -1,20 +1,23 @@
 """Construct periodic potentials with prescribed gap lengths and gap states.
 
-The forward map (Fourier coefficients -> gap lengths, Dirichlet positions)
-is evaluated through the fast matrix route; a damped Gauss-Newton with
-finite-difference Jacobians inverts it.  Final classification and all
+The forward map (Fourier coefficients -> gap edges, Dirichlet points) is
+evaluated through the fast matrix route.  Each edge and Dirichlet point is
+a simple eigenvalue, so its gradient in the Fourier coefficients follows
+from its eigenvector (first-order perturbation theory; the (mu_n, sheet)
+coordinates of Poeschel and Trubowitz, Inverse Spectral Theory, 1987), and
+one forward map gives both the residual and its Jacobian.  Every fit runs
+the same damped Gauss-Newton on that pair.  Final classification and all
 verification go through the shooting band structure, so the optimizer's
 surrogate never certifies itself.
 
-First-order seeding: a single cos mode of size t opens gap k to length
-about t, and rotating the mode's phase sweeps the Dirichlet point through
-the gap (the translation argument), which fixes the initial sin/cos split.
+Seeding: a single cos mode of size t opens gap k to length about t, and
+translating the potential sweeps every Dirichlet point through its gap
+while the edges stay put; reflection (sin -> -sin) flips every sheet.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +45,7 @@ __all__ = [
 
 MAX_ITERATIONS = 200
 COND_LIMIT = 1e10
-SEED_ENV = "HILL_OCTANT_SEED"
+SINGLE_WELL_LENGTH = 60.0  # longer uniform gap targets seed from one deep well
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,11 @@ class DesignTarget:
                 raise ValueError("need one state position per gap")
             if any(not 0.0 < f < 1.0 for f in self.state_fracs):
                 raise ValueError("state positions must lie strictly inside (0, 1)")
+        if self.state_signs is not None:
+            if len(self.state_signs) != N:
+                raise ValueError("need one state sign per gap")
+            if any(s not in (-1, 1) for s in self.state_signs):
+                raise ValueError("state signs must be -1 or +1")
         M = self.basis_size if self.basis_size is not None else N
         if M < N:
             raise ValueError(f"basis size {M} must cover the {N} targets")
@@ -87,56 +95,42 @@ class DesignReport:
 # --- Gauss-Newton engine ---------------------------------------------------
 
 
-def _gauss_newton(fun, x0, tol, scale, max_iter=MAX_ITERATIONS):
-    """Damped Gauss-Newton for ||fun(x)|| -> 0 with FD Jacobian.
+def _gauss_newton(residual_jac, x0, tol, max_iter=MAX_ITERATIONS):
+    """Damped Gauss-Newton for ||r(x)|| -> 0, where residual_jac(x) = (r, dr/dx).
 
-    `scale` normalizes both parameters and residuals so the large-gamma
-    designs stay well conditioned.
+    Each step is the minimum-norm least-squares solution of J s = -r (the
+    fits have at least as many parameters as residuals), shortened by
+    Armijo backtracking.  Returns (x, ||r||, iterations).
     """
     x = np.asarray(x0, dtype=float).copy()
-    r = fun(x) / scale
-    best_x, best_norm = x.copy(), float(np.linalg.norm(r))
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    r, J = residual_jac(x)
+    for n_iter in range(max_iter + 1):
         rn = float(np.linalg.norm(r))
         if rn < tol:
-            return x, rn, n_iter - 1
-        J = np.empty((r.size, x.size))
-        h = np.maximum(1e-7 * np.abs(x), 1e-7 * scale)
-        for j in range(x.size):
-            xp = x.copy()
-            xp[j] += h[j]
-            xm = x.copy()
-            xm[j] -= h[j]
-            J[:, j] = (fun(xp) - fun(xm)) / (2.0 * h[j] * scale)
+            return x, rn, n_iter
+        if n_iter == max_iter:
+            break
         cond = np.linalg.cond(J)
         if cond > COND_LIMIT:
             raise IllConditioned(f"Jacobian condition {cond:.2e} exceeds {COND_LIMIT:.0e}")
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         alpha = 1.0
-        improved = False
         for _ in range(12):
-            x_try = x + alpha * step
-            r_try = fun(x_try) / scale
+            r_try, J_try = residual_jac(x + alpha * step)
             if np.linalg.norm(r_try) < rn * (1.0 - 1e-4 * alpha):
-                x, r = x_try, r_try
-                improved = True
+                x, r, J = x + alpha * step, r_try, J_try
                 break
             alpha *= 0.5
-        if not improved:
+        else:
             break
-        if np.linalg.norm(r) < best_norm:
-            best_x, best_norm = x.copy(), float(np.linalg.norm(r))
-    if best_norm < tol:
-        return best_x, best_norm, n_iter
     raise NoConvergence(
-        f"residual {best_norm:.3e} after {n_iter} iterations (tol {tol:.1e})",
-        best_residual=best_norm,
+        f"residual {rn:.3e} after {n_iter} iterations (tol {tol:.1e})",
+        best_residual=rn,
         potential=None,
     )
 
 
-# --- forward maps ----------------------------------------------------------
+# --- forward map -------------------------------------------------------------
 
 
 def _potential_from_coeffs(cos_coeffs, sin_coeffs=None):
@@ -147,15 +141,29 @@ def _potential_from_coeffs(cos_coeffs, sin_coeffs=None):
     return fourier_potential(terms)
 
 
-def _gap_lengths_fast(p: Potential, N: int) -> np.ndarray:
-    _, glo, ghi, _ = sm.hill_band_edges(p, N)
-    return ghi - glo
+def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, dim=None):
+    """Gap lengths, Dirichlet offsets mu_n - lambda_n^- and their gradients.
 
+    Returns (lengths, offsets, d_lengths, d_offsets) for gaps 1..N.  Row n of
+    a gradient holds the derivatives in the coefficients of cos(2 pi k x),
+    then of sin(2 pi k x), k = 1..M: each edge and Dirichlet point is a
+    simple eigenvalue, so its derivative comes from its Hill or sine-Galerkin
+    eigenvector.  Without `positions` the offsets are None and no Galerkin
+    matrix is solved.
+    """
+    _, lo, hi, _, info = sm.hill_edges_and_vectors(p, N, modes=modes)
 
-def _gaps_and_positions_fast(p: Potential, N: int):
-    _, glo, ghi, _ = sm.hill_band_edges(p, N)
-    mu = sm.galerkin_dirichlet(p, N)
-    return ghi - glo, mu - glo, glo, ghi
+    def edge_gradients(edge):
+        return np.array([np.concatenate(sm.exp_vector_gradient(info[(edge, n)][1], M))
+                         for n in range(1, N + 1)])
+
+    d_lo = edge_gradients("lo")
+    d_len = edge_gradients("hi") - d_lo
+    if not positions:
+        return hi - lo, None, d_len, None
+    mu, Y = sm.galerkin_dirichlet_vectors(p, N, dim=dim)
+    d_mu = np.array([np.concatenate(sm.sine_vector_gradient(y, M)) for y in Y.T])
+    return hi - lo, mu - lo, d_len, d_mu - d_lo
 
 
 # --- public operations -------------------------------------------------------
@@ -170,8 +178,7 @@ def _length_seed(goal: np.ndarray, M: int) -> np.ndarray:
     accordingly.
     """
     x0 = np.zeros(M)
-    g_max = float(np.max(goal))
-    if g_max <= 60.0:
+    if float(np.max(goal)) <= SINGLE_WELL_LENGTH:
         x0[: goal.size] = goal
     else:
         x0[0] = (np.mean(goal) / (2.0 * math.pi)) ** 2 / 2.0
@@ -188,10 +195,11 @@ def design_gap_lengths(target: DesignTarget, report: DesignReport | None = None)
     scale = max(1.0, float(np.max(goal)))
     x0 = _length_seed(goal, M)
 
-    def residual(x):
-        return _gap_lengths_fast(_potential_from_coeffs(x), N) - goal
+    def residual_jac(x):
+        lengths, _, d_len, _ = _forward_map(_potential_from_coeffs(x), N, M, positions=False)
+        return (lengths - goal) / scale, d_len[:, :M] / scale
 
-    x, rn, its = _gauss_newton(residual, x0, target.tolerance, scale)
+    x, rn, its = _gauss_newton(residual_jac, x0, target.tolerance)
     if report is not None:
         report.iterations += its
         report.residual = rn
@@ -211,32 +219,21 @@ def _state_targets(target: DesignTarget):
 def place_states(p0: Potential, target: DesignTarget, report: DesignReport | None = None) -> Potential:
     """Joint fit of gap lengths and in-gap Dirichlet positions, then verify signs.
 
-    Seeds come from phase splits of the starting coefficients and from a
-    coarse grid of translations of p0 (translation sweeps every Dirichlet
-    point through its gap); reflection (sin -> -sin) flips every sheet.
+    Seeds are a grid of translations of p0 (translation sweeps every
+    Dirichlet point through its gap) and their reflections (sin -> -sin
+    flips every sheet).
     """
     N = target.n_gaps
     M = target.modes
     goal_len = np.asarray(target.gap_lengths, dtype=float)
     fracs, signs = _state_targets(target)
     scale = max(1.0, float(np.max(goal_len)))
-    cos0 = np.array([t.cos for t in p0.fourier] + [0.0] * M)[:M]
 
-    def residual(x):
+    def residual_jac(x):
         p = _potential_from_coeffs(x[:M], x[M:])
-        lengths, pos, _, _ = _gaps_and_positions_fast(p, N)
-        return np.concatenate((lengths - goal_len, pos - fracs * goal_len))
-
-    def phase_seed(theta_signs):
-        # split each cos mode into (cos, sin) at phase theta_n; the phase
-        # moves mu_n across gap n, its sign picks the sheet
-        theta = np.arccos(np.clip(1.0 - 2.0 * fracs, -1.0, 1.0))
-        x0 = np.zeros(2 * M)
-        th = np.zeros(M)
-        th[:N] = theta_signs * theta
-        x0[:M] = np.abs(cos0) * np.cos(th)
-        x0[M:] = np.abs(cos0) * np.sin(th)
-        return x0
+        lengths, pos, d_len, d_pos = _forward_map(p, N, M)
+        r = np.concatenate((lengths - goal_len, pos - fracs * goal_len))
+        return r / scale, np.vstack((d_len, d_pos)) / scale
 
     def translation_seed(t, reflect):
         _, ks, a, b = translate(p0, t).effective_fourier()
@@ -246,30 +243,16 @@ def place_states(p0: Potential, target: DesignTarget, report: DesignReport | Non
             x0[M + k - 1] = -bk if reflect else bk
         return x0
 
-    seeds = []
-    deep = float(np.max(goal_len)) > 60.0
-    if not deep:
-        seeds.append(phase_seed(np.ones(N)))
-        seeds.append(phase_seed(-np.ones(N)))
-    for t in (0.02, 0.05, 0.1, 0.15, 0.25, 0.35):
-        seeds.append(translation_seed(t, False))
-        seeds.append(translation_seed(t, True))
-    if not deep:
-        for n in range(N):
-            pat = np.ones(N)
-            pat[n] = -1.0
-            seeds.append(phase_seed(pat))
-    rng = np.random.default_rng(int(os.environ.get(SEED_ENV, "0")))
-    for _ in range(3):
-        seeds.append(
-            translation_seed(rng.uniform(0.0, 0.5), rng.random() < 0.5)
-            + rng.normal(scale=1e-3 * scale, size=2 * M)
-        )
+    seeds = [
+        translation_seed(t, reflect)
+        for t in (0.02, 0.05, 0.1, 0.15, 0.25, 0.35)
+        for reflect in (False, True)
+    ]
 
     last_exc = None
     for trial, x0 in enumerate(seeds):
         try:
-            x, rn, its = _gauss_newton(residual, x0, target.tolerance, scale)
+            x, rn, its = _gauss_newton(residual_jac, x0, target.tolerance)
         except (NoConvergence, IllConditioned) as exc:
             last_exc = exc
             continue
@@ -292,8 +275,6 @@ def place_states(p0: Potential, target: DesignTarget, report: DesignReport | Non
 
 # --- deep designs: eigenvector-gradient continuation -------------------------
 
-DEEP_GAP_THRESHOLD = 60.0
-
 
 def _logit(f):
     f = np.clip(f, 1e-12, 1.0 - 1e-12)
@@ -301,14 +282,13 @@ def _logit(f):
 
 
 class _DeepFitter:
-    """Fits gap lengths + in-gap positions with analytic spectral Jacobians.
+    """Residuals and Jacobians of gap lengths + in-gap positions for deep wells.
 
     Parameters z = [A_1..A_M, B_2..B_M, t] describe
     v(x) = sum_k A_k cos(2 pi k (x+t)) + B_k sin(2 pi k (x+t)): the
     translation t carries the dominant correlated direction of the state
-    positions, the mode amplitudes are pure shape knobs.  Eigenvalue
-    derivatives come from the Hill/Galerkin eigenvectors (one forward map
-    per iteration, any basis size).
+    positions, the mode amplitudes are pure shape knobs.  The forward map's
+    gradients in the untranslated coefficients reach z by the chain rule.
     """
 
     def __init__(self, n_gaps, gamma, modes_M, hill_modes, galerkin_dim, pos_weight=0.4):
@@ -326,13 +306,11 @@ class _DeepFitter:
         B = np.concatenate(([0.0], z[M : 2 * M - 1]))
         return fourier_potential([(k + 1, A[k], B[k]) for k in range(M)], shift=z[-1])
 
-    def forward_jac(self, z):
-        M, N = self.M, self.N
+    def residual_jac(self, z, f_target):
+        M = self.M
         p = self.build(z)
-        _, glo, ghi, _, info = sm.hill_edges_and_vectors(p, N, modes=self.hill_modes)
-        mu, Y = sm.galerkin_dirichlet_vectors(p, N, dim=self.gdim)
-        lengths = ghi - glo
-        fr = (mu - glo) / lengths
+        lengths, pos, d_len, d_pos = _forward_map(p, self.N, M, modes=self.hill_modes, dim=self.gdim)
+        fr = pos / lengths
 
         _, ks, a_eff, b_eff = p.effective_fourier()
         th = 2.0 * np.pi * np.arange(1, M + 1) * z[-1]
@@ -344,57 +322,27 @@ class _DeepFitter:
             btil[k - 1] = bv
         kfreq = 2.0 * np.pi * np.arange(1, M + 1)
 
-        def grad_z(ga, gb):
+        def grad_z(g):  # rows of d/d(cos_k, sin_k) -> rows of d/dz
+            ga, gb = g[:, :M], g[:, M:]
             gA = cth * ga - sth * gb
             gB = sth * ga + cth * gb
-            gt = float(np.sum(kfreq * (btil * ga - atil * gb)))
-            return np.concatenate((gA, gB[1:], [gt]))
+            gt = (btil * ga - atil * gb) @ kfreq
+            return np.hstack((gA, gB[:, 1:], gt[:, None]))
 
-        g_lo, g_hi, g_mu = [], [], []
-        for n in range(1, N + 1):
-            g_lo.append(grad_z(*sm.exp_vector_gradient(info[("lo", n)][1], M)))
-            g_hi.append(grad_z(*sm.exp_vector_gradient(info[("hi", n)][1], M)))
-            g_mu.append(grad_z(*sm.sine_vector_gradient(Y[:, n - 1], M)))
-        return lengths, fr, np.array(g_lo), np.array(g_hi), np.array(g_mu)
-
-    def residual_jac(self, z, f_target):
-        lengths, fr, g_lo, g_hi, g_mu = self.forward_jac(z)
         r = np.concatenate(
             (
                 (lengths - self.goal) / self.gamma,
                 self.w * (_logit(fr) - _logit(f_target)),
             )
         )
-        J = np.empty((2 * self.N, 2 * self.M))
-        for n in range(self.N):
-            J[n] = (g_hi[n] - g_lo[n]) / self.gamma
-            dfr = (g_mu[n] - g_lo[n] - fr[n] * (g_hi[n] - g_lo[n])) / lengths[n]
-            J[self.N + n] = self.w * dfr / (fr[n] * (1.0 - fr[n]))
-        return r, J, lengths, fr
-
-    def solve(self, z, f_target, tol_len, tol_pos, max_iter=30):
-        r, J, lengths, fr = self.residual_jac(z, f_target)
-        lm = 1e-6
-        for it in range(max_iter):
-            if np.all(np.abs(lengths - self.goal) / self.gamma < tol_len) and np.all(
-                np.abs(fr - f_target) < tol_pos
-            ):
-                return z, it, True
-            D = np.diag(np.maximum(np.sum(J * J, axis=0), 1e-30))
-            rn = np.linalg.norm(r)
-            ok = False
-            for _ in range(25):
-                s = np.linalg.solve(J.T @ J + lm * D, -J.T @ r)
-                r_try, J_try, l_try, f_try = self.residual_jac(z + s, f_target)
-                if np.linalg.norm(r_try) < rn:
-                    z, r, J, lengths, fr = z + s, r_try, J_try, l_try, f_try
-                    lm = max(lm / 4.0, 1e-14)
-                    ok = True
-                    break
-                lm *= 8.0
-            if not ok:
-                return z, it, False
-        return z, max_iter, False
+        d_fr = (d_pos - fr[:, None] * d_len) / lengths[:, None]
+        J = np.vstack(
+            (
+                grad_z(d_len) / self.gamma,
+                self.w * grad_z(d_fr) / (fr * (1.0 - fr))[:, None],
+            )
+        )
+        return r, J
 
 
 def _deep_design(N, gamma, frac, tolerance, report):
@@ -438,26 +386,27 @@ def _deep_design(N, gamma, frac, tolerance, report):
         raise NoConvergence("no translation seed puts every state inside its gap")
     _, z[-1], f_seed = best
 
-    # 3) continuation in the position targets (logit geodesic)
-    tol_len = max(tolerance / 3.0, 1e-6)
-    tol_pos = 2e-4
+    # 3) continuation in the position targets (logit geodesic); a target the
+    # Gauss-Newton cannot reach halves the step
+    tol = max(tolerance / 3.0, 1e-6)
     s_path, step, fails = 0.0, 0.34, 0
     while s_path < 1.0 - 1e-9:
         s_next = min(1.0, s_path + step)
         ft = 1.0 / (1.0 + np.exp(-((1.0 - s_next) * _logit(f_seed) + s_next * _logit(f_goal))))
-        z_try, iters, ok = fit.solve(z.copy(), ft, tol_len, tol_pos)
-        report.iterations += iters
-        if ok:
-            z, s_path = z_try, s_next
-            step = min(0.4, step * 1.5)
-        else:
+        try:
+            z, _, iters = _gauss_newton(lambda x: fit.residual_jac(x, ft), z, tol, max_iter=30)
+        except (NoConvergence, IllConditioned) as exc:
             step /= 2.0
             fails += 1
             if step < 0.002 or fails > 14:
                 raise NoConvergence(
                     f"position continuation stalled at s = {s_path:.3f}",
                     best_residual=float(np.linalg.norm(fit.residual_jac(z, f_goal)[0])),
-                )
+                ) from exc
+            continue
+        report.iterations += iters
+        s_path = s_next
+        step = min(0.4, step * 1.5)
     return fit.build(z), fit
 
 
@@ -494,16 +443,15 @@ def _matrix_band_structure(p: Potential, N: int, mb_mu, mu, nu) -> BandStructure
     )
 
 
-def construct_model_potential(
-    N: int, kappa: float, d: int, basis_extra: int = 1, tolerance: float = 1e-5
-):
+def construct_model_potential(N: int, kappa: float, d: int, tolerance: float = 1e-5):
     """Equal-gap potential with bound states 1/(4d) of the way into each gap.
 
     Returns (potential, gamma, band_structure, report); the potential is
-    normalized so its lowest band edge sits at 0.  Large gamma lands in the
-    deep single-well regime, where edges and states are certified through
-    the matrix route and cross-checked against the (rescaled) shooting
-    anchors; moderate gamma is verified end to end by shooting.
+    normalized so its lowest band edge sits at 0.  gamma = 4 pi^2 (N+1)^2 / kappa
+    is at least 16 pi^2 / 0.1 ~ 1579, deep in the single-well regime, where
+    edges and states are certified through the matrix route and
+    cross-checked against the shooting route (oscillation counts, sheet
+    signs).
     """
     if not 0 < kappa <= 0.1:
         raise ValueError("kappa must lie in (0, 0.1]")
@@ -515,47 +463,30 @@ def construct_model_potential(
         targets={"N": N, "kappa": kappa, "d": d, "gamma": gamma, "frac": frac}
     )
 
-    if gamma <= DEEP_GAP_THRESHOLD:
-        target = DesignTarget(
-            n_gaps=N,
-            gap_lengths=tuple(gamma for _ in range(N)),
-            state_fracs=tuple(frac for _ in range(N)),
-            state_signs=tuple(+1 for _ in range(N)),
-            basis_size=N + basis_extra,
-            tolerance=tolerance,
-        )
-        p_len = design_gap_lengths(
-            DesignTarget(n_gaps=N, gap_lengths=target.gap_lengths, basis_size=N,
-                         tolerance=tolerance),
-            report,
-        )
-        p = place_states(p_len, target, report)
-        bs = band_structure(p, N)
-    else:
-        p, fit = _deep_design(N, gamma, frac, tolerance, report)
-        # shooting cross-checks: Dirichlet anchors and sheet signs
-        mu = sm.galerkin_dirichlet(p, N, dim=fit.gdim)
-        nu = sm.galerkin_neumann(p, N + 1, dim=fit.gdim)
+    p, fit = _deep_design(N, gamma, frac, tolerance, report)
+    # shooting cross-checks: Dirichlet anchors and sheet signs
+    mu = sm.galerkin_dirichlet(p, N, dim=fit.gdim)
+    nu = sm.galerkin_neumann(p, N + 1, dim=fit.gdim)
+    mb_mu = integrate_batch(p, mu, count_zeros=True)
+    signs = sheet_signs(mb_mu)
+    if np.all(signs == -1):
+        # the translation seeds are symmetric about the well, so the fit
+        # can land on the mirror image: same edges and mu, every sheet
+        # flipped.  Its reflection v(-x) has the target sheets.
+        p = _reflect(p)
         mb_mu = integrate_batch(p, mu, count_zeros=True)
         signs = sheet_signs(mb_mu)
-        if np.all(signs == -1):
-            # the translation seeds are symmetric about the well, so the fit
-            # can land on the mirror image: same edges and mu, every sheet
-            # flipped.  Its reflection v(-x) has the target sheets.
-            p = _reflect(p)
-            mb_mu = integrate_batch(p, mu, count_zeros=True)
-            signs = sheet_signs(mb_mu)
-        expected = np.arange(1, N + 1)
-        counts_ok = (mb_mu.phi_zeros == expected) | (mb_mu.phi_zeros == expected - 1)
-        if not np.all(counts_ok):
-            raise PostconditionFail(
-                f"shooting oscillation counts {mb_mu.phi_zeros} do not bracket the states"
-            )
-        if not np.all(signs == 1):
-            raise SignUnreachable(
-                f"shooting sheet signs {signs.tolist()} disagree with bound-state targets"
-            )
-        bs = _matrix_band_structure(p, N, mb_mu, mu, nu)
+    expected = np.arange(1, N + 1)
+    counts_ok = (mb_mu.phi_zeros == expected) | (mb_mu.phi_zeros == expected - 1)
+    if not np.all(counts_ok):
+        raise PostconditionFail(
+            f"shooting oscillation counts {mb_mu.phi_zeros} do not bracket the states"
+        )
+    if not np.all(signs == 1):
+        raise SignUnreachable(
+            f"shooting sheet signs {signs.tolist()} disagree with bound-state targets"
+        )
+    bs = _matrix_band_structure(p, N, mb_mu, mu, nu)
 
     lengths = bs.gap_lengths
     if np.max(np.abs(lengths - gamma)) > 10 * tolerance * gamma:
@@ -616,13 +547,13 @@ def condition_p_potential(delta: float = 0.5, eps: float = 0.05, t: float = 0.02
         raise RhoNotPositive("could not build a potential positive near the origin")
 
     t_try = t
-    for _ in range(30):
+    while True:
         p_t = translate(p_norm, t_try)
         d0 = integrate(p_t, 0.0)
         rho = d0.a_value / d0.phi_1
         if rho > 0:
             return p_t
-        t_try = min(eps, t_try * 1.5) if t_try < eps else eps
-        if t_try >= eps and rho <= 0:
+        if t_try >= eps:
             break
+        t_try = min(eps, t_try * 1.5)
     raise RhoNotPositive(f"m_+(0) = {rho:.3e} <= 0 for all shifts tried up to eps")

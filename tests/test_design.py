@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,15 +20,63 @@ def test_target_validation():
         dz.DesignTarget(n_gaps=2, gap_lengths=(1.0, 1.0), state_fracs=(0.5, 1.5))
     with pytest.raises(ValueError):
         dz.DesignTarget(n_gaps=3, gap_lengths=(1.0,) * 3, basis_size=2)
+    with pytest.raises(ValueError):
+        dz.DesignTarget(n_gaps=2, gap_lengths=(1.0, 1.0), state_signs=(1,))
+    with pytest.raises(ValueError):
+        dz.DesignTarget(n_gaps=1, gap_lengths=(1.0,), state_signs=(2,))
 
 
 def test_gauss_newton_rejects_rank_deficient_jacobian():
     # both residuals depend on x0 + x1 only: the Jacobian has rank 1
-    def residual(x):
-        return np.array([x[0] + x[1] - 1.0, 2.0 * (x[0] + x[1]) - 3.0])
+    def residual_jac(x):
+        r = np.array([x[0] + x[1] - 1.0, 2.0 * (x[0] + x[1]) - 3.0])
+        return r, np.array([[1.0, 1.0], [2.0, 2.0]])
 
     with pytest.raises(IllConditioned):
-        dz._gauss_newton(residual, [0.0, 0.0], 1e-8, 1.0)
+        dz._gauss_newton(residual_jac, [0.0, 0.0], 1e-8)
+
+
+def _central_difference(fun, x, h, columns):
+    """Columns of the Jacobian of fun at x by central differences of step h."""
+    out = []
+    for j in columns:
+        e = np.zeros_like(x)
+        e[j] = h[j]
+        out.append((fun(x + e) - fun(x - e)) / (2.0 * h[j]))
+    return np.array(out).T
+
+
+def test_forward_map_gradients_match_central_difference(modest_design):
+    # edges and Dirichlet points of criterion 6's design, in (cos_k, sin_k)
+    p = modest_design[0]
+    N, M = 3, 4
+    x = np.concatenate(([t.cos for t in p.fourier], [t.sin for t in p.fourier]))
+
+    def values(x):
+        lengths, pos, _, _ = dz._forward_map(dz._potential_from_coeffs(x[:M], x[M:]), N, M)
+        return np.concatenate((lengths, pos))
+
+    _, _, d_len, d_pos = dz._forward_map(p, N, M)
+    J = np.vstack((d_len, d_pos))
+    J_fd = _central_difference(values, x, np.full(2 * M, 1e-3), range(2 * M))
+    assert np.max(np.abs(J - J_fd)) < 1e-6 * np.max(np.abs(J))
+
+
+def test_deep_jacobian_matches_central_difference(deep_n1):
+    # translated coordinates z = [A_1..A_M, B_2..B_M, t] of the finished design
+    p, gamma = deep_n1[:2]
+    M = len(p.fourier)
+    fit = dz._DeepFitter(1, gamma, M, hill_modes=160, galerkin_dim=250)
+    z = np.concatenate(([t.cos for t in p.fourier], [t.sin for t in p.fourier[1:]], [p.shift]))
+    f_target = np.array([0.125])
+    _, J = fit.residual_jac(z, f_target)
+    assert fit.build(z).evaluate(0.3) == pytest.approx(p.evaluate(0.3) - p.constant)
+    columns = [0, 1, 5, M, M + 3, 2 * M - 1]
+    h = np.concatenate((np.full(2 * M - 1, 0.1), [1e-6]))
+    J_fd = _central_difference(lambda z: fit.residual_jac(z, f_target)[0], z, h, columns)
+    # edges near 3e4 divided by gamma leave rounding near 1e-13 in r, hence the noise term
+    bound = 1e-7 * np.max(np.abs(J), axis=1)[:, None] + 1e-13 / h[columns]
+    assert np.all(np.abs(J[:, columns] - J_fd) <= bound)
 
 
 def test_zero_targets_give_zero_potential():
@@ -91,6 +140,26 @@ def test_place_states_respects_requested_sheet():
     assert fr == pytest.approx(0.25, abs=5e-4)
 
 
+def test_place_states_reaches_mixed_sheets():
+    target = dz.DesignTarget(
+        n_gaps=2,
+        gap_lengths=(5.0, 5.0),
+        state_fracs=(0.125, 0.3),
+        state_signs=(1, -1),
+        basis_size=3,
+        tolerance=1e-5,
+    )
+    p0 = dz.design_gap_lengths(
+        dz.DesignTarget(n_gaps=2, gap_lengths=(5.0, 5.0), tolerance=1e-5)
+    )
+    p = dz.place_states(p0, target)
+    bs = bands.band_structure(p, 2)
+    fr = (bs.dirichlet - bs.gap_lo) / bs.gap_lengths
+    assert np.allclose(bs.gap_lengths, 5.0, rtol=2e-4)
+    assert fr == pytest.approx([0.125, 0.3], abs=5e-4)
+    assert [s.sign for s in bs.states] == [1, -1]
+
+
 def test_place_states_returns_input_when_converged():
     target = dz.DesignTarget(
         n_gaps=1,
@@ -151,6 +220,20 @@ def test_condition_p_zero_shift_gives_zero_a():
     base = translate(p, -p.shift)
     d = mo.integrate(base, 0.0)
     assert abs(d.a_value) < 1e-9  # even potential at the normalized edge
+
+
+def test_condition_p_tries_the_shift_eps(monkeypatch):
+    # with m_+(0) never positive, every shift up to and including eps is tried
+    shifts = []
+
+    def negative_rho(p, lam):
+        shifts.append(p.shift)
+        return SimpleNamespace(a_value=-1.0, phi_1=1.0)
+
+    monkeypatch.setattr(dz, "integrate", negative_rho)
+    with pytest.raises(RhoNotPositive, match="up to eps"):
+        dz.condition_p_potential(delta=0.5, eps=0.06, t=0.03)
+    assert shifts == pytest.approx([0.03, 0.045, 0.06])
 
 
 def test_condition_p_rejects_bad_args():
@@ -220,11 +303,11 @@ def deep_n2_d3():
     """construct_model_potential(2, 0.1, 3), the benchmark's design, with its Hill solves logged.
 
     `events` orders the end of the gap-length fit, each Hill solve and each
-    continuation solve; `blocks` holds (dimension, Lanczos steps, shift) per
+    Gauss-Newton solve; `blocks` holds (dimension, Lanczos steps, shift) per
     Hill block and `hill_args` the arguments of each Hill solve.
     """
     events, blocks, hill_args, widths = [], [], [], set()
-    lengths, solve = dz.design_gap_lengths, dz._DeepFitter.solve
+    lengths, solve = dz.design_gap_lengths, dz._gauss_newton
     hill_edges, block, shift, orth = sm._hill_edges, sm._hill_block, sm._hill_shift, sm._orthonormal_block
 
     def logged_lengths(*args):
@@ -232,9 +315,9 @@ def deep_n2_d3():
         events.append("lengths")
         return out
 
-    def logged_solve(self, *args):
+    def logged_solve(*args, **kwargs):
         events.append("solve")
-        return solve(self, *args)
+        return solve(*args, **kwargs)
 
     def logged_edges(*args):
         events.append("hill")
@@ -258,7 +341,7 @@ def deep_n2_d3():
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dz, "design_gap_lengths", logged_lengths)
-        m.setattr(dz._DeepFitter, "solve", logged_solve)
+        m.setattr(dz, "_gauss_newton", logged_solve)
         for name, fn in [("_hill_edges", logged_edges), ("_hill_shift", logged_shift),
                          ("_hill_block", logged_block), ("_orthonormal_block", logged_orth)]:
             m.setattr(sm, name, fn)
@@ -269,7 +352,8 @@ def deep_n2_d3():
 def test_translation_scan_solves_the_hill_blocks_once(deep_n2_d3):
     # the scan runs between the gap-length fit and the first continuation solve
     _, events, _, _ = deep_n2_d3
-    scan = events[events.index("lengths") + 1 : events.index("solve")]
+    start = events.index("lengths")
+    scan = events[start + 1 : events.index("solve", start)]
     assert scan.count("hill") == 1
 
 
