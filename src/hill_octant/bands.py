@@ -5,23 +5,27 @@ increasing in lambda, so Dirichlet points mu_n (phase of phi through n pi)
 and Neumann points nu_n (phase of theta through pi/2 + n pi) are found by a
 globally safe bracketed Newton iteration.  Both mu_n and nu_n lie in the
 closure of gap n, and for an open gap their midpoint lies strictly inside,
-so (-1)^n F > 1 there.  Those midpoints anchor brackets with exactly one
-sign change of (-1)^n F - 1 for every band edge, and the same bracketed
-Newton iteration (dF/dlambda comes from the variational system) resolves
-it, even for near-closed gaps and for states sitting exactly on an edge.
+so (-1)^n F > 1 there.  (-1)^n F - 1 has a single critical point inside an
+open gap, so at the midpoint it is at least its smaller value at mu_n and
+nu_n.  The midpoints are each gap's one anchor: consecutive anchors bracket
+exactly one sign change of (-1)^n F - 1 for every band edge, and the same
+bracketed Newton iteration (dF/dlambda comes from the variational system)
+resolves it, even for near-closed gaps and for states sitting exactly on
+an edge.
 
-Gaps narrower than the double-precision resolution of F -+ 1 (roots become
-near-double) take their edges from the Hill-matrix route for Fourier
-potentials; piecewise potentials fall back to the hull [min(mu, nu),
-max(mu, nu)], a guaranteed inner approximation computed from
-well-conditioned simple roots.  Either way the edges still contain mu and
-nu, gaps below the merge tolerance collapse to a point, and each gap state
-records the route that certified its edges.
+A gap is resolved when (-1)^n F - 1 at its midpoint beats the integration
+noise.  Narrower gaps (roots become near-double) take their edges from the
+Hill-matrix route for Fourier potentials; piecewise potentials fall back to
+the hull [min(mu, nu), max(mu, nu)], a guaranteed inner approximation
+computed from well-conditioned simple roots.  Either way the edges still
+contain mu and nu, gaps below the merge tolerance collapse to a point, and
+each gap state records the route that certified its edges.
 
 All searches are batched: each Newton pass costs one integration pass over
-the energies still unconverged.  Phases run at the caller's tolerance and
-every band edge at min(rtol, 2e-13), since near-double roots amplify
-integration noise by 1/|dF/dlambda|.  A search that reaches its cap raises.
+the energies still unconverged.  Phases and anchors run at the integrator's
+default tolerance and every band edge at the tighter _EDGE_RTOL, since
+near-double roots amplify integration noise by 1/|dF/dlambda|.  A search
+that reaches its cap raises.
 
 Gap state n is bound (+1) exactly when a(mu_n) has sign (-1)^(n+1), else
 anti-bound (-1), or virtual (0) when a(mu_n) is below the integration
@@ -56,6 +60,7 @@ EDGE_MERGE_REL = 1e-9
 VIRTUAL_EDGE_REL = 1e-7
 VIRTUAL_A_TOL = 1e-9
 MAX_NEWTON = 60
+_EDGE_RTOL = 2e-13  # band-edge searches; phases and anchors run at mo.RTOL
 
 
 @dataclass(frozen=True)
@@ -133,9 +138,9 @@ def sheet_signs(mb: mo.MonodromyBatch) -> np.ndarray:
 # --- Prufer angles ---------------------------------------------------------
 
 
-def _angles(p, lams, rtol):
+def _angles(p, lams):
     """Dirichlet and Neumann Prufer phases at x = 1 plus lambda-derivatives."""
-    mb = mo.integrate_batch(p, lams, rtol=rtol, count_zeros=True)
+    mb = mo.integrate_batch(p, lams, count_zeros=True)
     angD = np.pi * mb.phi_zeros + np.mod(np.arctan2(mb.phi_1, mb.phi_prime_1), np.pi)
     angN = np.pi * mb.theta_zeros + np.mod(np.arctan2(mb.theta_1, mb.theta_prime_1), np.pi)
     dD = (mb.phi_prime_1 * mb.phi_lam - mb.phi_1 * mb.phi_prime_lam) / (
@@ -198,18 +203,18 @@ def _bracketed_newton(evaluate, lo, hi, s_lo, tol):
     raise NoConvergence(f"{int(np.sum(active))} Newton roots unconverged after {MAX_NEWTON} passes")
 
 
-def _phase_solve(p, targets, kinds, lo, hi, rtol, tol_rel):
+def _phase_solve(p, targets, kinds, lo, hi, tol_rel):
     """Dirichlet (kinds False) and Neumann (True) phases equal to their targets."""
 
     def evaluate(x, idx):
-        angD, dD, angN, dN = _angles(p, x, rtol)
+        angD, dD, angN, dN = _angles(p, x)
         k = kinds[idx]
         return np.where(k, angN, angD) - targets[idx], np.where(k, dN, dD)
 
     return _bracketed_newton(evaluate, lo, hi, -np.ones(lo.size), tol_rel)
 
 
-def _anchor_points(p: Potential, n_need: int, rtol):
+def _anchor_points(p: Potential, n_need: int):
     """mu_1..mu_{n_need} and nu_0..nu_{n_need} via the monotone phases.
 
     Returns (mu, nu, mb_mu) where mb_mu holds monodromy data at the mu_n
@@ -228,7 +233,7 @@ def _anchor_points(p: Potential, n_need: int, rtol):
     kinds2 = np.concatenate((kinds, kinds))
     targets2 = np.concatenate((targets, targets))
     for _ in range(40):
-        angD, dD, angN, dN = _angles(p, np.concatenate((lo, hi)), rtol)
+        angD, dD, angN, dN = _angles(p, np.concatenate((lo, hi)))
         f2 = np.where(kinds2, angN, angD) - targets2
         f_lo, f_hi = np.split(f2, 2)
         bad_lo = f_lo > 0
@@ -241,25 +246,25 @@ def _anchor_points(p: Potential, n_need: int, rtol):
     else:
         raise CountMismatch("could not bracket the Dirichlet/Neumann phases")
 
-    x = _phase_solve(p, targets, kinds, lo, hi, rtol, 3e-12)
+    x = _phase_solve(p, targets, kinds, lo, hi, 3e-12)
     mu = x[:n_need]
     nu = x[n_need:]
     if np.any(np.diff(mu) <= 0) or np.any(np.diff(nu) <= 0):
         raise CountMismatch("eigenvalue ordering violated: bracketing failed")
-    mb_mu = mo.integrate_batch(p, mu, rtol=rtol)
+    mb_mu = mo.integrate_batch(p, mu)
     return mu, nu, mb_mu
 
 
 # --- band edges ------------------------------------------------------------
 
 
-def _edge_roots(p, lo, hi, f_lo_disc, parities, rtol):
+def _edge_roots(p, lo, hi, f_lo_disc, parities):
     """Roots of (-1)^parity F(lambda) = 1, one sign change per bracket."""
     sgn = (-1.0) ** np.asarray(parities)
     s_lo = np.sign(sgn * np.asarray(f_lo_disc) - 1.0)
 
     def evaluate(x, idx):
-        mb = mo.integrate_batch(p, x, rtol=rtol)
+        mb = mo.integrate_batch(p, x, rtol=_EDGE_RTOL)
         return sgn[idx] * mb.discriminant - 1.0, sgn[idx] * mb.discriminant_lam
 
     return _bracketed_newton(evaluate, np.array(lo, float), np.array(hi, float), s_lo, 1e-12)
@@ -268,92 +273,38 @@ def _edge_roots(p, lo, hi, f_lo_disc, parities, rtol):
 # --- main computation ------------------------------------------------------
 
 
-_PROBE_FRACS = (0.0, 1e-7, -1e-7, 1e-4, -1e-4, 0.02, -0.02, 0.1, -0.1, 0.25, -0.25, 0.45, -0.45)
-
-
-def _gap_interiors(p, hull_lo, hull_hi, lam_min, N):
-    """One interior point per gap, or nan where the gap is unresolvable.
-
-    Probes a ladder of candidates around the [mu, nu] hull of each gap;
-    (-1)^n F > 1 identifies points inside gap n unambiguously because the
-    probes stay between the neighbouring hulls.  Gaps where no probe beats
-    the integration noise cannot be resolved through F -+ 1.
-    """
-    n_need = hull_lo.size
-    spacing_r = np.empty(n_need)
-    spacing_r[:-1] = hull_lo[1:] - hull_hi[:-1]
-    spacing_r[-1] = max(1.0, math.pi**2 * (2 * (N + 1) + 1))
-    spacing_l = np.empty(n_need)
-    spacing_l[0] = hull_lo[0] - lam_min
-    spacing_l[1:] = hull_lo[1:] - hull_hi[:-1]
-    fr = np.asarray(_PROBE_FRACS)
-    probes = np.where(
-        fr == 0.0,
-        0.5 * (hull_lo + hull_hi)[:, None],
-        np.where(
-            fr > 0,
-            hull_hi[:, None] + fr * spacing_r[:, None],
-            hull_lo[:, None] + fr * spacing_l[:, None],
-        ),
-    )
-    mb = mo.integrate_batch(p, probes.ravel(), rtol=mo.RTOL)
-    F = mb.discriminant.reshape(n_need, fr.size)
-    parity = (-1.0) ** np.arange(1, n_need + 1)
-    excess = parity[:, None] * F - 1.0
-    noise = 200.0 * mo.RTOL * np.maximum(1.0, np.abs(F))
-    valid = excess > noise
-    score = np.where(valid, excess, -np.inf)
-    best = np.argmax(score, axis=1)
-    has = valid[np.arange(n_need), best]
-    centers = np.where(has, probes[np.arange(n_need), best], np.nan)
-    center_F = np.where(has, F[np.arange(n_need), best], np.nan)
-    return centers, center_F
-
-
-def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure:
+def band_structure(p: Potential, N: int) -> BandStructure:
     """Spectral data for gaps 1..N plus the band ending at lambda_{N+1}^-."""
     if N < 1:
         raise ValueError("N must be >= 1")
     n_need = N + 1
-    mu, nu, mb_mu = _anchor_points(p, n_need, rtol)
+    mu, nu, mb_mu = _anchor_points(p, n_need)
 
     hull_lo = np.minimum(mu, nu[1:])
     hull_hi = np.maximum(mu, nu[1:])
-    lam_min = -p.sup_norm_bound - 1.0
-
-    centers, center_F = _gap_interiors(p, hull_lo, hull_hi, lam_min, N)
-    resolved = np.isfinite(centers)
     merge_tol = EDGE_MERGE_REL * np.maximum(1.0, np.abs(hull_lo))
 
-    # neighbour anchors: interior point where available, hull midpoint
-    # otherwise (F there is within noise of (-1)^n, still a strict sign
-    # anchor for the adjacent parities)
-    anchor_x = np.where(resolved, centers, 0.5 * (hull_lo + hull_hi))
-    anchor_Fv = np.empty(n_need)
-    if np.all(resolved):
-        anchor_Fv = center_F.copy()
-    else:
-        need = 0.5 * (hull_lo + hull_hi)[~resolved]
-        mb_f = mo.integrate_batch(p, need, rtol=rtol)
-        anchor_Fv[resolved] = center_F[resolved]
-        anchor_Fv[~resolved] = mb_f.discriminant
-    x_anchor = np.concatenate(([lam_min], anchor_x))
-    F_anchor = np.concatenate(
-        (mo.integrate_batch(p, [lam_min], rtol=rtol).discriminant, anchor_Fv)
-    )
+    # one pass over lambda_min and the hull midpoints.  Gap n is resolved
+    # where (-1)^n F - 1 at its midpoint beats the integration noise; an
+    # unresolved midpoint still has F within noise of (-1)^n, a strict sign
+    # anchor for the neighbouring parities
+    x_anchor = np.concatenate(([-p.sup_norm_bound - 1.0], 0.5 * (hull_lo + hull_hi)))
+    F_anchor = mo.integrate_batch(p, x_anchor).discriminant
+    F_mid = F_anchor[1:]
+    excess = (-1.0) ** np.arange(1, n_need + 1) * F_mid - 1.0
+    resolved = excess > 200.0 * mo.RTOL * np.maximum(1.0, np.abs(F_mid))
 
-    # one bracket (lower end, upper end, F at the lower end, parity, tag) per edge
+    # one bracket (lower end, upper end, F at the lower end, parity, tag) per
+    # edge, each between consecutive anchors
     brackets = [(x_anchor[0], x_anchor[1], F_anchor[0], 0, ("edge0", 0))]
     for n in range(1, n_need + 1):
         if not resolved[n - 1]:
             continue
-        brackets.append((x_anchor[n - 1], centers[n - 1], F_anchor[n - 1], n, ("lo", n)))
+        brackets.append((x_anchor[n - 1], x_anchor[n], F_anchor[n - 1], n, ("lo", n)))
         if n <= N:
-            brackets.append((centers[n - 1], x_anchor[n + 1], center_F[n - 1], n, ("hi", n)))
+            brackets.append((x_anchor[n], x_anchor[n + 1], F_anchor[n], n, ("hi", n)))
     t_lo, t_hi, t_flo, t_par, t_tag = zip(*brackets)
-    # near-double roots amplify integration noise by 1/|dF/dlambda|, so the
-    # edges run at a tighter tolerance than the anchors
-    roots = _edge_roots(p, t_lo, t_hi, t_flo, t_par, min(rtol, 2e-13))
+    roots = _edge_roots(p, t_lo, t_hi, t_flo, t_par)
 
     lambda0 = math.nan
     gap_lo = hull_lo.copy()
@@ -438,25 +389,25 @@ def band_structure(p: Potential, N: int, rtol: float = mo.RTOL) -> BandStructure
     )
 
 
-def dirichlet_eigs(p: Potential, N: int, rtol: float = mo.RTOL) -> np.ndarray:
+def dirichlet_eigs(p: Potential, N: int) -> np.ndarray:
     """mu_1 .. mu_N."""
-    mu, _, _ = _anchor_points(p, N, rtol)
+    mu, _, _ = _anchor_points(p, N)
     return mu
 
 
-def neumann_eigs(p: Potential, N: int, rtol: float = mo.RTOL) -> np.ndarray:
+def neumann_eigs(p: Potential, N: int) -> np.ndarray:
     """nu_0 .. nu_N (N+1 values)."""
-    _, nu, _ = _anchor_points(p, N, rtol)
+    _, nu, _ = _anchor_points(p, N)
     return nu
 
 
-def classify_states(p: Potential, N: int, rtol: float = mo.RTOL) -> list[tuple[float, int]]:
+def classify_states(p: Potential, N: int) -> list[tuple[float, int]]:
     """Per gap: (mu_n, sign_n); closed gaps report sign 0."""
-    bs = band_structure(p, N, rtol=rtol)
+    bs = band_structure(p, N)
     return [(s.mu, s.sign) for s in bs.states]
 
 
-def xi_map(p: Potential, N: int, rtol: float = mo.RTOL) -> np.ndarray:
+def xi_map(p: Potential, N: int) -> np.ndarray:
     """Rows (xi_1n, xi_2n) for n = 1..N."""
-    bs = band_structure(p, N, rtol=rtol)
+    bs = band_structure(p, N)
     return bs.xi

@@ -22,7 +22,7 @@ from . import __version__
 from . import spectral_matrix as sm
 from .bands import band_structure
 from .cluster import assemble_2d, assemble_3d, count_in_interval, fast_factor_spectrum
-from .design import DesignTarget, construct_model_potential, design_gap_lengths, place_states
+from .design import DesignReport, DesignTarget, construct_model_potential, design_gap_lengths, place_states
 from .errors import (
     HillOctantError,
     InsufficientPoints,
@@ -165,9 +165,12 @@ def cmd_halfsolid(args) -> int:
     p = load_spec(_require(args, cfg, "potential"))
     N = int(_opt(args, cfg, "N", 3))
     gap_index = int(_opt(args, cfg, "gap_index", 1))
+    if not 1 <= gap_index <= N:
+        raise SpecFormatError(f"gap index must lie in 1..{N}")
     out = _out_dir(args, cfg)
-    if _opt(args, cfg, "tau") is not None:
-        taus = [float(_opt(args, cfg, "tau"))]
+    one_tau = _opt(args, cfg, "tau")
+    if one_tau is not None:
+        taus = [float(one_tau)]
     else:
         taus = list(_parse_tau_grid(_require(args, cfg, "tau_grid")))
     bs = band_structure(p, N)
@@ -177,8 +180,11 @@ def cmd_halfsolid(args) -> int:
         rows.extend((tau, j, lam, wronskian(p, tau, lam, j)) for j, lam in hs.eigenvalues)
         pairs.append((float(tau), dict(hs.eigenvalues).get(gap_index)))
     _write_csv(out / "eigenvalues.csv", ["tau", "j", "mu_j_tau", "w_residual"], rows)
-    report = {}
-    if len(taus) >= 4 and any(s.sign == +1 for s in bs.states):
+    if one_tau is not None:
+        return EXIT_OK  # one tau writes its eigenvalues only; the rate fit needs a grid
+    if len(taus) < 4:
+        raise InsufficientPoints(f"tau grid has {len(taus)} points, need >= 4 for the rate fit")
+    if any(s.sign == +1 for s in bs.states):
         # fit the sweep's roots; verify_sqrt_rate would search every tau again
         c_direct = asymptotic_coefficient(p, gap_index, bs=bs)
         fit = _rate_fit(pairs, bs.dirichlet[gap_index - 1], c_direct)
@@ -189,8 +195,6 @@ def cmd_halfsolid(args) -> int:
             "taus": list(fit.taus),
         }
         _write_json(out / "ratefit.json", report)
-    elif len(taus) < 4:
-        raise InsufficientPoints(f"tau grid has {len(taus)} points, need >= 4 for the rate fit")
     return EXIT_OK
 
 
@@ -230,8 +234,6 @@ def cmd_design(args) -> int:
                 basis_size=basis,
                 tolerance=tol,
             )
-            from .design import DesignReport
-
             report_obj = DesignReport(targets={"gap_lengths": list(lengths), "fracs": fracs})
             p = design_gap_lengths(target, report_obj)
             if fracs:

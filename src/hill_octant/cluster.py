@@ -27,7 +27,7 @@ from .errors import CountChanged, NoGroundState, SeparationFail
 from .halfsolid import HalfSolidSpectrum
 from .intervals import Interval, IntervalSet, minkowski_sum  # noqa: F401  (re-exported)
 from .monodromy import integrate_batch
-from .potential import Potential
+from .potential import Potential, fourier_potential
 from . import spectral_matrix as sm
 
 __all__ = [
@@ -393,8 +393,6 @@ def _add_potentials(p: Potential, w: Potential, eps: float) -> Potential:
         entry = terms.setdefault(int(k), [0.0, 0.0])
         entry[0] += eps * a
         entry[1] += eps * b
-    from .potential import fourier_potential
-
     return fourier_potential(
         [(k, ab[0], ab[1]) for k, ab in sorted(terms.items())],
         constant=const_p + eps * const_w,

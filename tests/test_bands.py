@@ -186,14 +186,14 @@ def _unresolved_gap_matches_matrix_route(p, N, n):
 
 
 def test_asym_gap5_unresolved_reports_matrix_edges(asym_potential):
-    # F - 1 inside gap 5 is below the probe noise; the [mu, nu] hull is 18% short
+    # F - 1 inside gap 5 is below the noise; the [mu, nu] hull is 18% short
     bs, _ = _unresolved_gap_matches_matrix_route(asym_potential, 5, 5)
     assert bs.state(5).sign == +1
 
 
 def test_seeded_gap6_unresolved_reports_matrix_edges():
     # numpy.random.default_rng(24).uniform(-5, 5, 6): gap 6 has length
-    # 1.2373e-3, but F - 1 at its midpoint is 1.35e-10, under the probe noise
+    # 1.2373e-3, but F - 1 at its midpoint is 1.35e-10, under the noise
     c = np.random.default_rng(24).uniform(-5.0, 5.0, 6)
     p = fourier_potential([(k + 1, c[2 * k], c[2 * k + 1]) for k in range(3)])
     bs, nbe = _unresolved_gap_matches_matrix_route(p, 6, 6)
@@ -268,7 +268,7 @@ def test_lambda0_above_the_first_gap_raises(asym_potential, monkeypatch):
 
 def test_phase_bracket_expansion_cap_raises(asym_potential, monkeypatch):
     # phases above every target at every energy: no lower bracket end exists
-    def too_high(p, lams, rtol):
+    def too_high(p, lams):
         big = np.full(np.size(lams), 1e9)
         return big, np.ones_like(big), big, np.ones_like(big)
 
@@ -292,10 +292,33 @@ def test_unordered_anchor_points_raise(asym_potential, monkeypatch):
 
 def test_edges_do_not_depend_on_translation():
     # band edges are translation-invariant; a shift changes every anchor
-    # and bracket of the search, so it shows how far its result drifts
+    # and bracket of the search, so it shows how far its result drifts.
+    # Sliding the potential sweeps mu_n through its gap, so some hull
+    # midpoints sit close to an edge; every gap must still resolve.
     p = random_corpus(1, seed=777)[0]
     base = bands.band_structure(p, 6)
-    moved = bands.band_structure(translate(p, 0.13), 6)
-    for name in ("lambda0", "gap_lo", "gap_hi", "next_band_end"):
-        a, b = np.atleast_1d(getattr(base, name)), np.atleast_1d(getattr(moved, name))
-        assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) <= 1e-10, name
+    for shift in (0.13, 0.37, 0.61, 0.89):
+        moved = bands.band_structure(translate(p, shift), 6)
+        for name in ("lambda0", "gap_lo", "gap_hi", "next_band_end"):
+            a, b = np.atleast_1d(getattr(base, name)), np.atleast_1d(getattr(moved, name))
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) <= 1e-10, (shift, name)
+        assert [s.certified_by for s in moved.states] == ["shooting"] * 6, shift
+
+
+def test_band_structure_pass_budget(monkeypatch):
+    # the widest pass is the phase bracket: lo and hi ends of mu_1..mu_{N+1}
+    # and nu_0..nu_{N+1}, 2 (2N + 3) energies.  Anchors, edges and sheets
+    # run in narrower passes.
+    N = 6
+    widths = []
+    batch = mo.integrate_batch
+
+    def counted(p, lams, *args, **kwargs):
+        widths.append(np.size(lams))
+        return batch(p, lams, *args, **kwargs)
+
+    monkeypatch.setattr(mo, "integrate_batch", counted)
+    for p in random_corpus(6, seed=777):
+        widths.clear()
+        bands.band_structure(p, N)
+        assert max(widths) <= 2 * (2 * N + 3)

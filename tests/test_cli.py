@@ -139,6 +139,28 @@ def test_halfsolid_short_grid_exits_3(tmp_path, bound_state_potential):
     assert rc == 3
 
 
+@pytest.mark.parametrize("gap_index", ["0", "5"])
+def test_halfsolid_gap_index_outside_1_to_N_exits_2(tmp_path, bound_state_potential, gap_index, capsys):
+    spec = write_pot(tmp_path, bound_state_potential)
+    rc = main(
+        ["halfsolid", "--potential", str(spec), "--N", "2",
+         "--tau-grid", "1e3:1e6:4", "--gap-index", gap_index, "--out", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "gap index" in capsys.readouterr().err
+
+
+def test_halfsolid_single_tau_writes_eigenvalues(tmp_path, bound_state_potential):
+    # one tau cannot feed the rate fit; it writes its eigenvalues and succeeds
+    spec = write_pot(tmp_path, bound_state_potential)
+    out = tmp_path / "out"
+    rc = main(["halfsolid", "--potential", str(spec), "--N", "2", "--tau", "1e4", "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv(out / "eigenvalues.csv")
+    assert any(float(r[0]) == 1e4 and r[1] == "1" for r in rows)
+    assert not (out / "ratefit.json").exists()
+
+
 def test_design_roundtrip_through_bands(tmp_path):
     out = tmp_path / "out"
     rc = main(
