@@ -12,7 +12,8 @@ surrogate never certifies itself.
 
 Seeding: a single cos mode of size t opens gap k to length about t, and
 translating the potential sweeps every Dirichlet point through its gap
-while the edges stay put; reflection (sin -> -sin) flips every sheet.
+while the edges stay put.  Reflection v(x) -> v(-x) keeps both and flips
+every sheet, so one fit covers a mirror pair and no seed is reflected.
 """
 
 from __future__ import annotations
@@ -220,8 +221,8 @@ def place_states(p0: Potential, target: DesignTarget, report: DesignReport | Non
     """Joint fit of gap lengths and in-gap Dirichlet positions, then verify signs.
 
     Seeds are a grid of translations of p0 (translation sweeps every
-    Dirichlet point through its gap) and their reflections (sin -> -sin
-    flips every sheet).
+    Dirichlet point through its gap).  The fit is reflection-equivariant:
+    a fit whose sheets all come out opposite is reflected instead.
     """
     N = target.n_gaps
     M = target.modes
@@ -235,19 +236,13 @@ def place_states(p0: Potential, target: DesignTarget, report: DesignReport | Non
         r = np.concatenate((lengths - goal_len, pos - fracs * goal_len))
         return r / scale, np.vstack((d_len, d_pos)) / scale
 
-    def translation_seed(t, reflect):
+    def translation_seed(t):
         _, ks, a, b = translate(p0, t).effective_fourier()
         x0 = np.zeros(2 * M)
-        for k, ak, bk in zip(ks, a, b):
-            x0[k - 1] = ak
-            x0[M + k - 1] = -bk if reflect else bk
+        x0[ks - 1], x0[M + ks - 1] = a, b
         return x0
 
-    seeds = [
-        translation_seed(t, reflect)
-        for t in (0.02, 0.05, 0.1, 0.15, 0.25, 0.35)
-        for reflect in (False, True)
-    ]
+    seeds = [translation_seed(t) for t in (0.02, 0.05, 0.1, 0.15, 0.25, 0.35)]
 
     last_exc = None
     for trial, x0 in enumerate(seeds):
@@ -273,7 +268,7 @@ def place_states(p0: Potential, target: DesignTarget, report: DesignReport | Non
     raise SignUnreachable(f"no seed met the target signs ({last_exc})")
 
 
-# --- deep designs: eigenvector-gradient continuation -------------------------
+# --- deep designs: one Gauss-Newton from a translation seed -----------------
 
 
 def _logit(f):
@@ -363,7 +358,9 @@ def _deep_design(N, gamma, frac, tolerance, report):
 
     # 2) translation seed: slide the well toward the Dirichlet wall until
     # every state sits inside its gap.  Translation moves only mu: the band
-    # edges are those of p_len itself.
+    # edges are those of p_len itself.  For t <= xmin, v(x + t) has its
+    # minimum just right of the wall at x = 0, so each state decays into
+    # x > 0 and is bound; the shifts t > xmin give the mirror images.
     xs = np.linspace(0.0, 1.0, 4001)
     vx = p_len.evaluate(xs)
     xmin = xs[np.argmin(vx)]
@@ -374,47 +371,23 @@ def _deep_design(N, gamma, frac, tolerance, report):
     z[:N] = x_len
     _, glo, ghi, _ = sm.hill_band_edges(fit.build(z), N, modes=hill_modes)
     best = None
-    for t in xmin + ell * np.linspace(-4.5, 4.5, 49):
+    for t in xmin + ell * np.linspace(-4.5, 0.0, 25):
         z[-1] = t % 1.0
         fr = (sm.galerkin_dirichlet(fit.build(z), N, dim=gdim) - glo) / (ghi - glo)
         if not np.all((fr > 0.005) & (fr < 0.95)):
             continue
         cost = float(np.linalg.norm(_logit(fr) - _logit(f_goal)))
         if best is None or cost < best[0]:
-            best = (cost, z[-1], fr)
+            best = (cost, z[-1])
     if best is None:
         raise NoConvergence("no translation seed puts every state inside its gap")
-    _, z[-1], f_seed = best
+    z[-1] = best[1]
 
-    # 3) continuation in the position targets (logit geodesic); a target the
-    # Gauss-Newton cannot reach halves the step
+    # 3) one Gauss-Newton straight to the target positions
     tol = max(tolerance / 3.0, 1e-6)
-    s_path, step, fails = 0.0, 0.34, 0
-    while s_path < 1.0 - 1e-9:
-        s_next = min(1.0, s_path + step)
-        ft = 1.0 / (1.0 + np.exp(-((1.0 - s_next) * _logit(f_seed) + s_next * _logit(f_goal))))
-        try:
-            z, _, iters = _gauss_newton(lambda x: fit.residual_jac(x, ft), z, tol, max_iter=30)
-        except (NoConvergence, IllConditioned) as exc:
-            step /= 2.0
-            fails += 1
-            if step < 0.002 or fails > 14:
-                raise NoConvergence(
-                    f"position continuation stalled at s = {s_path:.3f}",
-                    best_residual=float(np.linalg.norm(fit.residual_jac(z, f_goal)[0])),
-                ) from exc
-            continue
-        report.iterations += iters
-        s_path = s_next
-        step = min(0.4, step * 1.5)
+    z, _, iters = _gauss_newton(lambda x: fit.residual_jac(x, f_goal), z, tol, max_iter=30)
+    report.iterations += iters
     return fit.build(z), fit
-
-
-def _reflect(p: Potential) -> Potential:
-    """The Fourier potential evaluating as v(-x): sine terms flip, so does the shift."""
-    return fourier_potential(
-        [(t.k, t.cos, -t.sin) for t in p.fourier], constant=p.constant, shift=-p.shift
-    )
 
 
 def _matrix_band_structure(p: Potential, N: int, mb_mu, mu, nu) -> BandStructure:
@@ -469,13 +442,6 @@ def construct_model_potential(N: int, kappa: float, d: int, tolerance: float = 1
     nu = sm.galerkin_neumann(p, N + 1, dim=fit.gdim)
     mb_mu = integrate_batch(p, mu, count_zeros=True)
     signs = sheet_signs(mb_mu)
-    if np.all(signs == -1):
-        # the translation seeds are symmetric about the well, so the fit
-        # can land on the mirror image: same edges and mu, every sheet
-        # flipped.  Its reflection v(-x) has the target sheets.
-        p = _reflect(p)
-        mb_mu = integrate_batch(p, mu, count_zeros=True)
-        signs = sheet_signs(mb_mu)
     expected = np.arange(1, N + 1)
     counts_ok = (mb_mu.phi_zeros == expected) | (mb_mu.phi_zeros == expected - 1)
     if not np.all(counts_ok):

@@ -115,9 +115,7 @@ class MonodromyBatch:
     be represented.
     """
 
-    def __init__(
-        self, lams, state, phi_zeros=None, theta_zeros=None, checkpoints=None, log_scale=None
-    ):
+    def __init__(self, lams, state, phi_zeros=None, theta_zeros=None, log_scale=None):
         self.lams = lams
         self.theta_1 = state[0]
         self.theta_prime_1 = state[1]
@@ -129,7 +127,6 @@ class MonodromyBatch:
         self.phi_prime_lam = state[7]
         self.phi_zeros = phi_zeros
         self.theta_zeros = theta_zeros
-        self.checkpoints = checkpoints
         self.log_scale = np.zeros(np.atleast_1d(lams).size) if log_scale is None else log_scale
 
     def _rescale(self, values):
@@ -365,7 +362,7 @@ def _cs_functions(q, length):
     return out_c, out_s, dc, ds
 
 
-def _transfer_route(p, lams, count_zeros, checkpoints):
+def _transfer_route(p, lams, count_zeros):
     """Exact monodromy for piecewise-constant potentials."""
     lams = np.asarray(lams, dtype=float)
     n = lams.size
@@ -384,22 +381,6 @@ def _transfer_route(p, lams, count_zeros, checkpoints):
                 continue
             pieces.append((lo, hi, p.evaluate(0.5 * (lo + hi))))
 
-    xs = [0.0]
-    vals = []
-    for lo, hi, v in pieces:
-        xs.append(hi)
-        vals.append(v)
-    if checkpoints:
-        # split pieces further at requested checkpoints
-        marks = sorted(set(checkpoints))
-        new_pieces = []
-        for lo, hi, v in pieces:
-            inner = [m for m in marks if lo < m < hi]
-            edges = [lo] + inner + [hi]
-            for a, b in zip(edges, edges[1:]):
-                new_pieces.append((a, b, v))
-        pieces = new_pieces
-
     M = np.zeros((2, 2, n))
     M[0, 0] = 1.0
     M[1, 1] = 1.0
@@ -407,7 +388,6 @@ def _transfer_route(p, lams, count_zeros, checkpoints):
     log_scale = np.zeros(n)
     phi_count = np.zeros(n, dtype=int) if count_zeros else None
     thp_count = np.zeros(n, dtype=int) if count_zeros else None
-    snap = {} if checkpoints else None
 
     for lo, hi, v in pieces:
         # long forbidden stretches overflow cosh; split so each sub-piece
@@ -445,11 +425,8 @@ def _transfer_route(p, lams, count_zeros, checkpoints):
                 M = M / f
                 D = D / f
                 log_scale += np.log(f)
-        if checkpoints and any(abs(hi - m) < 1e-14 for m in checkpoints):
-            snap[round(hi, 12)] = _pack_state(M, D)
 
-    state = _pack_state(M, D)
-    return state, phi_count, thp_count, snap, log_scale
+    return _pack_state(M, D), phi_count, thp_count, log_scale
 
 
 def _pack_state(M, D):
@@ -497,33 +474,20 @@ def integrate_batch(
     rtol: float = RTOL,
     atol: float = ATOL,
     count_zeros: bool = False,
-    checkpoints=None,
 ) -> MonodromyBatch:
     """Monodromy data for a vector of energies in one pass."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all(np.isfinite(lams)):
         raise NonFiniteInput("lambda values must be finite")
     if p.piecewise or not p.fourier:
-        state, pc, tc, snap, log_scale = _transfer_route(p, lams, count_zeros, checkpoints)
-        return MonodromyBatch(lams, state, pc, tc, snap, log_scale)
-    u = _initial_state(lams.size)
+        state, pc, tc, log_scale = _transfer_route(p, lams, count_zeros)
+        return MonodromyBatch(lams, state, pc, tc, log_scale)
     log_scale = np.zeros(lams.size)
     trackers = _SignTrackers(lams.size) if count_zeros else None
-    snap = {} if checkpoints else None
-    stops = sorted(set(checkpoints or [])) + [1.0]
-    x0 = 0.0
-    for x1 in stops:
-        if x1 <= x0 + 1e-15 and x1 < 1.0:
-            continue
-        u = _rk_segment(p, lams, u, x0, min(x1, 1.0), rtol, atol, trackers, log_scale)
-        if checkpoints and x1 < 1.0:
-            snap[round(x1, 12)] = u.copy()
-        x0 = x1
-        if x0 >= 1.0:
-            break
+    u = _rk_segment(p, lams, _initial_state(lams.size), 0.0, 1.0, rtol, atol, trackers, log_scale)
     pc = trackers.phi_count if trackers else None
     tc = trackers.theta_count if trackers else None
-    return MonodromyBatch(lams, u, pc, tc, snap, log_scale)
+    return MonodromyBatch(lams, u, pc, tc, log_scale)
 
 
 def integrate(p: Potential, lam: float, rtol: float = RTOL, atol: float = ATOL) -> MonodromyData:
@@ -556,36 +520,51 @@ def _branch_from_disc(F, gap_index: int, sheet: int, lam) -> float:
     return b if sheet == 1 else -b
 
 
+def _weyl_m(mb: MonodromyBatch, gap_index):
+    """m_+, dm_+/dlambda, and whether phi(1) is the denominator, for a batch.
+
+    a^2 + 1 - F^2 = -phi(1) theta'(1) gives (a - b)(a + b) = -phi(1) theta'(1),
+    so m_+ = (a - b)/phi(1) = -theta'(1)/(a + b).  At an anti-bound
+    Dirichlet point a = b and phi(1) = 0, and the first form is a 0/0 made
+    of cancellations; at a bound one a = -b, and the pole sits in phi(1).
+    Each energy takes the form whose sum a -/+ b is the larger, and the
+    slope of num/den is (num_lam - m den_lam)/den, with
+
+        b_lam = (-1)^n F F_lam / sqrt(F^2 - 1).
+    """
+    F = mb.discriminant
+    root = np.sqrt(np.maximum(F * F - 1.0, 0.0))
+    parity = (-1.0) ** np.asarray(gap_index)
+    a, b = mb.a_value, parity * root
+    a_lam = mb._rescale(0.5 * (mb.phi_prime_lam - mb.theta_lam))
+    on_phi = np.abs(a - b) >= np.abs(a + b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b_lam = parity * F * mb.discriminant_lam / root
+        num = np.where(on_phi, a - b, -mb._rescale(mb.theta_prime_1))
+        den = np.where(on_phi, mb._rescale(mb.phi_1), a + b)
+        num_lam = np.where(on_phi, a_lam - b_lam, -mb._rescale(mb.theta_prime_lam))
+        den_lam = np.where(on_phi, mb._rescale(mb.phi_lam), a_lam + b_lam)
+        m = num / den
+        dm = (num_lam - m * den_lam) / den
+    return m, dm, on_phi & (np.abs(den) < 1e-13 * np.maximum(1.0, np.abs(num)))
+
+
 def m_plus(p: Potential, lam: float, gap_index: int) -> float:
     """Weyl function m_+ = (a - b) / phi(1, .) with b on the physical sheet."""
-    data = integrate(p, lam)
-    a = data.a_value
-    b = _branch_from_disc(data.discriminant, gap_index, 1, lam)
-    if abs(data.phi_1) < 1e-13 * max(1.0, abs(a - b)):
-        raise PoleAt(f"phi(1, {lam}) = {data.phi_1:.3e}: too close to a Dirichlet point", lam=lam)
-    return (a - b) / data.phi_1
+    mb = integrate_batch(p, [lam])
+    _branch_from_disc(float(mb.discriminant[0]), gap_index, 1, lam)  # OutsideGap in a band
+    m, _, pole = _weyl_m(mb, gap_index)
+    if pole[0]:
+        raise PoleAt(f"phi(1, {lam}) = {mb.item(0).phi_1:.3e}: too close to a Dirichlet point", lam=lam)
+    return float(m[0])
 
 
 def m_plus_batch(p: Potential, lams, gap_index) -> tuple[np.ndarray, np.ndarray]:
     """m_+ and dm_+/dlambda at energies inside gaps; no pole guard.
 
-    `gap_index` is one gap index for all energies or one per energy.  The
-    slope comes from the variational system:
-
-        dm_+ = (a_lam - b_lam - m_+ phi_lam) / phi(1),
-        b_lam = (-1)^n F F_lam / sqrt(F^2 - 1).
-
-    Near the Dirichlet point both come out huge but correctly signed, which
+    `gap_index` is one gap index for all energies or one per energy.  Near
+    a bound Dirichlet point both come out huge but correctly signed, which
     is what bracketed root finders need.
     """
-    mb = integrate_batch(p, lams)
-    F = mb.discriminant
-    root = np.sqrt(np.maximum(F * F - 1.0, 0.0))
-    parity = (-1.0) ** np.asarray(gap_index)
-    a_lam = mb._rescale(0.5 * (mb.phi_prime_lam - mb.theta_lam))
-    phi_1 = mb._rescale(mb.phi_1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = (mb.a_value - parity * root) / phi_1
-        b_lam = parity * F * mb.discriminant_lam / root
-        dm = (a_lam - b_lam - m * mb._rescale(mb.phi_lam)) / phi_1
+    m, dm, _ = _weyl_m(integrate_batch(p, lams), gap_index)
     return m, dm

@@ -130,6 +130,17 @@ def test_halfsolid_rate_fit_reuses_the_sweep_roots(tmp_path, monkeypatch, modest
     assert report["constant"] == pytest.approx(fit.constant, rel=1e-9)
 
 
+@pytest.mark.parametrize("gap_index", ["1", "2", "3"])
+def test_halfsolid_antibound_states_exit_0(tmp_path, asym_potential, gap_index):
+    # every gap state of asym is anti-bound, mu_3 just below its edge
+    spec = write_pot(tmp_path, asym_potential)
+    rc = main(
+        ["halfsolid", "--potential", str(spec), "--N", "3",
+         "--tau-grid", "1e3:1e6:4", "--gap-index", gap_index, "--out", str(tmp_path)]
+    )
+    assert rc == 0
+
+
 def test_halfsolid_short_grid_exits_3(tmp_path, bound_state_potential):
     spec = write_pot(tmp_path, bound_state_potential)
     rc = main(

@@ -152,12 +152,14 @@ def test_place_states_reaches_mixed_sheets():
     p0 = dz.design_gap_lengths(
         dz.DesignTarget(n_gaps=2, gap_lengths=(5.0, 5.0), tolerance=1e-5)
     )
-    p = dz.place_states(p0, target)
+    rep = dz.DesignReport(targets={})
+    p = dz.place_states(p0, target, rep)
     bs = bands.band_structure(p, 2)
     fr = (bs.dirichlet - bs.gap_lo) / bs.gap_lengths
     assert np.allclose(bs.gap_lengths, 5.0, rtol=2e-4)
     assert fr == pytest.approx([0.125, 0.3], abs=5e-4)
     assert [s.sign for s in bs.states] == [1, -1]
+    assert rep.restarts <= 5  # six translation seeds, no reflected twins
 
 
 def test_place_states_returns_input_when_converged():
@@ -246,17 +248,37 @@ def deep_n1():
     return dz.construct_model_potential(1, 0.1, 2)
 
 
-def test_deep_design_lands_on_the_bound_sheet(deep_n1):
-    # this build once raised SignUnreachable: the fit chose the mirror-image seed
-    p, gamma, bs, rep = deep_n1
+@pytest.mark.parametrize("d", [2, 3])
+def test_deep_design_lands_on_the_bound_sheet(d, monkeypatch):
+    # the translation scan keeps to the bound side of the well, so the fit
+    # needs no mirror repair: one shooting pass checks the sheets, and the
+    # gap-length fit and the position fit are the only Gauss-Newton solves
+    calls = {"shoot": 0, "solve": 0}
+    integrate, solve = dz.integrate_batch, dz._gauss_newton
+
+    def counted_integrate(*args, **kwargs):
+        calls["shoot"] += 1
+        return integrate(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dz, "integrate_batch", counted_integrate)
+    monkeypatch.setattr(dz, "_gauss_newton", counted_solve)
+    p, gamma, bs, rep = dz.construct_model_potential(1, 0.1, d)
     assert rep.converged
     assert [s.sign for s in bs.states] == [1]
     assert bs.gap_lengths[0] == pytest.approx(gamma, rel=1e-4)
+    assert calls == {"shoot": 1, "solve": 2}
 
 
 def test_reflection_keeps_spectrum_and_flips_sheets(deep_n1):
+    # v(x) -> v(-x): sine terms and the shift change sign
     p = deep_n1[0]
-    q = dz._reflect(p)
+    q = fourier_potential(
+        [(t.k, t.cos, -t.sin) for t in p.fourier], constant=p.constant, shift=-p.shift
+    )
     x = np.linspace(0.0, 1.0, 17)
     assert np.allclose(q.evaluate(x), p.evaluate(-x), rtol=0, atol=1e-9 * p.sup_norm_bound)
     edges_p, edges_q = sm.hill_band_edges(p, 1), sm.hill_band_edges(q, 1)
@@ -302,13 +324,15 @@ def test_deep_design_zero_count_postcondition_raises(monkeypatch):
 def deep_n2_d3():
     """construct_model_potential(2, 0.1, 3), the benchmark's design, with its Hill solves logged.
 
-    `events` orders the end of the gap-length fit, each Hill solve and each
-    Gauss-Newton solve; `blocks` holds (dimension, Lanczos steps, shift) per
-    Hill block and `hill_args` the arguments of each Hill solve.
+    `events` orders the end of the gap-length fit, each Hill solve, each
+    Dirichlet Galerkin solve and each Gauss-Newton solve; `blocks` holds
+    (dimension, Lanczos steps, shift) per Hill block and `hill_args` the
+    arguments of each Hill solve.
     """
     events, blocks, hill_args, widths = [], [], [], set()
     lengths, solve = dz.design_gap_lengths, dz._gauss_newton
     hill_edges, block, shift, orth = sm._hill_edges, sm._hill_block, sm._hill_shift, sm._orthonormal_block
+    galerkin = sm.galerkin_dirichlet
 
     def logged_lengths(*args):
         out = lengths(*args)
@@ -323,6 +347,10 @@ def deep_n2_d3():
         events.append("hill")
         hill_args.append(args)
         return hill_edges(*args)
+
+    def logged_galerkin(*args, **kwargs):
+        events.append("galerkin")
+        return galerkin(*args, **kwargs)
 
     def logged_shift(vhat, wavenumbers, constant):
         sigma = shift(vhat, wavenumbers, constant)
@@ -343,18 +371,21 @@ def deep_n2_d3():
         m.setattr(dz, "design_gap_lengths", logged_lengths)
         m.setattr(dz, "_gauss_newton", logged_solve)
         for name, fn in [("_hill_edges", logged_edges), ("_hill_shift", logged_shift),
-                         ("_hill_block", logged_block), ("_orthonormal_block", logged_orth)]:
+                         ("_hill_block", logged_block), ("_orthonormal_block", logged_orth),
+                         ("galerkin_dirichlet", logged_galerkin)]:
             m.setattr(sm, name, fn)
         result = dz.construct_model_potential(2, 0.1, 3)
     return result, events, blocks, hill_args
 
 
 def test_translation_scan_solves_the_hill_blocks_once(deep_n2_d3):
-    # the scan runs between the gap-length fit and the first continuation solve
+    # the scan runs between the gap-length fit and the position fit, and
+    # covers only the bound side of the well
     _, events, _, _ = deep_n2_d3
     start = events.index("lengths")
     scan = events[start + 1 : events.index("solve", start)]
     assert scan.count("hill") == 1
+    assert scan.count("galerkin") <= 25
 
 
 def test_deep_model_meets_the_benchmark_checks(deep_n2_d3):

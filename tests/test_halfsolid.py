@@ -230,3 +230,15 @@ def test_sign_changes_on_both_sides_of_mu_raise(bound_state_potential, bound_sta
     monkeypatch.setattr(hsm, "_w_and_slope", both_sides)
     with pytest.raises(MultipleRoots):
         hsm.gap_eigenvalues(bound_state_potential, 1e4, 1, bs=bound_state_bands)
+
+
+def test_near_edge_antibound_state_has_one_root(asym_potential):
+    # the anti-bound mu_3 of asym lies just below lambda_3^+; with m_+ smooth
+    # there, w changes sign on one side of mu_3 only
+    hs = hsm.gap_eigenvalues(asym_potential, 1e5, 3)
+    roots = [lam for j, lam in hs.eigenvalues if j == 3]
+    assert len(roots) == 1
+    lam = roots[0]
+    assert hs.band_data.gap_lo[2] < lam < hs.band_data.gap_hi[2]
+    w_below, w_above = (hsm.wronskian(asym_potential, 1e5, lam + h, 3) for h in (-1e-9, 1e-9))
+    assert w_below < 0 < w_above

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hill_octant import monodromy as mo
+from hill_octant import bands, monodromy as mo
 from hill_octant import spectral_matrix as sm
 from hill_octant.errors import NonFiniteInput, OutsideGap, PoleAt, StepUnderflow
 from hill_octant.potential import (
@@ -84,14 +84,6 @@ def test_wronskian_everywhere(asym_potential):
     lams = np.linspace(-8, 300, 40)
     mb = mo.integrate_batch(asym_potential, lams)
     assert np.max(np.abs(mb.wronskian - 1.0)) < 1e-9
-
-
-def test_wronskian_at_interior_checkpoints(mathieu):
-    cps = [k / 8 for k in range(1, 8)]
-    mb = mo.integrate_batch(mathieu, [7.3, 55.0], checkpoints=cps)
-    for x, state in mb.checkpoints.items():
-        w = state[0] * state[3] - state[1] * state[2]
-        assert np.max(np.abs(w - 1.0)) < 1e-9, f"checkpoint {x}"
 
 
 def test_identity_a_squared(asym_potential):
@@ -235,18 +227,6 @@ def test_deep_well_renormalized_across_blocks():
         assert log_F_one == pytest.approx(log_F_batch, rel=1e-10)
 
 
-def test_checkpoints_inside_a_block(mathieu):
-    # one energy takes hundreds of steps per block; checkpoints cut them
-    cps = [0.13, 0.37, 0.5, 0.61, 0.9]
-    mb = mo.integrate_batch(mathieu, [41.0], checkpoints=cps)
-    assert sorted(mb.checkpoints) == cps
-    for x, state in mb.checkpoints.items():
-        w = state[0] * state[3] - state[1] * state[2]
-        assert np.max(np.abs(w - 1.0)) < 1e-9, f"checkpoint {x}"
-    whole = mo.integrate_batch(mathieu, [41.0])
-    assert np.max(np.abs(_states(mb) - _states(whole))) < 1e-10 * np.max(np.abs(_states(whole)))
-
-
 def test_unattainable_tolerance_raises_step_underflow(asym_potential):
     with pytest.raises(StepUnderflow):
         mo.integrate_batch(asym_potential, [1.0], rtol=1e-30, atol=1e-300)
@@ -276,3 +256,14 @@ def test_m_plus_batch_slope_matches_central_difference(bound_state_potential, bo
             mo.m_plus(bound_state_potential, lam + h, g) - mo.m_plus(bound_state_potential, lam - h, g)
         ) / (2 * h)
         assert dm_i == pytest.approx(fd, rel=1e-6)
+
+
+def test_m_plus_is_smooth_through_an_antibound_dirichlet_point(asym_potential):
+    # mu_3 of asym is anti-bound and sits 4.8e-6 below the gap's upper edge:
+    # a = b and phi(1) = 0 there, so m_+ has no pole, only a removable 0/0
+    bs = bands.band_structure(asym_potential, 3)
+    assert bs.state(3).sign == -1
+    mu, h = float(bs.dirichlet[2]), 1e-8
+    m, dm = mo.m_plus_batch(asym_potential, np.array([mu - h, mu, mu + h]), 3)
+    assert (m[2] - m[0]) / (2 * h) == pytest.approx(dm[1], rel=1e-2)
+    assert mo.m_plus(asym_potential, mu, 3) == pytest.approx(m[1], rel=1e-12)
