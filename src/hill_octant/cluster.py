@@ -12,8 +12,10 @@ as validations.
 factors.  It takes e_1 once, from the first factor's lowest bound state
 moved down by its gap index - 1, and uses it for the separating margin,
 the position checks and the separation bound alike.  Matrix-route factor
-spectra (`fast_factor_spectrum`) take their sheets from
-`bands.sheet_signs`, the rule the shooting band structure uses.
+spectra (`fast_factor_spectrum`) read their sheets off the sine-Galerkin
+Dirichlet eigenvectors (`spectral_matrix.dirichlet_sheets`) and integrate
+nothing; the shooting band structure keeps `bands.sheet_signs`, so each
+route checks the other.
 """
 
 from __future__ import annotations
@@ -22,13 +24,17 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .bands import BandStructure, band_structure, sheet_signs
+from .bands import BandStructure
 from .errors import CountChanged, NoGroundState, SeparationFail
 from .halfsolid import HalfSolidSpectrum
 from .intervals import Interval, IntervalSet, minkowski_sum  # noqa: F401  (re-exported)
-from .monodromy import integrate_batch
 from .potential import Potential, fourier_potential
 from . import spectral_matrix as sm
+
+# unused here: the benchmark tracer (perfbench/spans.py) wraps both through
+# this module's bindings
+from .bands import band_structure  # noqa: F401
+from .monodromy import integrate_batch  # noqa: F401
 
 __all__ = [
     "NormalizedSpectrum1D",
@@ -323,14 +329,14 @@ def fast_factor_spectrum(p: Potential, N: int, gamma: float) -> NormalizedSpectr
     """Half-line factor spectrum through the matrix route.
 
     Band edges and Dirichlet points come from the Fourier/Galerkin
-    eigensolvers; the sheet signs come from a single batched monodromy
-    evaluation of a(mu_n).  Used where many factor recomputations are
-    needed (perturbation sweeps); the shooting band_structure remains the
-    reference route.
+    eigensolvers, and the sheet signs from the Dirichlet eigenvectors
+    (`spectral_matrix.dirichlet_sheets`): no integrator pass.  Used where
+    many factor recomputations are needed (perturbation sweeps); the
+    shooting band_structure remains the reference route.
     """
     lam0, glo, ghi, nbe = sm.hill_band_edges(p, N)
-    mu = sm.galerkin_dirichlet(p, N)
-    signs = sheet_signs(integrate_batch(p, mu))
+    mu, Y = sm.galerkin_dirichlet_vectors(p, N)
+    signs = sm.dirichlet_sheets(Y)
     # deep wells make neighbouring edges degenerate to rounding; keep the
     # band intervals ordered
     bands = [(min(lam0, glo[0]), glo[0])]

@@ -17,7 +17,10 @@ finds the lowest eigenpairs first: the spectral transformation of Ericsson
 and Ruhe (Math. Comp. 35, 1980) with the block iteration of Golub and
 Underwood (1977).
 The Galerkin matrices are dense and go to LAPACK through
-`scipy.linalg.eigh`.
+`scipy.linalg.eigh`.  The Dirichlet eigenvectors also carry the sheet of
+each Dirichlet point (`dirichlet_sheets`), so a matrix-route factor
+spectrum needs no integrator pass; the shooting rule `bands.sheet_signs`
+stays the independent check.
 
 Only Fourier-form potentials are supported here.
 """
@@ -35,6 +38,7 @@ from .potential import Potential
 __all__ = [
     "hill_band_edges",
     "galerkin_dirichlet",
+    "dirichlet_sheets",
     "galerkin_neumann",
     "hill_edges_and_vectors",
     "galerkin_dirichlet_vectors",
@@ -297,7 +301,7 @@ def galerkin_neumann(p: Potential, count: int, dim: int | None = None) -> np.nda
     return ev
 
 
-# --- eigenvector gradients for analytic design Jacobians ---------------------
+# --- eigenvector read-outs: design Jacobians and sheets ----------------------
 
 
 def exp_vector_gradient(u: np.ndarray, max_mode: int):
@@ -342,3 +346,20 @@ def sine_vector_gradient(y: np.ndarray, max_mode: int):
         g = (4.0 * k / np.pi) / (4.0 * k**2 - j[odd] ** 2)
         db[k - 1] = float(np.sum(g * w[odd]))
     return da, db
+
+
+def dirichlet_sheets(Y: np.ndarray) -> np.ndarray:
+    """Sheets of mu_1 .. mu_N from their sine-Galerkin eigenvectors (columns of Y).
+
+    psi = sum_m y_m sqrt(2) sin(pi m x) has psi'(0), psi'(1) proportional to
+    sum_m m y_m and sum_m m (-1)^m y_m.  With phi = psi / psi'(0) the Wronskian
+    at mu_n gives theta(1) phi'(1) = 1, so a(mu_n) = (phi'(1)^2 - 1) / (2 phi'(1)),
+    and phi'(1) has sign (-1)^n (Sturm: n - 1 interior zeros).  So a(mu_n) has
+    the bound sign (-1)^(n+1) exactly when |phi'(1)| < 1: +1 where
+    |sum m (-1)^m y_m| < |sum m y_m|, -1 otherwise (a tie is -1, as for
+    `bands.sheet_signs` at a_sign = 0).
+    """
+    m = np.arange(1, Y.shape[0] + 1)
+    d0 = np.abs(m @ Y)
+    d1 = np.abs((m * (-1.0) ** m) @ Y)
+    return np.where(d1 < d0, 1, -1)

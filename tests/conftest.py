@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hill_octant import bands, design as dz
+from hill_octant import bands, design as dz, spectral_matrix as sm
 from hill_octant.potential import fourier_potential, zero_potential
 
 
@@ -79,3 +79,87 @@ def modest_design():
     )
     p = dz.place_states(p0, target)
     return p, bands.band_structure(p, 3)
+
+
+@pytest.fixture(scope="session")
+def mixed_sheet_design():
+    """(p, report): two gaps of length 5, a bound state 1/8 into gap 1 and an
+    anti-bound one 3/10 into gap 2."""
+    target = dz.DesignTarget(
+        n_gaps=2,
+        gap_lengths=(5.0, 5.0),
+        state_fracs=(0.125, 0.3),
+        state_signs=(1, -1),
+        basis_size=3,
+        tolerance=1e-5,
+    )
+    p0 = dz.design_gap_lengths(
+        dz.DesignTarget(n_gaps=2, gap_lengths=(5.0, 5.0), tolerance=1e-5)
+    )
+    rep = dz.DesignReport(targets={})
+    return dz.place_states(p0, target, rep), rep
+
+
+def reflect(p):
+    """v(x) -> v(-x): the sine terms and the shift change sign."""
+    return fourier_potential(
+        [(t.k, t.cos, -t.sin) for t in p.fourier], constant=p.constant, shift=-p.shift
+    )
+
+
+@pytest.fixture(scope="session")
+def deep_n2_d3():
+    """construct_model_potential(2, 0.1, 3), the benchmark's design, with its Hill solves logged.
+
+    `events` orders the end of the gap-length fit, each Hill solve, each
+    Dirichlet Galerkin solve and each Gauss-Newton solve; `blocks` holds
+    (dimension, Lanczos steps, shift) per Hill block and `hill_args` the
+    arguments of each Hill solve.
+    """
+    events, blocks, hill_args, widths = [], [], [], set()
+    lengths, solve = dz.design_gap_lengths, dz._gauss_newton
+    hill_edges, block, shift, orth = sm._hill_edges, sm._hill_block, sm._hill_shift, sm._orthonormal_block
+    galerkin = sm.galerkin_dirichlet
+
+    def logged_lengths(*args):
+        out = lengths(*args)
+        events.append("lengths")
+        return out
+
+    def logged_solve(*args, **kwargs):
+        events.append("solve")
+        return solve(*args, **kwargs)
+
+    def logged_edges(*args):
+        events.append("hill")
+        hill_args.append(args)
+        return hill_edges(*args)
+
+    def logged_galerkin(*args, **kwargs):
+        events.append("galerkin")
+        return galerkin(*args, **kwargs)
+
+    def logged_shift(vhat, wavenumbers, constant):
+        sigma = shift(vhat, wavenumbers, constant)
+        blocks.append([wavenumbers.size, 0, sigma])
+        return sigma
+
+    def logged_block(*args):
+        widths.clear()
+        out = block(*args)
+        blocks[-1][1] = len(widths)  # one basis width per Lanczos step
+        return out
+
+    def logged_orth(V, Q, rng):
+        widths.add(V.shape[1])
+        return orth(V, Q, rng)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dz, "design_gap_lengths", logged_lengths)
+        m.setattr(dz, "_gauss_newton", logged_solve)
+        for name, fn in [("_hill_edges", logged_edges), ("_hill_shift", logged_shift),
+                         ("_hill_block", logged_block), ("_orthonormal_block", logged_orth),
+                         ("galerkin_dirichlet", logged_galerkin)]:
+            m.setattr(sm, name, fn)
+        result = dz.construct_model_potential(2, 0.1, 3)
+    return result, events, blocks, hill_args

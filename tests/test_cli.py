@@ -141,6 +141,20 @@ def test_halfsolid_antibound_states_exit_0(tmp_path, asym_potential, gap_index):
     assert rc == 0
 
 
+@pytest.mark.parametrize("gap_index, fitted", [("1", True), ("2", False)])
+def test_halfsolid_fits_the_rate_only_for_a_bound_gap_index(tmp_path, mixed_sheet_design, gap_index, fitted):
+    # gap 1 hosts a bound state and gap 2 an anti-bound one
+    spec = write_pot(tmp_path, mixed_sheet_design[0])
+    out = tmp_path / "out"
+    rc = main(
+        ["halfsolid", "--potential", str(spec), "--N", "2",
+         "--tau-grid", "1e3:1e6:4", "--gap-index", gap_index, "--out", str(out)]
+    )
+    assert rc == 0
+    assert (out / "eigenvalues.csv").exists()
+    assert (out / "ratefit.json").exists() == fitted
+
+
 def test_halfsolid_short_grid_exits_3(tmp_path, bound_state_potential):
     spec = write_pot(tmp_path, bound_state_potential)
     rc = main(

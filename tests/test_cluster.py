@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hill_octant import bands
+from hill_octant import bands, cluster, monodromy as mo, spectral_matrix as sm
 from hill_octant.cluster import (
     ClusterSpectrum,
     NormalizedSpectrum1D,
@@ -245,6 +245,21 @@ def test_perturbation_moving_a_count_raises(bound_state_potential):
     interval = (2 * e - 0.01, 2 * e + eps / gamma)
     with pytest.raises(CountChanged):
         perturb_and_recount([p, p], [w, w], eps, [interval], kappa, gamma, 1)
+
+
+def test_fast_factor_spectrum_integrates_nothing(deep_n2_d3, monkeypatch):
+    # the sheets come from the Dirichlet eigenvectors, not from a shooting pass
+    (p, gamma, _, _), _, _, _ = deep_n2_d3
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fast_factor_spectrum ran an integrator pass")
+
+    monkeypatch.setattr(mo, "integrate_batch", refuse)
+    monkeypatch.setattr(cluster, "integrate_batch", refuse)
+    ns = fast_factor_spectrum(p, 2, gamma)
+    assert [n for n, _ in ns.eigenvalues] == [1, 2]
+    mu = np.array([e for _, e in ns.eigenvalues]) * gamma
+    assert mu == pytest.approx(sm.galerkin_dirichlet(p, 2), rel=1e-12)
 
 
 # --- ground-state products ---------------------------------------------------

@@ -10,6 +10,7 @@ from hill_octant import spectral_matrix as sm
 from hill_octant.errors import IllConditioned, PostconditionFail, RhoNotPositive
 from hill_octant.potential import fourier_potential, l2_norm, translate
 
+from conftest import reflect
 from oracles import dense_hill_block
 
 
@@ -140,20 +141,8 @@ def test_place_states_respects_requested_sheet():
     assert fr == pytest.approx(0.25, abs=5e-4)
 
 
-def test_place_states_reaches_mixed_sheets():
-    target = dz.DesignTarget(
-        n_gaps=2,
-        gap_lengths=(5.0, 5.0),
-        state_fracs=(0.125, 0.3),
-        state_signs=(1, -1),
-        basis_size=3,
-        tolerance=1e-5,
-    )
-    p0 = dz.design_gap_lengths(
-        dz.DesignTarget(n_gaps=2, gap_lengths=(5.0, 5.0), tolerance=1e-5)
-    )
-    rep = dz.DesignReport(targets={})
-    p = dz.place_states(p0, target, rep)
+def test_place_states_reaches_mixed_sheets(mixed_sheet_design):
+    p, rep = mixed_sheet_design
     bs = bands.band_structure(p, 2)
     fr = (bs.dirichlet - bs.gap_lo) / bs.gap_lengths
     assert np.allclose(bs.gap_lengths, 5.0, rtol=2e-4)
@@ -274,11 +263,8 @@ def test_deep_design_lands_on_the_bound_sheet(d, monkeypatch):
 
 
 def test_reflection_keeps_spectrum_and_flips_sheets(deep_n1):
-    # v(x) -> v(-x): sine terms and the shift change sign
     p = deep_n1[0]
-    q = fourier_potential(
-        [(t.k, t.cos, -t.sin) for t in p.fourier], constant=p.constant, shift=-p.shift
-    )
+    q = reflect(p)
     x = np.linspace(0.0, 1.0, 17)
     assert np.allclose(q.evaluate(x), p.evaluate(-x), rtol=0, atol=1e-9 * p.sup_norm_bound)
     edges_p, edges_q = sm.hill_band_edges(p, 1), sm.hill_band_edges(q, 1)
@@ -318,64 +304,6 @@ def test_deep_design_zero_count_postcondition_raises(monkeypatch):
     monkeypatch.setattr(dz, "integrate_batch", miscounted)
     with pytest.raises(PostconditionFail, match="oscillation counts"):
         dz.construct_model_potential(1, 0.1, 2)
-
-
-@pytest.fixture(scope="module")
-def deep_n2_d3():
-    """construct_model_potential(2, 0.1, 3), the benchmark's design, with its Hill solves logged.
-
-    `events` orders the end of the gap-length fit, each Hill solve, each
-    Dirichlet Galerkin solve and each Gauss-Newton solve; `blocks` holds
-    (dimension, Lanczos steps, shift) per Hill block and `hill_args` the
-    arguments of each Hill solve.
-    """
-    events, blocks, hill_args, widths = [], [], [], set()
-    lengths, solve = dz.design_gap_lengths, dz._gauss_newton
-    hill_edges, block, shift, orth = sm._hill_edges, sm._hill_block, sm._hill_shift, sm._orthonormal_block
-    galerkin = sm.galerkin_dirichlet
-
-    def logged_lengths(*args):
-        out = lengths(*args)
-        events.append("lengths")
-        return out
-
-    def logged_solve(*args, **kwargs):
-        events.append("solve")
-        return solve(*args, **kwargs)
-
-    def logged_edges(*args):
-        events.append("hill")
-        hill_args.append(args)
-        return hill_edges(*args)
-
-    def logged_galerkin(*args, **kwargs):
-        events.append("galerkin")
-        return galerkin(*args, **kwargs)
-
-    def logged_shift(vhat, wavenumbers, constant):
-        sigma = shift(vhat, wavenumbers, constant)
-        blocks.append([wavenumbers.size, 0, sigma])
-        return sigma
-
-    def logged_block(*args):
-        widths.clear()
-        out = block(*args)
-        blocks[-1][1] = len(widths)  # one basis width per Lanczos step
-        return out
-
-    def logged_orth(V, Q, rng):
-        widths.add(V.shape[1])
-        return orth(V, Q, rng)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(dz, "design_gap_lengths", logged_lengths)
-        m.setattr(dz, "_gauss_newton", logged_solve)
-        for name, fn in [("_hill_edges", logged_edges), ("_hill_shift", logged_shift),
-                         ("_hill_block", logged_block), ("_orthonormal_block", logged_orth),
-                         ("galerkin_dirichlet", logged_galerkin)]:
-            m.setattr(sm, name, fn)
-        result = dz.construct_model_potential(2, 0.1, 3)
-    return result, events, blocks, hill_args
 
 
 def test_translation_scan_solves_the_hill_blocks_once(deep_n2_d3):

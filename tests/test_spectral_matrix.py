@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from hill_octant import spectral_matrix as sm
+from hill_octant import bands, monodromy as mo, spectral_matrix as sm
+from hill_octant.cluster import _add_potentials
 from hill_octant.potential import fourier_potential, translate, zero_potential
 
-from conftest import random_corpus
+from conftest import random_corpus, reflect
 from oracles import dense_hill_block
 
 MODES = 24
@@ -130,3 +131,36 @@ def test_shift_lies_below_both_blocks(name, monkeypatch):
     sigma_per, sigma_anti = seen  # the periodic block is solved first
     assert sigma_per < dense_hill_block(p, 0.0, MODES)[0][0]
     assert sigma_anti < dense_hill_block(p, 0.5, MODES)[0][0]
+
+
+def sheets_by_both_routes(p, N):
+    """Eigenvector sheets, shooting sheets at the same mu, and
+    log10(|psi'(1)| / |psi'(0)|) per state."""
+    mu, Y = sm.galerkin_dirichlet_vectors(p, N)
+    m = np.arange(1, Y.shape[0] + 1)
+    log_ratio = np.log10(np.abs((m * (-1.0) ** m) @ Y) / np.abs(m @ Y))
+    return sm.dirichlet_sheets(Y), bands.sheet_signs(mo.integrate_batch(p, mu)), log_ratio
+
+
+def test_dirichlet_sheets_match_shooting_on_shallow_potentials(asym_potential):
+    cases = [(p, 6) for p in random_corpus(100, seed=777)] + [(asym_potential, 5)]
+    for p, N in cases:
+        matrix, shooting, _ = sheets_by_both_routes(p, N)
+        assert list(matrix) == list(shooting)
+
+
+def test_dirichlet_sheets_match_shooting_in_a_deep_well(deep_n2_d3):
+    # the designed states are bound, their mirror images anti-bound, and an
+    # eps = kappa^3 perturbation keeps them bound; all far from the tie
+    p = deep_n2_d3[0][0]
+    rng = np.random.default_rng(5)
+    perturbed = []
+    for _ in range(2):
+        c = rng.uniform(-1.0, 1.0, 6)
+        c /= max(1.0, np.sum(np.abs(c)))  # sup|w| <= 1
+        w = fourier_potential([(k + 1, c[2 * k], c[2 * k + 1]) for k in range(3)])
+        perturbed.append(_add_potentials(p, w, 0.1**3))
+    for q, sheet in [(p, 1), (reflect(p), -1)] + [(q, 1) for q in perturbed]:
+        matrix, shooting, log_ratio = sheets_by_both_routes(q, 2)
+        assert list(matrix) == list(shooting) == [sheet, sheet]
+        assert np.all(np.abs(log_ratio) >= 3)
