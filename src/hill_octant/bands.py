@@ -11,18 +11,22 @@ nu_n.  The midpoints are each gap's one anchor: consecutive anchors bracket
 exactly one sign change of (-1)^n F - 1 for every band edge, and the same
 bracketed Newton iteration (dF/dlambda comes from the variational system)
 resolves it, even for near-closed gaps and for states sitting exactly on
-an edge.
+an edge.  For Fourier potentials each edge search starts at its Hill-matrix
+edge inside the anchor bracket (the bracket midpoint when the matrix edge
+falls outside): the bracket still certifies the shooting root, and the seed
+only cuts the passes it takes.
 
 A gap is resolved when (-1)^n F - 1 at its midpoint beats the integration
 noise.  Narrower gaps (roots become near-double) take their edges from the
-Hill-matrix route for Fourier potentials; piecewise potentials fall back to
-the hull [min(mu, nu), max(mu, nu)], a guaranteed inner approximation
-computed from well-conditioned simple roots.  Either way the edges still
-contain mu and nu, gaps below the merge tolerance collapse to a point, and
-each gap state records the route that certified its edges.
+same Hill-matrix solve for Fourier potentials; piecewise potentials fall
+back to the hull [min(mu, nu), max(mu, nu)], a guaranteed inner
+approximation computed from well-conditioned simple roots.  Either way the
+edges still contain mu and nu, gaps below the merge tolerance collapse to a
+point, and each gap state records the route that certified its edges.
 
 All searches are batched: each Newton pass costs one integration pass over
-the energies still unconverged.  Phases and anchors run at the integrator's
+the energies still unconverged, and one pass evaluates the anchors together
+with the Dirichlet points.  Phases and anchors run at the integrator's
 default tolerance and every band edge at the tighter _EDGE_RTOL, since
 near-double roots amplify integration noise by 1/|dF/dlambda|.  A search
 that reaches its cap raises.
@@ -167,17 +171,22 @@ def _initial_guesses(p: Potential, n_need: int):
     return mu, nu
 
 
-def _bracketed_newton(evaluate, lo, hi, s_lo, tol):
+def _bracketed_newton(evaluate, lo, hi, s_lo, tol, x0=None):
     """Bracketed Newton on a batch of roots, evaluating the active entries only.
 
     `evaluate(x, idx)` returns (g, g') at the points x of entries idx, and
-    `s_lo` is the sign of g at `lo`.  A Newton step that leaves the bracket
-    is replaced by bisection.  An entry stops when its Newton step is at
-    most tol * max(1, |x|), when its iterate moves by at most that, or when
-    its bracket is below four times that.  Raises NoConvergence after
+    `s_lo` is the sign of g at `lo`.  Each entry starts at its `x0` where
+    that lies strictly inside (lo, hi), else (NaN, or no x0) at the
+    midpoint.  A Newton step that leaves the bracket is replaced by
+    bisection.  An entry stops when its Newton step is at most
+    tol * max(1, |x|), when its iterate moves by at most that, or when its
+    bracket is below four times that.  Raises NoConvergence after
     MAX_NEWTON passes.
     """
     x = 0.5 * (lo + hi)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        x = np.where((x0 > lo) & (x0 < hi), x0, x)  # false for NaN and +-inf
     active = np.ones(x.size, dtype=bool)
     for _ in range(MAX_NEWTON):
         idx = np.nonzero(active)[0]
@@ -215,11 +224,7 @@ def _phase_solve(p, targets, kinds, lo, hi, tol_rel):
 
 
 def _anchor_points(p: Potential, n_need: int):
-    """mu_1..mu_{n_need} and nu_0..nu_{n_need} via the monotone phases.
-
-    Returns (mu, nu, mb_mu) where mb_mu holds monodromy data at the mu_n
-    (reused for state classification).
-    """
+    """mu_1..mu_{n_need} and nu_0..nu_{n_need} via the monotone phases."""
     mu_guess, nu_guess = _initial_guesses(p, n_need)
     targets = np.concatenate(
         (np.pi * np.arange(1, n_need + 1), np.pi * np.arange(n_need + 1) + np.pi / 2)
@@ -251,15 +256,15 @@ def _anchor_points(p: Potential, n_need: int):
     nu = x[n_need:]
     if np.any(np.diff(mu) <= 0) or np.any(np.diff(nu) <= 0):
         raise CountMismatch("eigenvalue ordering violated: bracketing failed")
-    mb_mu = mo.integrate_batch(p, mu)
-    return mu, nu, mb_mu
+    return mu, nu
 
 
 # --- band edges ------------------------------------------------------------
 
 
-def _edge_roots(p, lo, hi, f_lo_disc, parities):
-    """Roots of (-1)^parity F(lambda) = 1, one sign change per bracket."""
+def _edge_roots(p, lo, hi, f_lo_disc, parities, x0):
+    """Roots of (-1)^parity F(lambda) = 1, one sign change per bracket,
+    each search starting at its seed x0 where that lies inside the bracket."""
     sgn = (-1.0) ** np.asarray(parities)
     s_lo = np.sign(sgn * np.asarray(f_lo_disc) - 1.0)
 
@@ -267,7 +272,7 @@ def _edge_roots(p, lo, hi, f_lo_disc, parities):
         mb = mo.integrate_batch(p, x, rtol=_EDGE_RTOL)
         return sgn[idx] * mb.discriminant - 1.0, sgn[idx] * mb.discriminant_lam
 
-    return _bracketed_newton(evaluate, np.array(lo, float), np.array(hi, float), s_lo, 1e-12)
+    return _bracketed_newton(evaluate, np.array(lo, float), np.array(hi, float), s_lo, 1e-12, x0)
 
 
 # --- main computation ------------------------------------------------------
@@ -278,33 +283,46 @@ def band_structure(p: Potential, N: int) -> BandStructure:
     if N < 1:
         raise ValueError("N must be >= 1")
     n_need = N + 1
-    mu, nu, mb_mu = _anchor_points(p, n_need)
+    mu, nu = _anchor_points(p, n_need)
 
     hull_lo = np.minimum(mu, nu[1:])
     hull_hi = np.maximum(mu, nu[1:])
     merge_tol = EDGE_MERGE_REL * np.maximum(1.0, np.abs(hull_lo))
 
-    # one pass over lambda_min and the hull midpoints.  Gap n is resolved
-    # where (-1)^n F - 1 at its midpoint beats the integration noise; an
-    # unresolved midpoint still has F within noise of (-1)^n, a strict sign
-    # anchor for the neighbouring parities
+    # one pass over lambda_min, the hull midpoints and mu_1..mu_{N+1}.  Gap
+    # n is resolved where (-1)^n F - 1 at its midpoint beats the integration
+    # noise; an unresolved midpoint still has F within noise of (-1)^n, a
+    # strict sign anchor for the neighbouring parities
     x_anchor = np.concatenate(([-p.sup_norm_bound - 1.0], 0.5 * (hull_lo + hull_hi)))
-    F_anchor = mo.integrate_batch(p, x_anchor).discriminant
+    mb = mo.integrate_batch(p, np.concatenate((x_anchor, mu)))
+    F_anchor = mb.discriminant[: n_need + 1]
+    mb_mu = mb.take(slice(n_need + 1, None))
     F_mid = F_anchor[1:]
     excess = (-1.0) ** np.arange(1, n_need + 1) * F_mid - 1.0
     resolved = excess > 200.0 * mo.RTOL * np.maximum(1.0, np.abs(F_mid))
 
-    # one bracket (lower end, upper end, F at the lower end, parity, tag) per
-    # edge, each between consecutive anchors
-    brackets = [(x_anchor[0], x_anchor[1], F_anchor[0], 0, ("edge0", 0))]
+    # the Hill matrices give every edge of a Fourier potential: the seed of
+    # its Newton search, and the edges of gaps below F -+ 1 resolution.  The
+    # bracket alone certifies the root, so a poor seed costs only passes.
+    if p.fourier:
+        m_lam0, m_lo, m_hi, m_next = sm.hill_band_edges(p, N)
+    else:
+        m_lam0, m_lo, m_hi, m_next = math.nan, np.full(N, math.nan), np.full(N, math.nan), math.nan
+    seed_lo = np.append(m_lo, m_next)
+
+    # one bracket (lower end, upper end, F at the lower end, parity, tag,
+    # seed) per edge, each between consecutive anchors
+    brackets = [(x_anchor[0], x_anchor[1], F_anchor[0], 0, ("edge0", 0), m_lam0)]
     for n in range(1, n_need + 1):
         if not resolved[n - 1]:
             continue
-        brackets.append((x_anchor[n - 1], x_anchor[n], F_anchor[n - 1], n, ("lo", n)))
+        brackets.append(
+            (x_anchor[n - 1], x_anchor[n], F_anchor[n - 1], n, ("lo", n), seed_lo[n - 1])
+        )
         if n <= N:
-            brackets.append((x_anchor[n], x_anchor[n + 1], F_anchor[n], n, ("hi", n)))
-    t_lo, t_hi, t_flo, t_par, t_tag = zip(*brackets)
-    roots = _edge_roots(p, t_lo, t_hi, t_flo, t_par)
+            brackets.append((x_anchor[n], x_anchor[n + 1], F_anchor[n], n, ("hi", n), m_hi[n - 1]))
+    t_lo, t_hi, t_flo, t_par, t_tag, t_seed = zip(*brackets)
+    roots = _edge_roots(p, t_lo, t_hi, t_flo, t_par, t_seed)
 
     lambda0 = math.nan
     gap_lo = hull_lo.copy()
@@ -315,9 +333,9 @@ def band_structure(p: Potential, N: int) -> BandStructure:
     fallback = "hull"
     if p.fourier and not np.all(resolved):
         fallback = "matrix"
-        _, m_lo, m_hi, next_band_end = sm.hill_band_edges(p, N)
         gap_lo[:N] = m_lo
         gap_hi[:N] = m_hi
+        next_band_end = m_next
     for (kind, n), val in zip(t_tag, roots):
         if kind == "edge0":
             lambda0 = float(val)
@@ -391,13 +409,13 @@ def band_structure(p: Potential, N: int) -> BandStructure:
 
 def dirichlet_eigs(p: Potential, N: int) -> np.ndarray:
     """mu_1 .. mu_N."""
-    mu, _, _ = _anchor_points(p, N)
+    mu, _ = _anchor_points(p, N)
     return mu
 
 
 def neumann_eigs(p: Potential, N: int) -> np.ndarray:
     """nu_0 .. nu_N (N+1 values)."""
-    _, nu, _ = _anchor_points(p, N)
+    _, nu = _anchor_points(p, N)
     return nu
 
 

@@ -170,6 +170,18 @@ class MonodromyBatch:
             float(self.phi_prime_lam[i]) * s,
         )
 
+    def take(self, idx) -> MonodromyBatch:
+        """The entries idx (a slice or index array) as a batch of their own."""
+        state = [
+            getattr(self, name)[idx]
+            for name in (
+                "theta_1", "theta_prime_1", "phi_1", "phi_prime_1",
+                "theta_lam", "theta_prime_lam", "phi_lam", "phi_prime_lam",
+            )
+        ]
+        zeros = [None if z is None else z[idx] for z in (self.phi_zeros, self.theta_zeros)]
+        return MonodromyBatch(self.lams[idx], state, *zeros, self.log_scale[idx])
+
 
 def _initial_state(n: int) -> np.ndarray:
     u = np.zeros((8, n))

@@ -307,8 +307,9 @@ def test_edges_do_not_depend_on_translation():
 
 def test_band_structure_pass_budget(monkeypatch):
     # the widest pass is the phase bracket: lo and hi ends of mu_1..mu_{N+1}
-    # and nu_0..nu_{N+1}, 2 (2N + 3) energies.  Anchors, edges and sheets
-    # run in narrower passes.
+    # and nu_0..nu_{N+1}, 2 (2N + 3) energies.  The anchor pass carries
+    # lambda_min, the hull midpoints and mu_1..mu_{N+1} (2N + 3 energies, the
+    # sheets read from its tail), and the edge passes are narrower still.
     N = 6
     widths = []
     batch = mo.integrate_batch
@@ -322,3 +323,62 @@ def test_band_structure_pass_budget(monkeypatch):
         widths.clear()
         bands.band_structure(p, N)
         assert max(widths) <= 2 * (2 * N + 3)
+
+
+@pytest.mark.parametrize("seed", ["shifted", "outside", "nan"])
+def test_bad_matrix_seed_cannot_change_the_edges(seed, monkeypatch):
+    # the Hill-matrix edges only seed the edge Newton; the anchor brackets
+    # certify the root, so seeds 0.3 gap lengths off (still inside their
+    # brackets), 1000 off (outside every bracket: the midpoint start) or NaN
+    # (the midpoint start) must give the same edges.  Gap 7
+    # is below F + 1 resolution here, so next_band_end is the matrix edge
+    # itself and is left out.
+    p = random_corpus(1, seed=777)[0]
+    base = bands.band_structure(p, 6)
+    hill = sm.hill_band_edges
+
+    def bad(q, n_gaps, modes=None):
+        lam0, glo, ghi, nbe = hill(q, n_gaps, modes)
+        if seed == "nan":
+            return math.nan, np.full(n_gaps, math.nan), np.full(n_gaps, math.nan), math.nan
+        off = 0.3 * (ghi - glo) if seed == "shifted" else np.full(n_gaps, 1e3)
+        return lam0 + off[0], glo + off, ghi + off, nbe + off[-1]
+
+    monkeypatch.setattr(sm, "hill_band_edges", bad)
+    bs = bands.band_structure(p, 6)
+    for name in ("lambda0", "gap_lo", "gap_hi"):
+        a, b = np.atleast_1d(getattr(base, name)), np.atleast_1d(getattr(bs, name))
+        assert np.max(np.abs(a - b) / np.abs(a)) <= 1e-11, name
+    assert [s.certified_by for s in bs.states] == ["shooting"] * 6
+
+
+def test_matrix_seeded_edge_newton_budget(asym_potential, monkeypatch):
+    # each edge Newton starts at its Hill-matrix edge: at most 6 passes at
+    # the edge tolerance (from the bracket midpoints it took up to 18), and
+    # one Hill solve per Fourier call, which also serves the "matrix"
+    # fallback of asym's unresolved gap 5
+    rtols, hill_calls = [], []
+    batch, hill = mo.integrate_batch, sm.hill_band_edges
+
+    def counted(p, lams, rtol=mo.RTOL, **kwargs):
+        rtols.append(rtol)
+        return batch(p, lams, rtol=rtol, **kwargs)
+
+    def counted_hill(*args, **kwargs):
+        hill_calls.append(1)
+        return hill(*args, **kwargs)
+
+    monkeypatch.setattr(mo, "integrate_batch", counted)
+    monkeypatch.setattr(sm, "hill_band_edges", counted_hill)
+    for p in random_corpus(6, seed=777):
+        rtols.clear()
+        hill_calls.clear()
+        bands.band_structure(p, 6)
+        assert rtols.count(bands._EDGE_RTOL) <= 6
+        assert len(hill_calls) == 1
+    hill_calls.clear()
+    assert bands.band_structure(asym_potential, 5).state(5).certified_by == "matrix"
+    assert len(hill_calls) == 1
+    hill_calls.clear()
+    bands.band_structure(piecewise_potential([(0.0, 0.3, 15.0), (0.3, 1.0, 0.0)]), 3)
+    assert hill_calls == []
