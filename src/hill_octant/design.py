@@ -12,8 +12,10 @@ surrogate never certifies itself.
 
 Seeding: a single cos mode of size t opens gap k to length about t, and
 translating the potential sweeps every Dirichlet point through its gap
-while the edges stay put.  Reflection v(x) -> v(-x) keeps both and flips
-every sheet, so one fit covers a mirror pair and no seed is reflected.
+while the edges stay put; on the bound side of a deep well every mu_n
+rises with it, so one bracketed Newton in t seeds the deep designs.
+Reflection v(x) -> v(-x) keeps edges and Dirichlet points and flips every
+sheet, so one fit covers a mirror pair and no seed is reflected.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral_matrix as sm
-from .bands import BandStructure, GapState, band_structure, sheet_signs
+from .bands import BandStructure, GapState, _bracketed_newton, band_structure, sheet_signs
 from .errors import (
     IllConditioned,
     NoConvergence,
@@ -47,6 +49,7 @@ __all__ = [
 MAX_ITERATIONS = 200
 COND_LIMIT = 1e10
 SINGLE_WELL_LENGTH = 60.0  # longer uniform gap targets seed from one deep well
+POSITION_WEIGHT = 0.4  # deep fits: logit position residuals against gap lengths / gamma
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,7 @@ def place_states(p0: Potential, target: DesignTarget, report: DesignReport | Non
     raise SignUnreachable(f"no seed met the target signs ({last_exc})")
 
 
-# --- deep designs: one Gauss-Newton from a translation seed -----------------
+# --- deep designs: a Newton in t, then one Gauss-Newton ---------------------
 
 
 def _logit(f):
@@ -286,13 +289,12 @@ class _DeepFitter:
     gradients in the untranslated coefficients reach z by the chain rule.
     """
 
-    def __init__(self, n_gaps, gamma, modes_M, hill_modes, galerkin_dim, pos_weight=0.4):
+    def __init__(self, n_gaps, gamma, modes_M, hill_modes, galerkin_dim):
         self.N = n_gaps
         self.gamma = gamma
         self.M = modes_M
         self.hill_modes = hill_modes
         self.gdim = galerkin_dim
-        self.w = pos_weight
         self.goal = np.full(n_gaps, gamma)
 
     def build(self, z):
@@ -310,11 +312,8 @@ class _DeepFitter:
         _, ks, a_eff, b_eff = p.effective_fourier()
         th = 2.0 * np.pi * np.arange(1, M + 1) * z[-1]
         cth, sth = np.cos(th), np.sin(th)
-        atil = np.zeros(M)
-        btil = np.zeros(M)
-        for k, av, bv in zip(ks, a_eff, b_eff):
-            atil[k - 1] = av
-            btil[k - 1] = bv
+        atil, btil = np.zeros(M), np.zeros(M)
+        atil[ks - 1], btil[ks - 1] = a_eff, b_eff
         kfreq = 2.0 * np.pi * np.arange(1, M + 1)
 
         def grad_z(g):  # rows of d/d(cos_k, sin_k) -> rows of d/dz
@@ -327,14 +326,14 @@ class _DeepFitter:
         r = np.concatenate(
             (
                 (lengths - self.goal) / self.gamma,
-                self.w * (_logit(fr) - _logit(f_target)),
+                POSITION_WEIGHT * (_logit(fr) - _logit(f_target)),
             )
         )
         d_fr = (d_pos - fr[:, None] * d_len) / lengths[:, None]
         J = np.vstack(
             (
                 grad_z(d_len) / self.gamma,
-                self.w * grad_z(d_fr) / (fr * (1.0 - fr))[:, None],
+                POSITION_WEIGHT * grad_z(d_fr) / (fr * (1.0 - fr))[:, None],
             )
         )
         return r, J
@@ -356,32 +355,31 @@ def _deep_design(N, gamma, frac, tolerance, report):
     gdim = int(1.2 * math.sqrt(4.0 * sup) / math.pi) + 60 + M
     fit = _DeepFitter(N, gamma, M, hill_modes, gdim)
 
-    # 2) translation seed: slide the well toward the Dirichlet wall until
-    # every state sits inside its gap.  Translation moves only mu: the band
-    # edges are those of p_len itself.  For t <= xmin, v(x + t) has its
-    # minimum just right of the wall at x = 0, so each state decays into
-    # x > 0 and is bound; the shifts t > xmin give the mirror images.
+    # 2) translation seed.  Translation moves only mu: the band edges are
+    # those of p_len itself.  For t <= xmin, v(x + t) has its minimum just
+    # right of the wall at x = 0, so each state is bound and its mu rises
+    # with t (the shifts t > xmin give the mirror images): the logit cost
+    # rises across the window, and one bracketed Newton finds its root.
     xs = np.linspace(0.0, 1.0, 4001)
-    vx = p_len.evaluate(xs)
-    xmin = xs[np.argmin(vx)]
+    xmin = xs[np.argmin(p_len.evaluate(xs))]
     v2 = (p_len.evaluate(xmin + 1e-4) - 2.0 * p_len.evaluate(xmin) + p_len.evaluate(xmin - 1e-4)) / 1e-8
     ell = max(v2, 1.0) ** -0.25
     f_goal = np.full(N, frac)
     z = np.zeros(2 * M)
     z[:N] = x_len
     _, glo, ghi, _ = sm.hill_band_edges(fit.build(z), N, modes=hill_modes)
-    best = None
-    for t in xmin + ell * np.linspace(-4.5, 0.0, 25):
-        z[-1] = t % 1.0
-        fr = (sm.galerkin_dirichlet(fit.build(z), N, dim=gdim) - glo) / (ghi - glo)
-        if not np.all((fr > 0.005) & (fr < 0.95)):
-            continue
-        cost = float(np.linalg.norm(_logit(fr) - _logit(f_goal)))
-        if best is None or cost < best[0]:
-            best = (cost, z[-1])
-    if best is None:
-        raise NoConvergence("no translation seed puts every state inside its gap")
-    z[-1] = best[1]
+
+    def cost_and_slope(t, _):
+        z[-1] = t[0]
+        mu, Y = sm.galerkin_dirichlet_vectors(fit.build(z), N, dim=gdim)
+        fr = (mu - glo) / (ghi - glo)
+        d_fr = sm.dirichlet_translation_slopes(Y) / (ghi - glo)
+        # _logit clips fr to [1e-12, 1 - 1e-12]: flat outside, so no slope there
+        d_logit = np.where((fr > 1e-12) & (fr < 1.0 - 1e-12), 1.0 / (fr * (1.0 - fr)), 0.0)
+        return np.array([np.sum(_logit(fr) - _logit(f_goal))]), np.array([d_logit @ d_fr])
+
+    window = (np.array([xmin - 4.5 * ell]), np.array([xmin]))  # the bound side
+    z[-1] = _bracketed_newton(cost_and_slope, *window, -np.ones(1), 1e-6)[0]
 
     # 3) one Gauss-Newton straight to the target positions
     tol = max(tolerance / 3.0, 1e-6)

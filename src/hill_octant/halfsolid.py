@@ -25,6 +25,7 @@ import numpy as np
 from . import monodromy as mo
 from .bands import BandStructure, _bracketed_newton, band_structure
 from .errors import (
+    BracketFailure,
     InsufficientPoints,
     MultipleRoots,
     NotBoundState,
@@ -138,7 +139,8 @@ def _gap_roots(p, tau, gaps, bs: BandStructure):
     pole; w is strictly increasing on each piece, so the signs of w at the
     piece ends decide which pieces hold a root, and one batched Newton
     iteration solves them all.  Roots on both sides of mu_j raise
-    MultipleRoots.
+    MultipleRoots, and a w that is not finite at a piece end (m_+ beyond
+    float64) raises BracketFailure.
     """
     pieces = []  # (lower end, upper end, gap index)
     for gap in gaps:
@@ -159,6 +161,9 @@ def _gap_roots(p, tau, gaps, bs: BandStructure):
     lo, hi, owner = (np.array(v) for v in zip(*pieces))
     w, _ = _w_and_slope(p, tau, np.concatenate((lo, hi)), np.concatenate((owner, owner)))
     w_lo, w_hi = np.split(w, 2)
+    bad = ~(np.isfinite(w_lo) & np.isfinite(w_hi))
+    if np.any(bad):
+        raise BracketFailure(f"gap {owner[bad][0]}: w is not finite at a piece end, so no sign brackets a root")
     has = (w_lo < 0) & (w_hi > 0)
     hit, count = np.unique(owner[has], return_counts=True)
     if np.any(count > 1):

@@ -20,7 +20,9 @@ The Galerkin matrices are dense and go to LAPACK through
 `scipy.linalg.eigh`.  The Dirichlet eigenvectors also carry the sheet of
 each Dirichlet point (`dirichlet_sheets`), so a matrix-route factor
 spectrum needs no integrator pass; the shooting rule `bands.sheet_signs`
-stays the independent check.
+stays the independent check.  The same wall read-out gives the slope of
+each Dirichlet point under translation (`dirichlet_translation_slopes`),
+which the deep design solves along.
 
 Only Fourier-form potentials are supported here.
 """
@@ -39,6 +41,7 @@ __all__ = [
     "hill_band_edges",
     "galerkin_dirichlet",
     "dirichlet_sheets",
+    "dirichlet_translation_slopes",
     "galerkin_neumann",
     "hill_edges_and_vectors",
     "galerkin_dirichlet_vectors",
@@ -348,18 +351,30 @@ def sine_vector_gradient(y: np.ndarray, max_mode: int):
     return da, db
 
 
-def dirichlet_sheets(Y: np.ndarray) -> np.ndarray:
-    """Sheets of mu_1 .. mu_N from their sine-Galerkin eigenvectors (columns of Y).
+def dirichlet_translation_slopes(Y: np.ndarray) -> np.ndarray:
+    """d mu_n / dt under v(x) -> v(x + t), from the sine-Galerkin eigenvectors (columns of Y).
 
-    psi = sum_m y_m sqrt(2) sin(pi m x) has psi'(0), psi'(1) proportional to
-    sum_m m y_m and sum_m m (-1)^m y_m.  With phi = psi / psi'(0) the Wronskian
-    at mu_n gives theta(1) phi'(1) = 1, so a(mu_n) = (phi'(1)^2 - 1) / (2 phi'(1)),
-    and phi'(1) has sign (-1)^n (Sturm: n - 1 interior zeros).  So a(mu_n) has
-    the bound sign (-1)^(n+1) exactly when |phi'(1)| < 1: +1 where
-    |sum m (-1)^m y_m| < |sum m y_m|, -1 otherwise (a tie is -1, as for
-    `bands.sheet_signs` at a_sign = 0).
+    psi = sum_m y_m sqrt(2) sin(pi m x) has psi'(0) = sqrt(2) pi sum_m m y_m
+    and psi'(1) = sqrt(2) pi sum_m m (-1)^m y_m.  Hellmann-Feynman gives
+    d mu / dt = int v'(x + t) psi^2, and one integration by parts with
+    psi'' = (v - mu) psi turns that into psi'(0)^2 - psi'(1)^2.  Written as
+    (|psi'(0)| - |psi'(1)|)(|psi'(0)| + |psi'(1)|), its sign is exact.
     """
     m = np.arange(1, Y.shape[0] + 1)
     d0 = np.abs(m @ Y)
     d1 = np.abs((m * (-1.0) ** m) @ Y)
-    return np.where(d1 < d0, 1, -1)
+    return 2.0 * np.pi**2 * (d0 - d1) * (d0 + d1)
+
+
+def dirichlet_sheets(Y: np.ndarray) -> np.ndarray:
+    """Sheets of mu_1 .. mu_N from their sine-Galerkin eigenvectors (columns of Y).
+
+    With phi = psi / psi'(0) the Wronskian at mu_n gives theta(1) phi'(1) = 1,
+    so a(mu_n) = (phi'(1)^2 - 1) / (2 phi'(1)), and phi'(1) has sign (-1)^n
+    (Sturm: n - 1 interior zeros).  So a(mu_n) has the bound sign (-1)^(n+1)
+    exactly when |psi'(1)| < |psi'(0)|, that is, exactly when mu_n rises as
+    the potential is translated (`dirichlet_translation_slopes` > 0): +1
+    there, -1 otherwise (a tie is -1, as for `bands.sheet_signs` at
+    a_sign = 0).
+    """
+    return np.where(dirichlet_translation_slopes(Y) > 0, 1, -1)

@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -107,19 +108,18 @@ def reflect(p):
     )
 
 
-@pytest.fixture(scope="session")
-def deep_n2_d3():
-    """construct_model_potential(2, 0.1, 3), the benchmark's design, with its Hill solves logged.
+def logged_model_design(N, kappa, d):
+    """construct_model_potential(N, kappa, d) with its solves logged.
 
-    `events` orders the end of the gap-length fit, each Hill solve, each
-    Dirichlet Galerkin solve and each Gauss-Newton solve; `blocks` holds
-    (dimension, Lanczos steps, shift) per Hill block and `hill_args` the
-    arguments of each Hill solve.
+    Returns (result, events, blocks, hill_args, seconds).  `events` orders
+    the end of the gap-length fit, each Hill solve, each Dirichlet Galerkin
+    solve (values or vectors) and each Gauss-Newton solve; `blocks` holds
+    (dimension, Lanczos steps, shift) per Hill block, `hill_args` the
+    arguments of each Hill solve and `seconds` the build time.
     """
     events, blocks, hill_args, widths = [], [], [], set()
     lengths, solve = dz.design_gap_lengths, dz._gauss_newton
     hill_edges, block, shift, orth = sm._hill_edges, sm._hill_block, sm._hill_shift, sm._orthonormal_block
-    galerkin = sm.galerkin_dirichlet
 
     def logged_lengths(*args):
         out = lengths(*args)
@@ -135,9 +135,12 @@ def deep_n2_d3():
         hill_args.append(args)
         return hill_edges(*args)
 
-    def logged_galerkin(*args, **kwargs):
-        events.append("galerkin")
-        return galerkin(*args, **kwargs)
+    def logged_galerkin(galerkin):
+        def logged(*args, **kwargs):
+            events.append("galerkin")
+            return galerkin(*args, **kwargs)
+
+        return logged
 
     def logged_shift(vhat, wavenumbers, constant):
         sigma = shift(vhat, wavenumbers, constant)
@@ -159,7 +162,24 @@ def deep_n2_d3():
         m.setattr(dz, "_gauss_newton", logged_solve)
         for name, fn in [("_hill_edges", logged_edges), ("_hill_shift", logged_shift),
                          ("_hill_block", logged_block), ("_orthonormal_block", logged_orth),
-                         ("galerkin_dirichlet", logged_galerkin)]:
+                         ("galerkin_dirichlet", logged_galerkin(sm.galerkin_dirichlet)),
+                         ("galerkin_dirichlet_vectors", logged_galerkin(sm.galerkin_dirichlet_vectors))]:
             m.setattr(sm, name, fn)
-        result = dz.construct_model_potential(2, 0.1, 3)
-    return result, events, blocks, hill_args
+        t0 = time.time()
+        result = dz.construct_model_potential(N, kappa, d)
+        seconds = time.time() - t0
+    return result, events, blocks, hill_args, seconds
+
+
+@pytest.fixture(scope="session")
+def deep_n2_d3():
+    """construct_model_potential(2, 0.1, 3), the benchmark's design, logged
+    as (result, events, blocks, hill_args): see `logged_model_design`."""
+    return logged_model_design(2, 0.1, 3)[:4]
+
+
+@pytest.fixture(scope="session")
+def criterion5_design():
+    """construct_model_potential(3, 0.05, 2), criterion 5's design, logged
+    as (result, events, blocks, hill_args, seconds): see `logged_model_design`."""
+    return logged_model_design(3, 0.05, 2)

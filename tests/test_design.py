@@ -7,7 +7,7 @@ import pytest
 
 from hill_octant import bands, design as dz, monodromy as mo
 from hill_octant import spectral_matrix as sm
-from hill_octant.errors import IllConditioned, PostconditionFail, RhoNotPositive
+from hill_octant.errors import IllConditioned, PostconditionFail, RhoNotPositive, SignUnreachable
 from hill_octant.potential import fourier_potential, l2_norm, translate
 
 from conftest import reflect
@@ -239,7 +239,7 @@ def deep_n1():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_deep_design_lands_on_the_bound_sheet(d, monkeypatch):
-    # the translation scan keeps to the bound side of the well, so the fit
+    # the translation Newton keeps to the bound side of the well, so the fit
     # needs no mirror repair: one shooting pass checks the sheets, and the
     # gap-length fit and the position fit are the only Gauss-Newton solves
     calls = {"shoot": 0, "solve": 0}
@@ -306,14 +306,36 @@ def test_deep_design_zero_count_postcondition_raises(monkeypatch):
         dz.construct_model_potential(1, 0.1, 2)
 
 
-def test_translation_scan_solves_the_hill_blocks_once(deep_n2_d3):
-    # the scan runs between the gap-length fit and the position fit, and
-    # covers only the bound side of the well
-    _, events, _, _ = deep_n2_d3
+def _translation_solves(events):
+    """Solves between the gap-length fit and the position fit."""
     start = events.index("lengths")
-    scan = events[start + 1 : events.index("solve", start)]
+    return events[start + 1 : events.index("solve", start)]
+
+
+def test_translation_scan_solves_the_hill_blocks_once(deep_n2_d3):
+    # translation moves no band edge: one Hill solve, then a bracketed Newton
+    # in t makes a few Dirichlet solves
+    (_, _, _, rep), events, _, _ = deep_n2_d3
+    scan = _translation_solves(events)
     assert scan.count("hill") == 1
-    assert scan.count("galerkin") <= 25
+    assert scan.count("galerkin") <= 6
+    assert rep.iterations <= 6
+
+
+def test_criterion_5_translation_solves(criterion5_design):
+    (_, _, bs, rep), events, *_ = criterion5_design
+    scan = _translation_solves(events)
+    assert scan.count("hill") == 1
+    assert scan.count("galerkin") <= 6
+    assert rep.iterations <= 5
+    assert [s.sign for s in bs.states] == [1, 1, 1]
+
+
+def test_wrong_shooting_sheets_raise_sign_unreachable(monkeypatch):
+    # the shooting cross-check, not the matrix route, certifies the sheets
+    monkeypatch.setattr(dz, "sheet_signs", lambda mb: -np.ones(mb.a_sign.size, dtype=int))
+    with pytest.raises(SignUnreachable, match="shooting sheet signs"):
+        dz.construct_model_potential(1, 0.1, 2)
 
 
 def test_deep_model_meets_the_benchmark_checks(deep_n2_d3):

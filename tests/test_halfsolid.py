@@ -5,6 +5,7 @@ import pytest
 
 from hill_octant import bands, halfsolid as hsm, monodromy as mo
 from hill_octant.errors import (
+    BracketFailure,
     InsufficientPoints,
     MultipleRoots,
     NotBoundState,
@@ -242,3 +243,11 @@ def test_near_edge_antibound_state_has_one_root(asym_potential):
     assert hs.band_data.gap_lo[2] < lam < hs.band_data.gap_hi[2]
     w_below, w_above = (hsm.wronskian(asym_potential, 1e5, lam + h, 3) for h in (-1e-9, 1e-9))
     assert w_below < 0 < w_above
+
+
+def test_non_finite_w_at_a_piece_end_raises(deep_n2_d3):
+    # in the designed deep well m_+ overflows float64 at the gap ends; an
+    # infinite w has a sign but brackets nothing, so no empty answer comes back
+    p, _, bs, _ = deep_n2_d3[0]
+    with pytest.raises(BracketFailure, match="not finite"):
+        hsm.gap_eigenvalues(p, 1e5, 2, bs=bs)

@@ -133,6 +133,19 @@ def test_shift_lies_below_both_blocks(name, monkeypatch):
     assert sigma_anti < dense_hill_block(p, 0.5, MODES)[0][0]
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_translation_slopes_match_central_differences(asym_potential, t):
+    # d mu / dt of v(x + t) read off the eigenvectors at the walls, against
+    # the Galerkin mu itself; a state is bound exactly where mu rises
+    dim, h = 512, 1e-4
+    _, Y = sm.galerkin_dirichlet_vectors(translate(asym_potential, t), 4, dim=dim)
+    slopes = sm.dirichlet_translation_slopes(Y)
+    mu_plus, mu_minus = (sm.galerkin_dirichlet(translate(asym_potential, t + s), 4, dim=dim) for s in (h, -h))
+    fd = (mu_plus - mu_minus) / (2.0 * h)
+    assert np.all(np.abs(slopes - fd) <= 1e-3 * np.abs(fd))
+    assert list(np.sign(slopes)) == list(np.sign(fd)) == list(sm.dirichlet_sheets(Y))
+
+
 def sheets_by_both_routes(p, N):
     """Eigenvector sheets, shooting sheets at the same mu, and
     log10(|psi'(1)| / |psi'(0)|) per state."""
