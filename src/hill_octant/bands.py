@@ -3,7 +3,11 @@
 Strategy: the Prufer phase of the shooting solutions at x = 1 is strictly
 increasing in lambda, so Dirichlet points mu_n (phase of phi through n pi)
 and Neumann points nu_n (phase of theta through pi/2 + n pi) are found by a
-globally safe bracketed Newton iteration.  Both mu_n and nu_n lie in the
+globally safe bracketed Newton iteration.  Its brackets come from min-max
+comparison with the free operator, |mu_n - (pi n)^2| and |nu_n - (pi n)^2|
+at most sup|v|, so they need no search; the Galerkin eigenvalues (Fourier
+potentials) or (pi n)^2 plus the mean (piecewise ones) only seed it, and a
+root that ends at a bracket end raises.  Both mu_n and nu_n lie in the
 closure of gap n, and for an open gap their midpoint lies strictly inside,
 so (-1)^n F > 1 there.  (-1)^n F - 1 has a single critical point inside an
 open gap, so at the midpoint it is at least its smaller value at mu_n and
@@ -25,11 +29,11 @@ edges still contain mu and nu, gaps below the merge tolerance collapse to a
 point, and each gap state records the route that certified its edges.
 
 All searches are batched: each Newton pass costs one integration pass over
-the energies still unconverged, and one pass evaluates the anchors together
-with the Dirichlet points.  Phases and anchors run at the integrator's
-default tolerance and every band edge at the tighter _EDGE_RTOL, since
-near-double roots amplify integration noise by 1/|dF/dlambda|.  A search
-that reaches its cap raises.
+the energies still unconverged (2N + 3 at most), and one pass evaluates the
+anchors together with the Dirichlet points.  Phases and anchors run at the
+integrator's default tolerance and every band edge at the tighter
+_EDGE_RTOL, since near-double roots amplify integration noise by
+1/|dF/dlambda|.  A search that reaches its cap raises.
 
 Gap state n is bound (+1) exactly when a(mu_n) has sign (-1)^(n+1), else
 anti-bound (-1), or virtual (0) when a(mu_n) is below the integration
@@ -212,7 +216,7 @@ def _bracketed_newton(evaluate, lo, hi, s_lo, tol, x0=None):
     raise NoConvergence(f"{int(np.sum(active))} Newton roots unconverged after {MAX_NEWTON} passes")
 
 
-def _phase_solve(p, targets, kinds, lo, hi, tol_rel):
+def _phase_solve(p, targets, kinds, lo, hi, tol_rel, x0):
     """Dirichlet (kinds False) and Neumann (True) phases equal to their targets."""
 
     def evaluate(x, idx):
@@ -220,42 +224,26 @@ def _phase_solve(p, targets, kinds, lo, hi, tol_rel):
         k = kinds[idx]
         return np.where(k, angN, angD) - targets[idx], np.where(k, dN, dD)
 
-    return _bracketed_newton(evaluate, lo, hi, -np.ones(lo.size), tol_rel)
+    return _bracketed_newton(evaluate, lo, hi, -np.ones(lo.size), tol_rel, x0)
 
 
 def _anchor_points(p: Potential, n_need: int):
-    """mu_1..mu_{n_need} and nu_0..nu_{n_need} via the monotone phases."""
-    mu_guess, nu_guess = _initial_guesses(p, n_need)
-    targets = np.concatenate(
-        (np.pi * np.arange(1, n_need + 1), np.pi * np.arange(n_need + 1) + np.pi / 2)
-    )
-    kinds = np.concatenate((np.zeros(n_need, dtype=bool), np.ones(n_need + 1, dtype=bool)))
-    lam = np.concatenate((mu_guess, nu_guess)).astype(float)
-    width = np.maximum(1e-4, 1e-5 * np.abs(lam))
-    lo = lam - width
-    hi = lam + width
-
-    kinds2 = np.concatenate((kinds, kinds))
-    targets2 = np.concatenate((targets, targets))
-    for _ in range(40):
-        angD, dD, angN, dN = _angles(p, np.concatenate((lo, hi)))
-        f2 = np.where(kinds2, angN, angD) - targets2
-        f_lo, f_hi = np.split(f2, 2)
-        bad_lo = f_lo > 0
-        bad_hi = f_hi < 0
-        if not (np.any(bad_lo) or np.any(bad_hi)):
-            break
-        width = (hi - lo) * 4.0
-        lo = np.where(bad_lo, lo - width, lo)
-        hi = np.where(bad_hi, hi + width, hi)
-    else:
-        raise CountMismatch("could not bracket the Dirichlet/Neumann phases")
-
-    x = _phase_solve(p, targets, kinds, lo, hi, 3e-12)
-    mu = x[:n_need]
-    nu = x[n_need:]
+    """mu_1..mu_{n_need} and nu_0..nu_{n_need} via the monotone phases, each
+    bracketed by (pi n)^2 -+ (sup|v| + 1) and seeded by the cheap guesses."""
+    n = np.concatenate((np.arange(1, n_need + 1), np.arange(n_need + 1)))
+    kinds = np.arange(n.size) >= n_need  # False for mu, True for nu
+    targets = np.pi * n + np.where(kinds, np.pi / 2, 0.0)
+    reach = p.sup_norm_bound + 1.0
+    lo, hi = (np.pi * n) ** 2 - reach, (np.pi * n) ** 2 + reach
+    seeds = np.concatenate(_initial_guesses(p, n_need))
+    x = _phase_solve(p, targets, kinds, lo.copy(), hi.copy(), 3e-12, seeds)
+    mu, nu = x[:n_need], x[n_need:]
     if np.any(np.diff(mu) <= 0) or np.any(np.diff(nu) <= 0):
         raise CountMismatch("eigenvalue ordering violated: bracketing failed")
+    # every true root sits at least 1 inside its bracket, so one that ends
+    # near a bracket end means the phases are wrong
+    if np.any((x - lo < 0.5) | (hi - x < 0.5)):
+        raise CountMismatch("a Dirichlet/Neumann phase root sits at its bracket end")
     return mu, nu
 
 

@@ -185,7 +185,7 @@ def cmd_halfsolid(args) -> int:
     if len(taus) < 4:
         raise InsufficientPoints(f"tau grid has {len(taus)} points, need >= 4 for the rate fit")
     if bs.state(gap_index).sign == +1:
-        # fit the sweep's roots; verify_sqrt_rate would search every tau again
+        # fit the sweep's roots; verify_sqrt_rate would solve every tau again
         c_direct = asymptotic_coefficient(p, gap_index, bs=bs)
         fit = _rate_fit(pairs, bs.dirichlet[gap_index - 1], c_direct)
         report = {

@@ -12,7 +12,9 @@ in lambda, so w is strictly monotone there.  Each surviving gap is cut at
 its Dirichlet point mu_j, the only possible pole of m_+; a piece holds a
 root exactly when w < 0 at its lower end and w > 0 at its upper end, and
 every such piece goes to one batched bracketed Newton iteration, with
-dw/dlambda from the variational system.
+dw/dlambda from the variational system.  A whole tau sweep is one solve,
+each piece at its own tau.  The lowest gap is one more piece, uncut: the
+junction form is at least min(tau, min v), so w < 0 below that.
 """
 
 from __future__ import annotations
@@ -126,55 +128,63 @@ def wronskian(p: Potential, tau: float, lam: float, gap_index: int) -> float:
 
 
 def _w_and_slope(p, tau, lams, gap_index):
-    """w and dw/dlambda at energies below tau, one gap index per energy or one for all."""
+    """w and dw/dlambda at energies below tau, one tau and gap index per energy or one for all."""
     m, dm = mo.m_plus_batch(p, lams, gap_index)
     root = np.sqrt(tau - lams)
     return m - root, dm + 0.5 / root
 
 
-def _gap_roots(p, tau, gaps, bs: BandStructure):
-    """The junction eigenvalues in the given surviving gaps, as (index, lambda).
+def _gap_roots(p, sweep, bs: BandStructure):
+    """The junction eigenvalues of a sweep: one tuple of (index, lambda) per tau.
 
-    Each gap is cut at its Dirichlet point mu_j, where m_+ may have its
-    pole; w is strictly increasing on each piece, so the signs of w at the
-    piece ends decide which pieces hold a root, and one batched Newton
-    iteration solves them all.  Roots on both sides of mu_j raise
-    MultipleRoots, and a w that is not finite at a piece end (m_+ beyond
-    float64) raises BracketFailure.
+    `sweep` lists (tau, surviving gaps to search) pairs.  Each gap is cut at
+    its Dirichlet point mu_j, where m_+ may have its pole (gap 0, the lowest
+    one, has no mu and no cut); w is strictly increasing on each piece, so
+    the signs of w at the piece ends decide which pieces hold a root, and
+    one batched Newton iteration solves them all, each piece at its own
+    tau.  Roots on both sides of mu_j for one tau raise MultipleRoots, and
+    a w that is not finite at a piece end (m_+ beyond float64) raises
+    BracketFailure.
     """
-    pieces = []  # (lower end, upper end, gap index)
-    for gap in gaps:
-        j = gap.index
-        pad = 1e-12 * max(1.0, abs(gap.lo))
-        a = gap.lo + pad
-        b = gap.hi - (1e-9 * max(1.0, abs(tau)) if gap.truncated else pad)
-        if b <= a:
-            continue
-        mu_j = bs.dirichlet[j - 1]
-        split = POLE_SPLIT_REL * (bs.gap_hi[j - 1] - bs.gap_lo[j - 1])
-        if a < mu_j - split and mu_j + split < b:
-            pieces += [(a, mu_j - split, j), (mu_j + split, b, j)]
-        else:
-            pieces.append((a, b, j))
+    pieces = []  # (lower end, upper end, gap index, position in the sweep)
+    for k, (tau, gaps) in enumerate(sweep):
+        for gap in gaps:
+            j = gap.index
+            pad = 1e-12 * max(1.0, abs(gap.lo))
+            a = gap.lo + pad
+            b = gap.hi - (1e-9 * max(1.0, abs(tau)) if gap.truncated else pad)
+            if b <= a:
+                continue
+            if j:  # gap 0, the lowest, has no Dirichlet point to cut at
+                mu_j = bs.dirichlet[j - 1]
+                split = POLE_SPLIT_REL * (bs.gap_hi[j - 1] - bs.gap_lo[j - 1])
+                if a < mu_j - split and mu_j + split < b:
+                    pieces += [(a, mu_j - split, j, k), (mu_j + split, b, j, k)]
+                    continue
+            pieces.append((a, b, j, k))
     if not pieces:
-        return ()
-    lo, hi, owner = (np.array(v) for v in zip(*pieces))
-    w, _ = _w_and_slope(p, tau, np.concatenate((lo, hi)), np.concatenate((owner, owner)))
+        return [()] * len(sweep)
+    lo, hi, owner, at = (np.array(v) for v in zip(*pieces))
+    tau = np.array([t for t, _ in sweep], dtype=float)[at]
+    w, _ = _w_and_slope(p, np.tile(tau, 2), np.concatenate((lo, hi)), np.tile(owner, 2))
     w_lo, w_hi = np.split(w, 2)
     bad = ~(np.isfinite(w_lo) & np.isfinite(w_hi))
     if np.any(bad):
         raise BracketFailure(f"gap {owner[bad][0]}: w is not finite at a piece end, so no sign brackets a root")
     has = (w_lo < 0) & (w_hi > 0)
-    hit, count = np.unique(owner[has], return_counts=True)
-    if np.any(count > 1):
-        raise MultipleRoots(f"gap {hit[count > 1][0]}: a Wronskian root on both sides of mu_j")
     if not np.any(has):
-        return ()
-    owner = owner[has]
-    roots = _bracketed_newton(
-        lambda x, idx: _w_and_slope(p, tau, x, owner[idx]), lo[has], hi[has], -np.ones(owner.size), 1e-12
+        return [()] * len(sweep)
+    owner, at, tau = owner[has], at[has], tau[has]
+    hit, count = np.unique(np.column_stack((at, owner)), axis=0, return_counts=True)
+    if np.any(count > 1):
+        raise MultipleRoots(f"gap {hit[count > 1][0, 1]}: a Wronskian root on both sides of mu_j")
+    x = _bracketed_newton(
+        lambda x, idx: _w_and_slope(p, tau[idx], x, owner[idx]), lo[has], hi[has], -np.ones(owner.size), 1e-12
     )
-    return tuple(zip(owner.tolist(), roots.tolist()))
+    roots = [[] for _ in sweep]
+    for k, j, lam in zip(at.tolist(), owner.tolist(), x.tolist()):
+        roots[k].append((j, lam))
+    return [tuple(r) for r in roots]
 
 
 def gap_eigenvalues(
@@ -182,7 +192,8 @@ def gap_eigenvalues(
 ) -> HalfSolidSpectrum:
     """Locate the (at most one per gap) junction eigenvalues in gaps 1..N."""
     hs = ac_spectrum(p, tau, N, bs=bs)
-    return replace(hs, eigenvalues=_gap_roots(p, tau, hs.gap_list, hs.band_data))
+    (roots,) = _gap_roots(p, [(tau, hs.gap_list)], hs.band_data)
+    return replace(hs, eigenvalues=roots)
 
 
 def asymptotic_coefficient(p: Potential, gap_index: int, bs: BandStructure | None = None) -> float:
@@ -198,12 +209,6 @@ def asymptotic_coefficient(p: Potential, gap_index: int, bs: BandStructure | Non
     if s.sign != +1:
         raise NotBoundState(f"gap {gap_index} hosts sign {s.sign}, need a bound state (+1)")
     return 2.0 * s.a_value / s.phi_lam
-
-
-def _eigenvalue_near_mu(p, tau, gap_index, bs):
-    hs = ac_spectrum(p, tau, gap_index, bs=bs)
-    roots = _gap_roots(p, tau, [g for g in hs.gap_list if g.index == gap_index], bs)
-    return roots[0][1] if roots else None
 
 
 @dataclass(frozen=True)
@@ -227,11 +232,12 @@ def verify_sqrt_rate(
         bs = band_structure(p, max(gap_index, 1))
     c_direct = asymptotic_coefficient(p, gap_index, bs=bs)
     mu_j = bs.dirichlet[gap_index - 1]
-    pairs = [
-        (tau, _eigenvalue_near_mu(p, tau, gap_index, bs))
-        for tau in map(float, tau_grid)
-        if tau > mu_j  # _rate_fit skips the rest: no need to search them
+    taus = [tau for tau in map(float, tau_grid) if tau > mu_j]  # _rate_fit skips the rest
+    sweep = [
+        (tau, [g for g in ac_spectrum(p, tau, gap_index, bs=bs).gap_list if g.index == gap_index])
+        for tau in taus
     ]
+    pairs = [(tau, r[0][1] if r else None) for tau, r in zip(taus, _gap_roots(p, sweep, bs))]
     return _rate_fit(pairs, mu_j, c_direct)
 
 
@@ -273,20 +279,9 @@ def ground_state_count(
     rho = (d0.a_value - math.sqrt(excess)) / d0.phi_1
     if rho <= 0 or not (nu0 < tau < rho**2):
         return GroundState(0, float(rho), nu0, None)
-    # locate E by bracketed Newton: w is strictly increasing on the lowest gap
+    # the lowest gap (-inf, tau0) as a piece, its top kept as far from tau0
+    # as a truncated gap's
     tau0 = min(0.0, tau)
-    hi = tau0 - 1e-9 * max(1.0, abs(tau0), tau - tau0)
-    lo = min(nu0, -p.sup_norm_bound, tau) - 5.0
-    w_lo = wronskian(p, tau, lo, 0)
-    w_hi = wronskian(p, tau, hi, 0)
-    for _ in range(60):
-        if w_lo < 0 < w_hi:
-            break
-        lo -= 2.0 * (hi - lo)
-        w_lo = wronskian(p, tau, lo, 0)
-    if not w_lo < 0 < w_hi:
-        return GroundState(1, float(rho), nu0, None)
-    energy = _bracketed_newton(
-        lambda x, idx: _w_and_slope(p, tau, x, 0), np.array([lo]), np.array([hi]), -np.ones(1), 1e-12
-    )
-    return GroundState(1, float(rho), nu0, float(energy[0]))
+    lowest = GapInterval(0, min(nu0, -p.sup_norm_bound, tau) - 5.0, tau0, True)
+    (roots,) = _gap_roots(p, [(tau, [lowest])], bs)
+    return GroundState(1, float(rho), nu0, roots[0][1] if roots else None)

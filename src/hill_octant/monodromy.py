@@ -543,22 +543,27 @@ def _weyl_m(mb: MonodromyBatch, gap_index):
     slope of num/den is (num_lam - m den_lam)/den, with
 
         b_lam = (-1)^n F F_lam / sqrt(F^2 - 1).
+
+    Every term comes from the stored components and so carries e^(-log_scale)
+    (the 1 of F^2 - 1 becomes e^(-2 log_scale)): m_+ is scale-free.
     """
-    F = mb.discriminant
-    root = np.sqrt(np.maximum(F * F - 1.0, 0.0))
+    s = np.exp(-mb.log_scale)  # 1 exactly where nothing was renormalized
+    F = 0.5 * (mb.phi_prime_1 + mb.theta_1)
+    F_lam = 0.5 * (mb.phi_prime_lam + mb.theta_lam)
+    root = np.sqrt(np.maximum(F * F - s * s, 0.0))
     parity = (-1.0) ** np.asarray(gap_index)
-    a, b = mb.a_value, parity * root
-    a_lam = mb._rescale(0.5 * (mb.phi_prime_lam - mb.theta_lam))
+    a, b = 0.5 * (mb.phi_prime_1 - mb.theta_1), parity * root
+    a_lam = 0.5 * (mb.phi_prime_lam - mb.theta_lam)
     on_phi = np.abs(a - b) >= np.abs(a + b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        b_lam = parity * F * mb.discriminant_lam / root
-        num = np.where(on_phi, a - b, -mb._rescale(mb.theta_prime_1))
-        den = np.where(on_phi, mb._rescale(mb.phi_1), a + b)
-        num_lam = np.where(on_phi, a_lam - b_lam, -mb._rescale(mb.theta_prime_lam))
-        den_lam = np.where(on_phi, mb._rescale(mb.phi_lam), a_lam + b_lam)
+        b_lam = parity * F * F_lam / root
+        num = np.where(on_phi, a - b, -mb.theta_prime_1)
+        den = np.where(on_phi, mb.phi_1, a + b)
+        num_lam = np.where(on_phi, a_lam - b_lam, -mb.theta_prime_lam)
+        den_lam = np.where(on_phi, mb.phi_lam, a_lam + b_lam)
         m = num / den
         dm = (num_lam - m * den_lam) / den
-    return m, dm, on_phi & (np.abs(den) < 1e-13 * np.maximum(1.0, np.abs(num)))
+    return m, dm, on_phi & (np.abs(den) < 1e-13 * np.maximum(s, np.abs(num)))
 
 
 def m_plus(p: Potential, lam: float, gap_index: int) -> float:

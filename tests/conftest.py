@@ -1,5 +1,6 @@
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,27 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hill_octant import bands, design as dz, spectral_matrix as sm
+from hill_octant import bands, design as dz, monodromy as mo, spectral_matrix as sm
 from hill_octant.potential import fourier_potential, zero_potential
+
+
+Pass = namedtuple("Pass", "width rtol zeros")
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Every integrator pass made through `monodromy.integrate_batch`, as a
+    Pass(width, rtol, zeros): its number of energies, its tolerance and
+    whether it counted zeros (the Prufer phase passes do)."""
+    log = []
+    batch = mo.integrate_batch
+
+    def counted(p, lams, rtol=mo.RTOL, **kwargs):
+        log.append(Pass(int(np.size(lams)), rtol, kwargs.get("count_zeros", False)))
+        return batch(p, lams, rtol=rtol, **kwargs)
+
+    monkeypatch.setattr(mo, "integrate_batch", counted)
+    return log
 
 
 @pytest.fixture(scope="session")

@@ -266,14 +266,16 @@ def test_lambda0_above_the_first_gap_raises(asym_potential, monkeypatch):
         bands.band_structure(asym_potential, 2)
 
 
-def test_phase_bracket_expansion_cap_raises(asym_potential, monkeypatch):
-    # phases above every target at every energy: no lower bracket end exists
+def test_phase_root_at_its_bracket_end_raises(asym_potential, monkeypatch):
+    # phases above every target at every energy: the bracketed Newton can
+    # only shrink each comparison bracket onto its lower end, where no true
+    # root lies, so the anchors must raise instead of returning those ends
     def too_high(p, lams):
         big = np.full(np.size(lams), 1e9)
         return big, np.ones_like(big), big, np.ones_like(big)
 
     monkeypatch.setattr(bands, "_angles", too_high)
-    with pytest.raises(CountMismatch, match="could not bracket"):
+    with pytest.raises(CountMismatch, match="bracket end"):
         bands.band_structure(asym_potential, 2)
 
 
@@ -305,24 +307,28 @@ def test_edges_do_not_depend_on_translation():
         assert [s.certified_by for s in moved.states] == ["shooting"] * 6, shift
 
 
-def test_band_structure_pass_budget(monkeypatch):
-    # the widest pass is the phase bracket: lo and hi ends of mu_1..mu_{N+1}
-    # and nu_0..nu_{N+1}, 2 (2N + 3) energies.  The anchor pass carries
-    # lambda_min, the hull midpoints and mu_1..mu_{N+1} (2N + 3 energies, the
-    # sheets read from its tail), and the edge passes are narrower still.
+def test_band_structure_pass_budget(passes):
+    # the phases start at their Galerkin seeds inside the comparison
+    # brackets: one pass over mu_1..mu_{N+1} and nu_0..nu_{N+1} (2N + 3
+    # energies), then at most one over the few unconverged.  The anchor pass
+    # carries lambda_min, the hull midpoints and mu_1..mu_{N+1} (2N + 3
+    # energies, the sheets read from its tail), and the edge passes are
+    # narrower still.
     N = 6
-    widths = []
-    batch = mo.integrate_batch
-
-    def counted(p, lams, *args, **kwargs):
-        widths.append(np.size(lams))
-        return batch(p, lams, *args, **kwargs)
-
-    monkeypatch.setattr(mo, "integrate_batch", counted)
     for p in random_corpus(6, seed=777):
-        widths.clear()
+        passes.clear()
         bands.band_structure(p, N)
-        assert max(widths) <= 2 * (2 * N + 3)
+        assert max(q.width for q in passes) <= 2 * N + 3
+        assert sum(q.zeros for q in passes) <= 2
+
+
+@pytest.mark.parametrize("a, v", [(0.4, 25.0), (0.6, -30.0)])
+def test_kronig_penney_phase_pass_budget(a, v, passes):
+    # piecewise phases start at (pi n)^2 + mean inside the comparison
+    # brackets: 9 and 11 phase passes (26 each when the brackets were grown
+    # from the seeds)
+    bands.band_structure(piecewise_potential([(0.0, a, v), (a, 1.0, 0.0)]), 6)
+    assert sum(q.zeros for q in passes) <= 12
 
 
 @pytest.mark.parametrize("seed", ["shifted", "outside", "nan"])
@@ -352,29 +358,24 @@ def test_bad_matrix_seed_cannot_change_the_edges(seed, monkeypatch):
     assert [s.certified_by for s in bs.states] == ["shooting"] * 6
 
 
-def test_matrix_seeded_edge_newton_budget(asym_potential, monkeypatch):
+def test_matrix_seeded_edge_newton_budget(asym_potential, passes, monkeypatch):
     # each edge Newton starts at its Hill-matrix edge: at most 6 passes at
     # the edge tolerance (from the bracket midpoints it took up to 18), and
     # one Hill solve per Fourier call, which also serves the "matrix"
     # fallback of asym's unresolved gap 5
-    rtols, hill_calls = [], []
-    batch, hill = mo.integrate_batch, sm.hill_band_edges
-
-    def counted(p, lams, rtol=mo.RTOL, **kwargs):
-        rtols.append(rtol)
-        return batch(p, lams, rtol=rtol, **kwargs)
+    hill_calls = []
+    hill = sm.hill_band_edges
 
     def counted_hill(*args, **kwargs):
         hill_calls.append(1)
         return hill(*args, **kwargs)
 
-    monkeypatch.setattr(mo, "integrate_batch", counted)
     monkeypatch.setattr(sm, "hill_band_edges", counted_hill)
     for p in random_corpus(6, seed=777):
-        rtols.clear()
+        passes.clear()
         hill_calls.clear()
         bands.band_structure(p, 6)
-        assert rtols.count(bands._EDGE_RTOL) <= 6
+        assert sum(q.rtol == bands._EDGE_RTOL for q in passes) <= 6
         assert len(hill_calls) == 1
     hill_calls.clear()
     assert bands.band_structure(asym_potential, 5).state(5).certified_by == "matrix"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hill_octant import bands, halfsolid as hsm, monodromy as mo
+from hill_octant import bands, halfsolid as hsm
 from hill_octant.cli import main
 from hill_octant.potential import save_spec, zero_potential, fourier_potential
 
@@ -95,17 +95,9 @@ def test_halfsolid_bound_state(tmp_path, bound_state_potential):
     assert any(r[1] == "1" for r in rows)
 
 
-def test_halfsolid_rate_fit_reuses_the_sweep_roots(tmp_path, monkeypatch, modest_design):
+def test_halfsolid_rate_fit_reuses_the_sweep_roots(tmp_path, passes, modest_design):
     p, bs = modest_design
     spec = write_pot(tmp_path, p)
-    passes = []
-    batch = mo.integrate_batch
-
-    def counted(*args, **kwargs):
-        passes.append(1)
-        return batch(*args, **kwargs)
-
-    monkeypatch.setattr(mo, "integrate_batch", counted)
     rc = main(
         ["halfsolid", "--potential", str(spec), "--N", "3",
          "--tau-grid", "1e2:1e6:5", "--gap-index", "1", "--out", str(tmp_path)]
@@ -121,11 +113,12 @@ def test_halfsolid_rate_fit_reuses_the_sweep_roots(tmp_path, monkeypatch, modest
     assert in_command == len(passes)  # the rate fit itself integrates nothing
     passes.clear()
     fit = hsm.verify_sqrt_rate(p, 1, taus, bs=bs)
-    assert passes  # verify_sqrt_rate searches every tau again
+    assert passes  # verify_sqrt_rate solves every tau again, in one batch
     report = json.loads((tmp_path / "ratefit.json").read_text())
     assert report["taus"] == list(fit.taus)
     assert report["c_direct"] == fit.c_direct
-    # the sweep batches all gaps per pass, the fit one gap: roots agree to 1e-12
+    # the sweep solves all gaps of one tau per batch, the fit gap 1 of every
+    # tau: the roots agree to 1e-12
     assert report["slope"] == pytest.approx(fit.slope, rel=1e-9)
     assert report["constant"] == pytest.approx(fit.constant, rel=1e-9)
 

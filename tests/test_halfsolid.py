@@ -189,36 +189,39 @@ def test_shift_derivative_identity(condition_p):
     assert fd == pytest.approx(formula, rel=1e-4)
 
 
-def _count_integrations(monkeypatch):
-    """Record the batch size of every integrator pass made through monodromy."""
-    sizes = []
-    integrate_batch = mo.integrate_batch
-
-    def counted(p, lams, *args, **kwargs):
-        sizes.append(np.size(lams))
-        return integrate_batch(p, lams, *args, **kwargs)
-
-    monkeypatch.setattr(mo, "integrate_batch", counted)
-    return sizes
-
-
-def test_gap_eigenvalues_root_budget(bound_state_potential, bound_state_bands, monkeypatch):
+def test_gap_eigenvalues_root_budget(bound_state_potential, bound_state_bands, passes):
     # one pass over the piece ends, then Newton on the pieces with a root
-    sizes = _count_integrations(monkeypatch)
     hs = hsm.gap_eigenvalues(bound_state_potential, 1e4, 2, bs=bound_state_bands)
     assert 1 in dict(hs.eigenvalues)
-    assert sum(sizes) <= 100
+    assert sum(q.width for q in passes) <= 100
 
 
-def test_ground_state_pass_budget(condition_p, monkeypatch):
+def test_ground_state_pass_budget(condition_p, passes):
+    # the lowest gap is one piece bracketed by the form bound: one pass at
+    # lambda_0 for rho, one over the piece ends, then the Newton passes
     p = condition_p
     bs = bands.band_structure(p, 1)
     probe = hsm.ground_state_count(p, 1.0, bs=bs)
     tau = probe.nu0 + 0.5 * (probe.rho**2 - probe.nu0)
-    sizes = _count_integrations(monkeypatch)
+    passes.clear()
     gs = hsm.ground_state_count(p, tau, bs=bs)
     assert gs.count == 1 and gs.energy is not None
-    assert len(sizes) <= 30
+    assert len(passes) <= 20
+
+
+def test_rate_fit_solves_the_sweep_in_one_batch(modest_design, passes):
+    # every tau of the fit goes to one sign pass and one batched Newton (65
+    # passes when each tau was searched on its own), and each root is the
+    # one gap_eigenvalues finds for that tau alone
+    p, bs = modest_design
+    taus = np.geomspace(1e2, 1e6, 6)
+    fit = hsm.verify_sqrt_rate(p, 1, taus, bs=bs)
+    assert len(passes) <= 20
+    mu1 = bs.dirichlet[0]
+    assert fit.taus == tuple(taus)
+    for tau, gap in zip(fit.taus, fit.gaps_to_mu):
+        lam = dict(hsm.gap_eigenvalues(p, tau, 3, bs=bs).eigenvalues)[1]
+        assert abs(abs(lam - mu1) - gap) <= 1e-12 * abs(lam)
 
 
 def test_sign_changes_on_both_sides_of_mu_raise(bound_state_potential, bound_state_bands, monkeypatch):
@@ -245,9 +248,23 @@ def test_near_edge_antibound_state_has_one_root(asym_potential):
     assert w_below < 0 < w_above
 
 
-def test_non_finite_w_at_a_piece_end_raises(deep_n2_d3):
-    # in the designed deep well m_+ overflows float64 at the gap ends; an
-    # infinite w has a sign but brackets nothing, so no empty answer comes back
-    p, _, bs, _ = deep_n2_d3[0]
+def test_non_finite_w_at_a_piece_end_raises(bound_state_potential, bound_state_bands, monkeypatch):
+    # an infinite w has a sign but brackets nothing, so no empty answer
+    # comes back
+    def overflowing(p, tau, lams, gap_index):
+        return np.full(np.size(lams), np.inf), np.ones(np.size(lams))
+
+    monkeypatch.setattr(hsm, "_w_and_slope", overflowing)
     with pytest.raises(BracketFailure, match="not finite"):
-        hsm.gap_eigenvalues(p, 1e5, 2, bs=bs)
+        hsm.gap_eigenvalues(bound_state_potential, 1e4, 2, bs=bound_state_bands)
+
+
+def test_deep_design_has_one_root_per_bound_gap(deep_n2_d3):
+    # the designed deep well renormalizes its solutions at gap energies;
+    # m_+ from the scale-free components still brackets one root below each
+    # bound mu_j
+    p, _, bs, _ = deep_n2_d3[0]
+    hs = hsm.gap_eigenvalues(p, 1e5, 2, bs=bs)
+    assert [j for j, _ in hs.eigenvalues] == [s.index for s in bs.bound_states()] == [1, 2]
+    for j, lam in hs.eigenvalues:
+        assert bs.gap_lo[j - 1] < lam < bs.dirichlet[j - 1]
