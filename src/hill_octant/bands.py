@@ -82,6 +82,7 @@ class GapState:
     a_value: float
     discriminant: float
     phi_lam: float
+    residue: float  # 2 a / phi_lam at mu, scale-free: the residue of m_+ when bound
     certified_by: str  # route of the gap's edges: "shooting", "matrix" or "hull"
 
     @property
@@ -146,11 +147,23 @@ def sheet_signs(mb: mo.MonodromyBatch) -> np.ndarray:
 # --- Prufer angles ---------------------------------------------------------
 
 
+def _prufer_phase(zeros, y, y_prime):
+    """Prufer phase of (y, y') at x = 1 from the zeros of y counted in (0, 1].
+
+    arctan2 gives the phase mod 2 pi, and the count puts it in
+    (zeros pi, (zeros + 1) pi) up to rounding at a zero.  The branch nearest
+    the middle of that interval is the phase, continuous in lambda even
+    where arctan2 rounds to +-pi on a zero or a count runs one past it.
+    """
+    angle = np.arctan2(y, y_prime)
+    return angle + 2.0 * np.pi * np.round((np.pi * (zeros + 0.5) - angle) / (2.0 * np.pi))
+
+
 def _angles(p, lams):
     """Dirichlet and Neumann Prufer phases at x = 1 plus lambda-derivatives."""
     mb = mo.integrate_batch(p, lams, count_zeros=True)
-    angD = np.pi * mb.phi_zeros + np.mod(np.arctan2(mb.phi_1, mb.phi_prime_1), np.pi)
-    angN = np.pi * mb.theta_zeros + np.mod(np.arctan2(mb.theta_1, mb.theta_prime_1), np.pi)
+    angD = _prufer_phase(mb.phi_zeros, mb.phi_1, mb.phi_prime_1)
+    angN = _prufer_phase(mb.theta_zeros, mb.theta_1, mb.theta_prime_1)
     dD = (mb.phi_prime_1 * mb.phi_lam - mb.phi_1 * mb.phi_prime_lam) / (
         mb.phi_1**2 + mb.phi_prime_1**2
     )
@@ -175,16 +188,18 @@ def _initial_guesses(p: Potential, n_need: int):
     return mu, nu
 
 
-def _bracketed_newton(evaluate, lo, hi, s_lo, tol, x0=None):
+def _bracketed_newton(evaluate, lo, hi, s_lo, tol, x0=None, iterate=None):
     """Bracketed Newton on a batch of roots, evaluating the active entries only.
 
     `evaluate(x, idx)` returns (g, g') at the points x of entries idx, and
     `s_lo` is the sign of g at `lo`.  Each entry starts at its `x0` where
     that lies strictly inside (lo, hi), else (NaN, or no x0) at the
-    midpoint.  A Newton step that leaves the bracket is replaced by
-    bisection.  An entry stops when its Newton step is at most
-    tol * max(1, |x|), when its iterate moves by at most that, or when its
-    bracket is below four times that.  Raises NoConvergence after
+    midpoint.  `iterate(x, g, g', idx)`, when given, replaces the Newton
+    iterate x - g/g' (a Newton step taken in another variable).  An iterate
+    that leaves the bracket is replaced by bisection.  An entry stops when
+    its step to the next iterate is at most tol * max(1, |x|), when its
+    iterate moves by at most that, or when its bracket is below four times
+    that.  Raises NoConvergence after
     MAX_NEWTON passes.
     """
     x = 0.5 * (lo + hi)
@@ -200,8 +215,8 @@ def _bracketed_newton(evaluate, lo, hi, s_lo, tol, x0=None):
         lo[idx] = np.where(left, xa, lo[idx])
         hi[idx] = np.where(~left, xa, hi[idx])
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / dg
-        x_new = xa - step
+            x_new = xa - g / dg if iterate is None else iterate(xa, g, dg, idx)
+        step = xa - x_new
         scale = tol * np.maximum(1.0, np.abs(xa))
         # a tiny step that leaves the bracket means a bracket end already
         # sits on the root: stop at x instead of bisecting toward it
@@ -360,6 +375,7 @@ def band_structure(p: Potential, N: int) -> BandStructure:
     next_band_end = max(next_band_end, gap_hi[N - 1])
 
     sheets = sheet_signs(mb_mu)
+    residue = mb_mu.residue.tolist()
     states = []
     for n in range(1, N + 1):
         i = n - 1
@@ -380,7 +396,9 @@ def band_structure(p: Potential, N: int) -> BandStructure:
             )
             sign = 0 if virtual else int(sheets[i])
         route = "shooting" if resolved[i] else fallback
-        states.append(GapState(n, mu_n, sign, bool(closed_flags[i]), a_n, F_n, phl_n, route))
+        states.append(
+            GapState(n, mu_n, sign, bool(closed_flags[i]), a_n, F_n, phl_n, residue[i], route)
+        )
 
     return BandStructure(
         potential=p,

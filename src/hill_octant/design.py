@@ -392,13 +392,15 @@ def _matrix_band_structure(p: Potential, N: int, mb_mu, mu, nu) -> BandStructure
     """BandStructure assembled from the matrix route plus shooting signs.
 
     Used in the deep regime where the discriminant trace is beyond float64;
-    a/F/phi_lam saturate at +-inf with the correct signs.
+    a/F/phi_lam saturate at +-inf with the correct signs, and the residue
+    2a/phi_lam, formed from the scaled components, stays finite.
     """
     lam0, glo, ghi, nbe = sm.hill_band_edges(p, N)
     signs = sheet_signs(mb_mu)
+    residue = mb_mu.residue.tolist()
     states = tuple(
         GapState(n, float(mu[n - 1]), int(signs[n - 1]), False,
-                 math.inf * mb_mu.a_sign[n - 1], math.inf, math.inf, "matrix")
+                 math.inf * mb_mu.a_sign[n - 1], math.inf, math.inf, residue[n - 1], "matrix")
         for n in range(1, N + 1)
     )
     return BandStructure(

@@ -12,9 +12,11 @@ in lambda, so w is strictly monotone there.  Each surviving gap is cut at
 its Dirichlet point mu_j, the only possible pole of m_+; a piece holds a
 root exactly when w < 0 at its lower end and w > 0 at its upper end, and
 every such piece goes to one batched bracketed Newton iteration, with
-dw/dlambda from the variational system.  A whole tau sweep is one solve,
-each piece at its own tau.  The lowest gap is one more piece, uncut: the
-junction form is at least min(tau, min v), so w < 0 below that.
+dw/dlambda from the variational system, in a variable and on a multiple of
+w that remove its square-root branches at band edges and its pole at
+mu_j.  A whole tau sweep is one solve, each piece at its own tau.  The
+lowest gap is one more piece, uncut: the junction form is at least
+min(tau, min v), so w < 0 below that.
 """
 
 from __future__ import annotations
@@ -145,8 +147,19 @@ def _gap_roots(p, sweep, bs: BandStructure):
     tau.  Roots on both sides of mu_j for one tau raise MultipleRoots, and
     a w that is not finite at a piece end (m_+ beyond float64) raises
     BracketFailure.
+
+    Newton runs on g = w |lambda - mu_j| on a cut piece, which has no pole,
+    and on w elsewhere, in the variable u of
+
+        lambda = lo + (hi - lo) (sin^2 u - s_lo) / (s_hi - s_lo),
+
+    with s = 0 (lower end) or 1 (upper end) at a band edge or at tau, where
+    w has a square-root branch that u removes, and s = 1/2 at a cut or at
+    the lowest gap's lower end.  Bracket and stopping rule stay in lambda.
     """
-    pieces = []  # (lower end, upper end, gap index, position in the sweep)
+    # (lower end, upper end, gap index, position in the sweep, s_lo, s_hi,
+    # mu_j at a cut piece or nan)
+    pieces = []
     for k, (tau, gaps) in enumerate(sweep):
         for gap in gaps:
             j = gap.index
@@ -159,12 +172,13 @@ def _gap_roots(p, sweep, bs: BandStructure):
                 mu_j = bs.dirichlet[j - 1]
                 split = POLE_SPLIT_REL * (bs.gap_hi[j - 1] - bs.gap_lo[j - 1])
                 if a < mu_j - split and mu_j + split < b:
-                    pieces += [(a, mu_j - split, j, k), (mu_j + split, b, j, k)]
+                    pieces.append((a, mu_j - split, j, k, 0.0, 0.5, mu_j))
+                    pieces.append((mu_j + split, b, j, k, 0.5, 1.0, mu_j))
                     continue
-            pieces.append((a, b, j, k))
+            pieces.append((a, b, j, k, 0.0 if j else 0.5, 1.0, math.nan))
     if not pieces:
         return [()] * len(sweep)
-    lo, hi, owner, at = (np.array(v) for v in zip(*pieces))
+    lo, hi, owner, at, s_lo, s_hi, pole = (np.array(v) for v in zip(*pieces))
     tau = np.array([t for t, _ in sweep], dtype=float)[at]
     w, _ = _w_and_slope(p, np.tile(tau, 2), np.concatenate((lo, hi)), np.tile(owner, 2))
     w_lo, w_hi = np.split(w, 2)
@@ -174,12 +188,27 @@ def _gap_roots(p, sweep, bs: BandStructure):
     has = (w_lo < 0) & (w_hi > 0)
     if not np.any(has):
         return [()] * len(sweep)
-    owner, at, tau = owner[has], at[has], tau[has]
+    owner, at, tau, pole, s_lo = owner[has], at[has], tau[has], pole[has], s_lo[has]
     hit, count = np.unique(np.column_stack((at, owner)), axis=0, return_counts=True)
     if np.any(count > 1):
         raise MultipleRoots(f"gap {hit[count > 1][0, 1]}: a Wronskian root on both sides of mu_j")
+    lo, hi = lo[has], hi[has]
+    lam_per_s = (hi - lo) / (s_hi[has] - s_lo)
+
+    def evaluate(x, idx):
+        w, dw = _w_and_slope(p, tau[idx], x, owner[idx])
+        d = x - pole[idx]
+        cut = np.isfinite(d)
+        dist = np.where(cut, np.abs(d), 1.0)
+        return w * dist, dw * dist + np.where(cut, np.sign(d) * w, 0.0)
+
+    def newton_in_u(x, g, dg, idx):
+        u = np.arcsin(np.sqrt(np.clip(s_lo[idx] + (x - lo[idx]) / lam_per_s[idx], 0.0, 1.0)))
+        u_next = u - g / (dg * lam_per_s[idx] * np.sin(2.0 * u))
+        return lo[idx] + lam_per_s[idx] * (np.sin(u_next) ** 2 - s_lo[idx])
+
     x = _bracketed_newton(
-        lambda x, idx: _w_and_slope(p, tau[idx], x, owner[idx]), lo[has], hi[has], -np.ones(owner.size), 1e-12
+        evaluate, lo.copy(), hi.copy(), -np.ones(owner.size), 1e-12, iterate=newton_in_u
     )
     roots = [[] for _ in sweep]
     for k, j, lam in zip(at.tolist(), owner.tolist(), x.tolist()):
@@ -201,14 +230,15 @@ def asymptotic_coefficient(p: Potential, gap_index: int, bs: BandStructure | Non
 
     Equal to 2 a(mu_n) / phi_lam(1, mu_n) since a = -b there; its magnitude
     is 2|b| / |phi_lam| and its sign makes mu_j(tau) approach mu_j from
-    below as tau grows.
+    below as tau grows.  `GapState.residue` holds it, formed from the
+    scaled components, so it is finite on deep wells too.
     """
     if bs is None:
         bs = band_structure(p, gap_index)
     s = bs.state(gap_index)
     if s.sign != +1:
         raise NotBoundState(f"gap {gap_index} hosts sign {s.sign}, need a bound state (+1)")
-    return 2.0 * s.a_value / s.phi_lam
+    return s.residue
 
 
 @dataclass(frozen=True)
@@ -274,9 +304,12 @@ def ground_state_count(
     if abs(bs.lambda0) > 1e-8:
         raise NotNormalized(f"lambda_0^+ = {bs.lambda0:.3e}; shift the potential to 0 first")
     nu0 = float(bs.neumann[0])
-    d0 = mo.integrate(p, bs.lambda0)
-    excess = max(d0.discriminant**2 - 1.0, 0.0)
-    rho = (d0.a_value - math.sqrt(excess)) / d0.phi_1
+    # rho = (a - sqrt(F^2 - 1)) / phi(1) from the stored components: each
+    # carries e^(-log_scale) and the 1 its square, so rho is scale-free
+    mb = mo.integrate_batch(p, [bs.lambda0])
+    F, a = 0.5 * (mb.phi_prime_1[0] + mb.theta_1[0]), 0.5 * (mb.phi_prime_1[0] - mb.theta_1[0])
+    s = math.exp(-mb.log_scale[0])
+    rho = float((a - math.sqrt(max(F * F - s * s, 0.0))) / mb.phi_1[0])
     if rho <= 0 or not (nu0 < tau < rho**2):
         return GroundState(0, float(rho), nu0, None)
     # the lowest gap (-inf, tau0) as a piece, its top kept as far from tau0

@@ -7,14 +7,16 @@ function F = (phi'(1) + theta(1))/2, the auxiliary a = (phi'(1) -
 theta(1))/2, the gap branch b and the Weyl function m_+.
 
 Two evaluation routes:
-  * Fourier-form potentials: the embedded Runge-Kutta pair of Verner
-    (Numer. Algorithms 53, 2010; 6(5), "most robust") on the coupled
-    8-dimensional system, per-step tolerance 1e-12 relative / 1e-13
-    absolute.  Steps go in blocks of equal trial steps: the system is
-    linear, so each step is a map that one vectorized pass computes for
-    every (step, lambda) lane of the block, prefix products give the state
-    at every node, and each step then meets the usual embedded error test.
-    A block keeps the steps before its first failure.
+  * Fourier-form potentials: the explicit Runge-Kutta pair 8(5,3) of
+    Dormand and Prince (Hairer, Norsett and Wanner, Solving ODEs I, sec.
+    II.10; the DOP853 code) on the coupled 8-dimensional system, per-step
+    tolerance 1e-12 relative / 1e-13 absolute.  Steps go in blocks of equal
+    trial steps: the system is linear, so each step is a map that one
+    vectorized pass computes for every (step, lambda) lane of the block,
+    prefix products give the state at every node, and each step then meets
+    DOP853's error test, its 5th-order estimate damped by the 3rd-order
+    one.  A block keeps the steps before its first failure, and the next
+    block's step comes from the worst error ratio of the rejected tail.
   * Piecewise-constant (and constant) potentials: exact per-segment
     transfer matrices with derivatives by the product rule.
 
@@ -47,25 +49,76 @@ __all__ = [
 RTOL = 1e-12
 ATOL = 1e-13
 
-# Verner's 6(5) "most robust" embedded pair, nine stages.
-_C = np.array([0.0, 9 / 50, 1 / 6, 1 / 4, 53 / 100, 3 / 5, 4 / 5, 1.0, 1.0])
+# Dormand and Prince's explicit 8(5,3) pair, with the coefficients of the
+# DOP853 code of Hairer, Norsett and Wanner (Solving Ordinary Differential
+# Equations I, 2nd ed., Springer 1993, sec. II.10).  Twelve stages, the
+# last at x + h.  The 8th-order weights _B advance the step; the weights
+# _E5 and _E3 give its embedded 5th- and 3rd-order error estimates.
+_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+])
 _A = [
     [],
-    [9 / 50],
-    [29 / 324, 25 / 324],
-    [1 / 16, 0.0, 3 / 16],
-    [79129 / 250000, 0.0, -261237 / 250000, 19663 / 15625],
-    [1336883 / 4909125, 0.0, -25476 / 30875, 194159 / 185250, 8225 / 78546],
-    [-2459386 / 14727375, 0.0, 19504 / 30875, 2377474 / 13615875, -6157250 / 5773131, 902 / 735],
-    [2699 / 7410, 0.0, -252 / 1235, -1393253 / 3993990, 236875 / 72618, -135 / 49, 15 / 22],
-    [11 / 144, 0.0, 0.0, 256 / 693, 0.0, 125 / 504, 125 / 528, 5 / 72],
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2],
+    [2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1],
+    [3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1],
+    [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2],
+    [3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3],
+    [6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1],
+    [4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2],
+    [-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022],
+    [2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1],
 ]
-_B = np.array([11 / 144, 0.0, 0.0, 256 / 693, 0.0, 125 / 504, 125 / 528, 5 / 72, 0.0])
-_BHAT = np.array(
-    [28 / 477, 0.0, 0.0, 212 / 441, -312500 / 366177, 2125 / 1764, 0.0, -2105 / 35532, 2995 / 17766]
-)
-_ERR = _B - _BHAT
-_ORDER_EXP = 1.0 / 6.0
+_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+])
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+])
+# _B minus the weights of the 3rd-order solution
+_E3 = _B - np.array([
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
+])
+_ORDER_EXP = 1.0 / 8.0
 
 
 @dataclass(frozen=True)
@@ -147,6 +200,15 @@ class MonodromyBatch:
         return np.sign(self.phi_prime_1 - self.theta_1)
 
     @property
+    def residue(self):
+        """2a / phi_lam, the residue of m_+ at a bound Dirichlet point.
+
+        Both terms come from the stored components, so it is scale-free.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self.phi_prime_1 - self.theta_1) / self.phi_lam
+
+    @property
     def discriminant_lam(self):
         return self._rescale(0.5 * (self.phi_prime_lam + self.theta_lam))
 
@@ -192,11 +254,13 @@ def _initial_state(n: int) -> np.ndarray:
 
 # --- block-stepped Runge-Kutta route (Fourier potentials) ---------------
 
-_A_MAT = np.zeros((9, 9))
+_STAGES = _C.size
+_A_MAT = np.zeros((_STAGES, _STAGES))
 for _i, _row in enumerate(_A):
     _A_MAT[_i, : len(_row)] = _row
+_ERR = np.stack((_E5, _E3))
 
-# (step, lambda) lanes per block; fewer steps when the (9 x steps, terms)
+# (step, lambda) lanes per block; fewer steps when the (stages x steps, terms)
 # phase array of Potential.evaluate would be larger than one (8, lanes) state
 # array
 LANE_BUDGET = 2048
@@ -232,42 +296,68 @@ def _step_maps(p, lams, x, h, steps):
     The system is linear, so one step is a map of the form [[P, 0], [Q, P]],
     and the RK step applied to the identity state (theta = 1, phi' = 1,
     derivatives 0) gives its packed 8 rows.  Every (step, lambda) lane is
-    evaluated at once.  Returns two (2, 2, 2, steps, n) arrays.
+    evaluated at once.  Returns the step maps, a (2, 2, 2, steps, n) array,
+    and the two error maps (5th- then 3rd-order estimate) stacked in front
+    of the same shape.
     """
     n = lams.size
     lanes = steps * n
     xs = x + h * np.arange(steps)
-    vs = p.evaluate(np.add.outer(xs, _C * h))  # (steps, 9)
-    k = np.empty((9, 8, lanes))
-    kf = k.reshape(9, 8 * lanes)
+    vs = p.evaluate(np.add.outer(xs, _C * h))  # (steps, stages)
+    k = np.empty((_STAGES, 8, lanes))
+    kf = k.reshape(_STAGES, 8 * lanes)
     u0 = _initial_state(lanes)
-    for i in range(9):
+    for i in range(_STAGES):
         w = (vs[:, i, None] - lams).ravel()
-        ui = u0 + h * (_A_MAT[i, :i] @ kf[:i]).reshape(8, lanes) if i else u0
+        ui = u0 + ((h * _A_MAT[i, :i]) @ kf[:i]).reshape(8, lanes) if i else u0
         _rhs_into(k[i], ui, w)
-    R = u0 + h * (_B @ kf).reshape(8, lanes)
-    E = h * (_ERR @ kf).reshape(8, lanes)
-    return R.reshape(2, 2, 2, steps, n), E.reshape(2, 2, 2, steps, n)
+    R = u0 + ((h * _B) @ kf).reshape(8, lanes)
+    E = (h * _ERR) @ kf
+    return R.reshape(2, 2, 2, steps, n), E.reshape(2, 2, 2, 2, steps, n)
+
+
+def _error_ratio(r5, r3):
+    """DOP853's error |e5| / sqrt(1 + 0.01 (e3/e5)^2), from the two embedded
+    estimates over their tolerance, in a form that squares nothing: the
+    squared ratios overflow in deep wells."""
+    return r5 * (r5 / np.maximum(np.hypot(r5, 0.1 * r3), 1e-300))
+
+
+def _block_trial(p, lams, S, x, h, steps, rtol, atol):
+    """Node states u_1 .. u_steps of `steps` equal trial steps of size h from
+    the state S at x, and the error ratio of each step (at most 1 passes).
+
+    Prefix products (doubling) of the step maps give the state at every
+    node.  The embedded errors of step k are E_k u_{k-1} against
+    atol + rtol max(|u_{k-1}|, |u_k|), as for one step at a time.
+    """
+    R, E = _step_maps(p, lams, x, h, steps)
+    d = 1
+    while d < steps:  # R_k <- R_k ... R_1
+        R[..., d:, :] = _compose(R[..., d:, :], R[..., :-d, :])
+        d *= 2
+    U = _compose(R, S[..., None, :])
+    prev = np.concatenate((S[..., None, :], U[..., :-1, :]), axis=-2)
+    tol = atol + rtol * np.maximum(np.abs(prev), np.abs(U))
+    r5, r3 = (np.abs(_compose(Ek, prev)) / tol for Ek in E)
+    return U, np.max(_error_ratio(r5, r3), axis=(0, 1, 2, 4))
 
 
 def _rk_segment(p, lams, u, x0, x1, rtol, atol, trackers, log_scale):
     """Advance the batch state from x0 to x1 in blocks of equal RK steps.
 
-    Each block evaluates the maps of its trial steps at once, then takes the
-    state at every node by prefix products (doubling).  The embedded error
-    of step k is E_k u_{k-1} against atol + rtol max(|u_{k-1}|, |u_k|), as
-    for one step at a time; the block keeps the steps before the first
-    failure and the controller sets the next step size from that failure,
-    or from the largest error ratio when every step passes.  Columns whose
-    magnitude passes 1e120 are renormalized at the end of a block, with the
-    factor recorded in log_scale (deep potentials grow like
+    Each block keeps its steps before the first that fails the error test.
+    The controller sets the next step size from the largest error ratio of
+    the rejected tail, or of the whole block when every step passes.
+    Columns whose magnitude passes 1e120 are renormalized at the end of a
+    block, with the factor recorded in log_scale (deep potentials grow like
     e^{sqrt(v - lambda)}).
     """
     n = lams.size
-    max_steps = max(1, min(LANE_BUDGET // n, 8 * LANE_BUDGET // (9 * len(p.fourier))))
+    max_steps = max(1, min(LANE_BUDGET // n, 8 * LANE_BUDGET // (_STAGES * len(p.fourier))))
     q_max = p.sup_norm_bound - float(np.min(lams))
     scale0 = math.sqrt(max(1.0, p.sup_norm_bound + float(np.max(np.abs(lams)))))
-    h = min(0.1, (x1 - x0), 0.5 / scale0)
+    h = min(0.1, (x1 - x0), 0.1 / scale0)
     x = x0
     S = u.reshape(2, 2, 2, n)
     while x < x1 - 1e-15:
@@ -278,15 +368,7 @@ def _rk_segment(p, lams, u, x0, x1, rtol, atol, trackers, log_scale):
         last = steps * h >= rest
         if last:
             h = rest / steps
-        R, E = _step_maps(p, lams, x, h, steps)
-        d = 1
-        while d < steps:  # R_k <- R_k ... R_1
-            R[..., d:, :] = _compose(R[..., d:, :], R[..., :-d, :])
-            d *= 2
-        U = _compose(R, S[..., None, :])  # node states u_1 .. u_steps
-        prev = np.concatenate((S[..., None, :], U[..., :-1, :]), axis=-2)
-        tol = atol + rtol * np.maximum(np.abs(prev), np.abs(U))
-        ratio = np.max(np.abs(_compose(E, prev)) / tol, axis=(0, 1, 2, 4))
+        U, ratio = _block_trial(p, lams, S, x, h, steps, rtol, atol)
         fail = np.nonzero(~(ratio <= 1.0))[0]
         accepted = int(fail[0]) if fail.size else steps
         if accepted < steps and not math.isfinite(ratio[accepted]):
@@ -302,7 +384,9 @@ def _rk_segment(p, lams, u, x0, x1, rtol, atol, trackers, log_scale):
                 f = np.where(big, m, 1.0)
                 S /= f
                 log_scale += np.log(f)
-        r = float(ratio[accepted]) if accepted < steps else float(np.max(ratio))
+        # past the first failure a state may have overflowed: its nan ratio
+        # is left out (the first failure is finite)
+        r = float(np.nanmax(ratio[accepted:] if accepted < steps else ratio))
         factor = 0.9 * r**-_ORDER_EXP if r > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if h < 1e-14:

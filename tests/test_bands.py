@@ -279,6 +279,29 @@ def test_phase_root_at_its_bracket_end_raises(asym_potential, monkeypatch):
         bands.band_structure(asym_potential, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_phase_is_continuous_through_a_dirichlet_point(n):
+    # within a few ulps of mu_n = (pi n)^2 the transfer route's slack can
+    # count the zero of phi before phi(1) changes sign; the phase must still
+    # pass n pi continuously, without a jump of pi
+    lams = (math.pi * n) ** 2 * (1.0 + np.finfo(float).eps * np.arange(-4, 5))
+    ang = bands._angles(zero_potential(), lams)[0]
+    assert np.max(np.abs(ang - math.pi * n)) < 1e-12
+    assert np.all(np.diff(ang) >= 0.0)
+
+
+def test_phase_on_a_zero_that_arctan2_rounds(monkeypatch):
+    # phi(1) = +1e-17 with phi'(1) = -1 and no zero counted yet: arctan2
+    # rounds to pi, and the phase is pi, not 0
+    def on_the_zero(p, lams, count_zeros=False):
+        state = np.zeros((8, 1))
+        state[0], state[2], state[3] = 1.0, 1e-17, -1.0
+        return mo.MonodromyBatch(np.atleast_1d(lams), state, np.zeros(1, int), np.zeros(1, int))
+
+    monkeypatch.setattr(mo, "integrate_batch", on_the_zero)
+    assert bands._angles(zero_potential(), [math.pi**2])[0][0] == pytest.approx(math.pi, abs=1e-15)
+
+
 def test_unordered_anchor_points_raise(asym_potential, monkeypatch):
     phase_solve = bands._phase_solve
 

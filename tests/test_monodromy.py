@@ -13,7 +13,20 @@ from hill_octant.potential import (
     zero_potential,
 )
 
+from conftest import random_corpus
 from oracles import rk4_monodromy
+
+
+def test_dop853_coefficients_satisfy_the_order_conditions():
+    # catches transcription errors in the inlined tableau: the weights
+    # integrate x^(k-1) exactly for k = 1..8, each row of A sums to its
+    # node, and both error weights annihilate constants
+    c, b = mo._C, mo._B
+    for k in range(1, 9):
+        assert b @ c ** (k - 1) == pytest.approx(1.0 / k, abs=1e-14)
+    assert np.max(np.abs(mo._A_MAT.sum(axis=1) - c)) < 1e-14
+    assert abs(np.sum(mo._E5)) < 1e-14
+    assert abs(np.sum(mo._E3)) < 1e-14
 
 
 def free_discriminant(lam):
@@ -267,3 +280,19 @@ def test_m_plus_is_smooth_through_an_antibound_dirichlet_point(asym_potential):
     m, dm = mo.m_plus_batch(asym_potential, np.array([mu - h, mu, mu + h]), 3)
     assert (m[2] - m[0]) / (2 * h) == pytest.approx(dm[1], rel=1e-2)
     assert mo.m_plus(asym_potential, mu, 3) == pytest.approx(m[1], rel=1e-12)
+
+
+def test_zero_counts_match_galerkin_sturm_counts():
+    # phi vanishes at x = 1 exactly at the Dirichlet points, so its zeros in
+    # (0, 1] count mu_n < lambda.  theta's zeros count the Neumann-Dirichlet
+    # problem; the Neumann points nu_n < lambda are those zeros plus one
+    # when theta theta' < 0 at x = 1 (Prufer phase past the half turn)
+    lams = np.linspace(-30.0, 600.0, 41)
+    for p in random_corpus(12, seed=777):
+        mb = mo.integrate_batch(p, lams, count_zeros=True)
+        mu = sm.galerkin_dirichlet(p, 12)
+        nu = sm.galerkin_neumann(p, 13)
+        assert mu[-1] > lams[-1] and nu[-1] > lams[-1]
+        assert list(mb.phi_zeros) == [int(np.sum(mu < lam)) for lam in lams]
+        half_turn = mb.theta_1 * mb.theta_prime_1 < 0
+        assert list(mb.theta_zeros + half_turn) == [int(np.sum(nu < lam)) for lam in lams]
