@@ -304,12 +304,12 @@ def ground_state_count(
     if abs(bs.lambda0) > 1e-8:
         raise NotNormalized(f"lambda_0^+ = {bs.lambda0:.3e}; shift the potential to 0 first")
     nu0 = float(bs.neumann[0])
-    # rho = (a - sqrt(F^2 - 1)) / phi(1) from the stored components: each
-    # carries e^(-log_scale) and the 1 its square, so rho is scale-free
+    # rho = m_+(lambda_0) = (a - sqrt(F^2 - 1)) / phi(1), and F^2 = 1 at the
+    # band edge lambda_0, where the computed F^2 - 1 is rounding noise of
+    # either sign: so rho = a / phi(1), from the stored components (both
+    # carry e^(-log_scale), so the ratio is scale-free)
     mb = mo.integrate_batch(p, [bs.lambda0])
-    F, a = 0.5 * (mb.phi_prime_1[0] + mb.theta_1[0]), 0.5 * (mb.phi_prime_1[0] - mb.theta_1[0])
-    s = math.exp(-mb.log_scale[0])
-    rho = float((a - math.sqrt(max(F * F - s * s, 0.0))) / mb.phi_1[0])
+    rho = float(0.5 * (mb.phi_prime_1[0] - mb.theta_1[0]) / mb.phi_1[0])
     if rho <= 0 or not (nu0 < tau < rho**2):
         return GroundState(0, float(rho), nu0, None)
     # the lowest gap (-inf, tau0) as a piece, its top kept as far from tau0

@@ -496,8 +496,6 @@ def _transfer_route(p, lams, count_zeros):
             L = b_pt - a_pt
             q = v - lams
             C, S, dC, dS = _cs_functions(q, L)
-            if count_zeros:
-                _count_piece_zeros(q, L, M, phi_count, thp_count)
             qS = q * S
             dqS = S + q * dS
             # T = [[C, S], [qS, C]]; dT/dlam = -dT/dq
@@ -513,6 +511,8 @@ def _transfer_route(p, lams, count_zeros):
             nD[0, 1] = C * D01 + S * D11 - (dC * M01 + dS * M11)
             nD[1, 0] = qS * D00 + C * D10 - (dqS * M00 + dC * M10)
             nD[1, 1] = qS * D01 + C * D11 - (dqS * M01 + dC * M11)
+            if count_zeros:
+                _count_piece_zeros(q, L, M, nM, phi_count, thp_count)
             M, D = nM, nD
             m_abs = np.maximum(np.max(np.abs(M), axis=(0, 1)), np.max(np.abs(D), axis=(0, 1)))
             big = m_abs > 1e120
@@ -539,26 +539,32 @@ def _pack_state(M, D):
     return state
 
 
-def _count_piece_zeros(q, L, M, phi_count, theta_count):
-    """Add the zeros of phi and theta inside one constant piece."""
-    th0, thp0 = M[0, 0], M[1, 0]
-    ph0, php0 = M[0, 1], M[1, 1]
+def _half_turns(y, yp):
+    """floor(angle / pi) for the angle of (y, y') in (-pi, pi], read from the signs."""
+    return np.where(y > 0, 0, np.where(y < 0, -1, np.where(yp > 0, 0, 1)))
+
+
+def _count_piece_zeros(q, L, M, M_end, phi_count, theta_count):
+    """Add the zeros of phi and theta in one constant piece (start, end].
+
+    M and M_end hold the states at both ends.  The count follows their signs,
+    so a zero that rounding puts a hair past a piece end is counted once, in
+    the piece that reaches it.
+    """
     osc = q < 0
-    if np.any(osc):
-        w = np.sqrt(-q[osc])
-        # y(xi) = R sin(w xi + delta): zeros where the phase crosses k*pi
-        for y0, yp0, cnt in ((ph0, php0, phi_count), (th0, thp0, theta_count)):
-            delta = np.arctan2(y0[osc], yp0[osc] / w)
-            lo = delta / np.pi
-            hi = (w * L + delta) / np.pi
-            cnt[osc] += (np.floor(hi + 1e-12) - np.floor(lo + 1e-12)).astype(int)
-    fb = ~osc
-    if np.any(fb):
-        C, S, _, _ = _cs_functions(q[fb], L)
-        ph1 = C * ph0[fb] + S * php0[fb]
-        th1 = C * th0[fb] + S * thp0[fb]
-        phi_count[fb] += (ph0[fb] * ph1) < 0
-        theta_count[fb] += (th0[fb] * th1) < 0
+    for col, cnt in ((1, phi_count), (0, theta_count)):
+        y0, yp0, y1, yp1 = M[0, col], M[1, col], M_end[0, col], M_end[1, col]
+        if np.any(osc):
+            # y = R sin(w xi + delta): zeros where the phase crosses k pi.  The
+            # phase turns by w L; its whole turns come from the angles, the
+            # half turns at both ends from the signs, which rounding keeps
+            w = np.sqrt(-q[osc])
+            lo = np.arctan2(y0[osc], yp0[osc] / w)
+            hi = np.arctan2(y1[osc], yp1[osc] / w)
+            turns = np.round((lo + w * L - hi) / (2.0 * np.pi)).astype(int)
+            cnt[osc] += 2 * turns + _half_turns(y1[osc], yp1[osc]) - _half_turns(y0[osc], yp0[osc])
+        fb = ~osc  # at most one zero
+        cnt[fb] += (y0[fb] * y1[fb] < 0) | ((y1[fb] == 0) & (y0[fb] != 0))
 
 
 # --- public API -----------------------------------------------------------

@@ -9,20 +9,24 @@ the two.
 
 Basis sizes auto-scale with the potential so that deep-well designs (whose
 low eigenvalues involve Fourier modes up to the classical turning index)
-stay resolved.  The Hill blocks are banded Hermitian and only their lowest
-few eigenpairs are wanted.  Shifted just below the spectrum, by a lower
-bound from the minimum of the potential, they are positive definite, so one
-banded LU factor applies (H - sigma)^-1, and block Lanczos on that inverse
-finds the lowest eigenpairs first: the spectral transformation of Ericsson
-and Ruhe (Math. Comp. 35, 1980) with the block iteration of Golub and
-Underwood (1977).
-The Galerkin matrices are dense and go to LAPACK through
-`scipy.linalg.eigh`.  The Dirichlet eigenvectors also carry the sheet of
-each Dirichlet point (`dirichlet_sheets`), so a matrix-route factor
-spectrum needs no integrator pass; the shooting rule `bands.sheet_signs`
-stays the independent check.  The same wall read-out gives the slope of
-each Dirichlet point under translation (`dirichlet_translation_slopes`),
-which the deep design solves along.
+stay resolved.  Each Hill block is the Galerkin matrix of -d^2 + v in the
+real trigonometric basis 1, sqrt(2) cos 2 pi q x, sqrt(2) sin 2 pi q x
+(`_hill_band`), so it is real symmetric and banded, and no eigensolve uses
+complex arithmetic; the edge eigenvectors are handed out over exponential
+wavenumbers.  Only the lowest few eigenpairs are wanted.  Shifted just below
+the spectrum, by a lower bound from the minimum of the potential, a block is
+positive definite, so one banded LU factor applies (H - sigma)^-1, and block
+Lanczos on that inverse finds the lowest eigenpairs first: the spectral
+transformation of Ericsson and Ruhe (Math. Comp. 35, 1980) with the block
+iteration of Golub and Underwood (1977).
+The Galerkin matrices are dense Toeplitz plus (or minus) Hankel matrices of
+the cosine moments of v and go to LAPACK through `scipy.linalg.eigh`.  The
+Dirichlet eigenvectors also carry the sheet of each Dirichlet point
+(`dirichlet_sheets`), so a matrix-route factor spectrum needs no integrator
+pass; the shooting rule `bands.sheet_signs` stays the independent check.
+The same wall read-out gives the slope of each Dirichlet point under
+translation (`dirichlet_translation_slopes`), which the deep design solves
+along.
 
 Only Fourier-form potentials are supported here.
 """
@@ -71,15 +75,12 @@ def _orthonormal_block(V, Q, rng):
     precision.  A direction that cancels (the Krylov space became invariant)
     is replaced by a random one, so the basis keeps growing.
     """
-    gemm = sla.get_blas_funcs("gemm", (Q,))
-    geqrf, orgqr = sla.get_lapack_funcs(
-        ("geqrf", "ungqr" if np.iscomplexobj(Q) else "orgqr"), (Q,)
-    )
+    gemm = sla.blas.dgemm
     scale = np.linalg.norm(Q, axis=0)
     for _ in range(2):
-        Q = gemm(-1.0, V, gemm(1.0, V, Q, trans_a=2), beta=1.0, c=Q)  # Q - V V^H Q
-    qr, tau = geqrf(Q)[:2]  # LAPACK directly: scipy.linalg.qr costs 3x as much here
-    Q = orgqr(qr, tau)[0]
+        Q = gemm(-1.0, V, gemm(1.0, V, Q, trans_a=1), beta=1.0, c=Q)  # Q - V V^T Q
+    qr, tau = sla.lapack.dgeqrf(Q)[:2]  # LAPACK directly: scipy.linalg.qr costs 3x as much here
+    Q = sla.lapack.dorgqr(qr, tau)[0]
     lost = ~(np.abs(np.diag(qr)) > 1e-8 * scale)
     if np.any(lost):
         Q[:, lost] = rng.standard_normal((Q.shape[0], int(lost.sum())))
@@ -108,24 +109,107 @@ def _hill_shift(vhat, wavenumbers, constant):
     return max(gershgorin, constant + f_min - slack + float(np.min(wavenumbers**2))) - 1.0
 
 
-def _hill_block(vhat, wavenumbers, constant, n_lowest):
-    """Lowest eigenpairs of the Fourier block diag(w^2 + constant) + Toeplitz(vhat).
+def _mode_arrays(p: Potential):
+    """(constant, a, b): a[m], b[m] the cos / sin coefficients of mode m = 0..kmax.
 
-    Returns (values ascending, vectors as columns).  The shift sigma from
-    `_hill_shift` gives H - sigma >= 1, so it is nonsingular; in a deep well
-    it sits about half a gap spacing below the lowest eigenvalue, so the
+    a[0] = b[0] = 0, and kmax is the highest mode with a nonzero coefficient.
+    """
+    const, ks, a_k, b_k = p.effective_fourier()
+    live = (a_k != 0.0) | (b_k != 0.0)
+    kmax = int(ks[live].max()) if np.any(live) else 0
+    a, b = np.zeros(kmax + 1), np.zeros(kmax + 1)
+    np.add.at(a, ks[live], a_k[live])
+    np.add.at(b, ks[live], b_k[live])
+    return const, a, b
+
+
+def _trig_basis(offset, idx):
+    """Frequencies q and kinds (+1 cos, -1 sin) of basis functions idx.
+
+    The periodic block (offset 0) has 1, sqrt(2) cos 2 pi q x and
+    sqrt(2) sin 2 pi q x for q = 1..K; the anti-periodic one (offset 1/2)
+    has the same pairs for q = 1/2..K - 1/2.  The pairs are interleaved
+    (c_q, s_q) after the constant, so a potential with modes up to kmax
+    couples only basis indices at most 2 kmax + 1 apart.  Any integer idx
+    maps by the same rule; the periodic idx 0 gets q = 0.
+    """
+    u = idx - (1 if offset == 0.0 else 0)
+    return u // 2 + 1.0 - offset, 1.0 - 2.0 * (u % 2)
+
+
+def _hill_band(a, b, offset, K, constant):
+    """The Hill block of -d^2 + v in the real basis of `_trig_basis`, banded.
+
+    a, b as from `_mode_arrays`.  With c_q = sqrt(2) cos 2 pi q x and
+    s_q = sqrt(2) sin 2 pi q x,
+    <c_q, v c_r> = (a_|q-r| + a_(q+r)) / 2, <s_q, v s_r> = (a_|q-r| - a_(q+r)) / 2
+    and <c_q, v s_r> = (b_(q+r) - sgn(q - r) b_|q-r|) / 2, each times 1/sqrt(2)
+    for the constant function; the diagonal adds (2 pi q)^2 + constant.
+    Returns (band, bw, q): H[i, j] at band[2 bw + i - j, j], in LAPACK's
+    general band layout, with bw zero rows on top for the fill of an LU.
+    """
+    dim, kmax = 2 * K + (1 if offset == 0.0 else 0), a.size - 1
+    bw = min(2 * kmax + 1, dim - 1) if kmax else 0  # c_q and s_(q+kmax) lie 2 kmax + 1 apart
+    A, B = np.zeros(2 * kmax + 3), np.zeros(2 * kmax + 3)  # a_m, b_m = 0 for m > kmax
+    A[: kmax + 1], B[: kmax + 1] = a, b
+    # The a_|q-r|, b_|q-r| terms depend on i - j and the parity of j alone:
+    # one column of each parity, placed past the constant, fills the band.
+    ref = 2 + np.arange(2)
+    qi, ki = _trig_basis(offset, ref + np.arange(-bw, bw + 1)[:, None])
+    qj, kj = _trig_basis(offset, ref)
+    diff = np.abs(qi - qj).astype(int)
+    toeplitz = 0.5 * np.where(ki == kj, A[diff], -ki * np.sign(qi - qj) * B[diff])
+    columns = np.zeros((dim + dim % 2, 3 * bw + 1))  # columns of the band, so the band is Fortran-ordered
+    columns.reshape(-1, 2, 3 * bw + 1)[:, :, bw:] = toeplitz.T
+    band = columns[:dim].T
+    # the a_(q+r), b_(q+r) terms, nonzero only for the first pairs, where q + r <= kmax
+    s0, first = round(2.0 - 2.0 * offset), (1 if offset == 0.0 else 0)  # q + r of the first pair; its index
+    P = min(K, kmax - s0 + 1)
+    if P > 0:
+        def pairs(coeffs):  # coeffs[q + r] over the first P pairs
+            return 0.5 * sla.hankel(coeffs[s0 : s0 + P], coeffs[s0 + P - 1 : s0 + 2 * P - 1])
+
+        hankel = np.empty((2 * P, 2 * P))
+        hankel[0::2, 0::2] = pairs(A)
+        hankel[1::2, 1::2] = -hankel[0::2, 0::2]
+        hankel[0::2, 1::2] = hankel[1::2, 0::2] = pairs(B)
+        i, j = np.indices(hankel.shape) + first
+        band[2 * bw + i - j, j] += hankel
+    if offset == 0.0:  # the constant function 1 = c_0 / sqrt(2): a_r / sqrt(2), b_r / sqrt(2)
+        row = np.zeros(bw + 1)
+        row[1::2], row[2::2] = A[1 : (bw + 1) // 2 + 1], B[1 : bw // 2 + 1]
+        j = np.arange(bw + 1)
+        band[2 * bw - j, j] = band[2 * bw + j, 0] = row * math.sqrt(0.5)
+    # band storage outside the matrix: above its first rows, below its last
+    corner = band[bw : 2 * bw, :bw][:, ::-1]
+    corner[:] = np.tril(corner, -1)
+    corner = band[2 * bw + 1 :, dim - bw :][:, ::-1]
+    corner[:] = np.triu(corner, 1)
+    q = _trig_basis(offset, np.arange(dim))[0]
+    band[2 * bw] += (2.0 * np.pi * q) ** 2 + constant
+    return band, bw, q
+
+
+def _hill_block(a, b, offset, K, constant, n_lowest):
+    """Lowest eigenpairs of the real Hill block `_hill_band`.
+
+    Returns (values ascending, real vectors as columns).  The shift sigma
+    from `_hill_shift` gives H - sigma >= 1, so it is nonsingular; in a deep
+    well it sits about half a gap spacing below the lowest eigenvalue, so the
     wanted end of the spectrum of (H - sigma)^-1 stands well apart from the
-    rest and Lanczos reaches it in few steps.  Block
-    Lanczos on (H - sigma)^-1 with full reorthogonalization converges to the
-    largest theta first, and lambda = sigma + 1/theta.  Rayleigh-Ritz on
-    V^H (H - sigma)^-1 V runs every RITZ_EVERY steps once the basis holds
+    rest and Lanczos reaches it in few steps.  Block Lanczos on
+    (H - sigma)^-1 with full reorthogonalization converges to the largest
+    theta first, and lambda = sigma + 1/theta.  Rayleigh-Ritz on
+    V^T (H - sigma)^-1 V runs every RITZ_EVERY steps once the basis holds
     2 k vectors.  The start block is seeded, so repeated calls agree bit for
     bit.
     """
-    dim = wavenumbers.size
+    band, bw, q = _hill_band(a, b, offset, K, constant)
+    dim = q.size
     k = min(n_lowest, dim)
-    bw = (vhat.size - 1) // 2  # largest coupled mode offset
-    sigma = _hill_shift(vhat, wavenumbers, constant)
+    # exponential coefficients of modes -kmax..kmax: the symbol, for the shift
+    vhat = 0.5 * np.concatenate(((a + 1j * b)[:0:-1], a - 1j * b))
+    sigma = _hill_shift(vhat, 2.0 * np.pi * q, constant)
     # Every BLAS/LAPACK call below goes through scipy, so all of them share one
     # OpenBLAS thread pool: numpy's products would use numpy's own pool, and
     # the idle workers of two pools spin for the same cores.  H - sigma is
@@ -135,35 +219,31 @@ def _hill_block(vhat, wavenumbers, constant, n_lowest):
     # updates on one thread.  H - sigma need not be diagonally dominant, so
     # the LU may exchange rows; the bw extra rows on top of the band hold
     # the fill that the exchanges bring.
-    band = np.zeros((3 * bw + 1, dim), dtype=vhat.dtype)  # A[i, j] at [2 bw + i - j, j]
-    for off in range(-bw, bw + 1):
-        band[2 * bw + off, max(0, -off) : dim - max(0, off)] = vhat[bw + off]
-    band[2 * bw] += wavenumbers**2 + constant - sigma
-    gbtrf, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
-    lu, piv, _ = gbtrf(band, bw, bw)
-    gemm = sla.get_blas_funcs("gemm", (band,))
+    band[2 * bw] -= sigma
+    lu, piv, _ = sla.lapack.dgbtrf(band, bw, bw, overwrite_ab=True)
+    gbtrs, gemm = sla.lapack.dgbtrs, sla.blas.dgemm
 
     rng = np.random.default_rng(0)
     # column-major, so only the columns written so far are ever touched
-    V = np.empty((dim, dim), dtype=vhat.dtype, order="F")  # orthonormal basis
+    V = np.empty((dim, dim), order="F")  # orthonormal basis
     W = np.empty_like(V)  # (H - sigma)^-1 V
-    G = np.empty_like(V)  # Rayleigh quotient V^H W, lower triangle
-    block = rng.standard_normal((dim, LANCZOS_BLOCK)).astype(vhat.dtype)
+    G = np.empty_like(V)  # Rayleigh quotient V^T W, lower triangle
+    block = rng.standard_normal((dim, LANCZOS_BLOCK))
     m, check = 0, 2 * k
     while True:
         Q = _orthonormal_block(V[:, :m], block[:, : dim - m], rng)
         new = slice(m, m + Q.shape[1])
         V[:, new] = Q
         W[:, new] = block = gbtrs(lu, bw, bw, Q, piv)[0]
-        G[new, : new.stop] = gemm(1.0, Q, W[:, : new.stop], trans_a=2)
+        G[new, : new.stop] = gemm(1.0, Q, W[:, : new.stop], trans_a=1)
         m = new.stop
         if m < min(check, dim):
             continue
         check = m + RITZ_EVERY * LANCZOS_BLOCK
-        # V^H W is dense, but a band routine given all its diagonals reduces it
+        # V^T W is dense, but a band routine given all its diagonals reduces it
         # by plane rotations, where a dense eigh would make threaded BLAS calls
         i, j = np.tril_indices(m)
-        ritz = np.zeros((m, m), dtype=vhat.dtype)
+        ritz = np.zeros((m, m))
         ritz[i - j, j] = G[i, j]
         theta, Y = sla.eig_banded(
             ritz, lower=True, select="i", select_range=(m - k, m - 1), check_finite=False
@@ -181,11 +261,17 @@ def _hill_block(vhat, wavenumbers, constant, n_lowest):
             )
 
 
-def _mode_coeffs(p: Potential):
-    const, ks, a, b = p.effective_fourier()
-    if len(ks) == 0:
-        return const, np.zeros(0, dtype=int), a, b
-    return const, np.asarray(ks, dtype=int), a, b
+def _exponential_vector(x, offset, K):
+    """A real-basis eigenvector over exponential wavenumbers 2 pi (j + offset).
+
+    c_q x_c + s_q x_s = e_q (x_c - i x_s) / sqrt(2) + e_-q (x_c + i x_s) / sqrt(2),
+    with e_q = exp(2 pi i q x); j runs over -K..K (periodic) or -K..K-1.
+    """
+    pairs = (x[1:] if offset == 0.0 else x).reshape(K, 2)
+    plus = (pairs[:, 0] - 1j * pairs[:, 1]) * math.sqrt(0.5)  # q = 1 - offset .. K - offset
+    if offset == 0.0:
+        return np.concatenate((plus[::-1].conj(), [x[0]], plus))
+    return np.concatenate((plus[::-1].conj(), plus))
 
 
 def _hill_edges(p: Potential, n_gaps: int, modes: int | None):
@@ -193,39 +279,34 @@ def _hill_edges(p: Potential, n_gaps: int, modes: int | None):
 
     The periodic block (wavenumbers 2 pi k) carries the even-index edges,
     the anti-periodic block (2 pi (k + 1/2)) the odd-index ones; the edges of
-    gap m are eigenvalues m - 1 and m of their block.  A potential without
-    sine terms gives real blocks.  Both public entry points call this helper
-    rather than each other, so a wrapper around either name (the perfbench
-    tracer) sees only its own callers.
+    gap m are eigenvalues m - 1 and m of their block.  Both blocks are real
+    (`_hill_band`).  Both public entry points call this helper rather than
+    each other, so a wrapper around either name (the perfbench tracer) sees
+    only its own callers.
     """
-    const, ks, a, b = _mode_coeffs(p)
+    const, a, b = _mode_arrays(p)
     if modes is None:
         modes = max(DEFAULT_MODES, _turning_index(p, n_gaps, 2.0 * math.pi))
     if 2 * modes < n_gaps + 1:  # the anti-periodic block has dimension 2 modes
         raise ValueError(f"modes={modes} is too few for {n_gaps} gaps: need at least {(n_gaps + 2) // 2}")
     K = modes
-    kmax = int(ks.max()) if ks.size else 0
-    vhat = np.zeros(2 * kmax + 1, dtype=complex if np.any(b) else float)
-    vhat[kmax + ks] = 0.5 * (a - 1j * b) if np.any(b) else 0.5 * a
-    vhat[kmax - ks] = vhat[kmax + ks].conj()
+    blocks = {offset: _hill_block(a, b, offset, K, const, n_gaps + 1) for offset in (0.0, 0.5)}
 
-    per = _hill_block(vhat, 2.0 * np.pi * np.arange(-K, K + 1), const, n_gaps + 1)
-    anti = _hill_block(vhat, 2.0 * np.pi * (np.arange(-K, K) + 0.5), const, n_gaps + 1)
+    def edge(m, index):  # (value, (offset, exponential vector)) of eigenpair `index` of m's block
+        offset = 0.5 if m % 2 else 0.0
+        ev, vec = blocks[offset]
+        return ev[index], (offset, _exponential_vector(vec[:, index], offset, K))
 
-    def block(m):  # (values, vectors, offset) of the block carrying index m
-        return (*anti, 0.5) if m % 2 else (*per, 0.0)
-
-    info = {("lambda0", 0): (0.0, per[1][:, 0])}
+    lam0, info0 = edge(0, 0)
+    info = {("lambda0", 0): info0}
     lo, hi = [], []
     for m in range(1, n_gaps + 1):
-        ev, vec, offset = block(m)
-        lo.append(ev[m - 1])
-        hi.append(ev[m])
-        info[("lo", m)] = (offset, vec[:, m - 1])
-        info[("hi", m)] = (offset, vec[:, m])
-    ev, vec, offset = block(n_gaps + 1)
-    info[("next", n_gaps + 1)] = (offset, vec[:, n_gaps])
-    return float(per[0][0]), np.array(lo), np.array(hi), float(ev[n_gaps]), info
+        value, info[("lo", m)] = edge(m, m - 1)
+        lo.append(value)
+        value, info[("hi", m)] = edge(m, m)
+        hi.append(value)
+    nbe, info[("next", n_gaps + 1)] = edge(n_gaps + 1, n_gaps)
+    return float(lam0), np.array(lo), np.array(hi), float(nbe), info
 
 
 def hill_band_edges(p: Potential, n_gaps: int, modes: int | None = None):
@@ -252,16 +333,13 @@ def hill_edges_and_vectors(p: Potential, n_gaps: int, modes: int | None = None):
 
 def _cosine_moments(p: Potential, jmax: int) -> np.ndarray:
     """C[j] = integral_0^1 v(x) cos(pi j x) dx for j = 0..jmax."""
-    const, ks, a, b = _mode_coeffs(p)
+    const, ks, a, b = p.effective_fourier()
     C = np.zeros(jmax + 1)
     C[0] = const
-    j = np.arange(jmax + 1)
-    odd = j % 2 == 1
-    for k, ak, bk in zip(ks, a, b):
-        if 2 * k <= jmax:
-            C[2 * k] += 0.5 * ak
-        if bk != 0.0 and np.any(odd):
-            C[odd] += bk * (4.0 * k / np.pi) / (4.0 * k**2 - j[odd] ** 2)
+    fits = 2 * ks <= jmax
+    np.add.at(C, 2 * ks[fits], 0.5 * a[fits])
+    j = np.arange(1, jmax + 1, 2)  # sin(2 pi k x) against cos(pi j x): odd j only
+    C[j] += b @ ((4.0 / np.pi) * ks[:, None] / (4.0 * ks[:, None] ** 2 - j**2))
     return C
 
 
@@ -269,10 +347,10 @@ def _sine_matrix(p: Potential, count: int, dim: int | None) -> np.ndarray:
     """The Dirichlet operator in the sine basis sqrt(2) sin(pi m x), m = 1..dim."""
     if dim is None:
         dim = max(DEFAULT_GALERKIN, _turning_index(p, count, math.pi))
-    m = np.arange(1, dim + 1)
     C = _cosine_moments(p, 2 * dim)
-    H = C[np.abs(m[:, None] - m[None, :])] - C[m[:, None] + m[None, :]]
-    H[m - 1, m - 1] += (np.pi * m) ** 2
+    # <m| v |m'> = C[|m - m'|] - C[m + m']: Toeplitz minus Hankel
+    H = sla.toeplitz(C[:dim]) - sla.hankel(C[2 : dim + 2], C[dim + 1 : 2 * dim + 1])
+    H[np.diag_indices(dim)] += (np.pi * np.arange(1, dim + 1)) ** 2
     return H
 
 
@@ -287,21 +365,22 @@ def galerkin_dirichlet_vectors(p: Potential, count: int, dim: int | None = None)
     return sla.eigh(_sine_matrix(p, count, dim), subset_by_index=(0, count - 1))
 
 
-def galerkin_neumann(p: Potential, count: int, dim: int | None = None) -> np.ndarray:
-    """First `count` Neumann eigenvalues on [0, 1] via a cosine basis.
-
-    Basis: 1, sqrt(2) cos(pi m x); indices 0..dim-1, eigenvalues nu_0..
-    """
+def _cosine_matrix(p: Potential, count: int, dim: int | None) -> np.ndarray:
+    """The Neumann operator in the cosine basis 1, sqrt(2) cos(pi m x), m = 1..dim-1."""
     if dim is None:
         dim = max(DEFAULT_GALERKIN, _turning_index(p, count, math.pi))
-    m = np.arange(dim)
     C = _cosine_moments(p, 2 * dim)
-    H = C[np.abs(m[:, None] - m[None, :])] + C[m[:, None] + m[None, :]]
+    # <m| v |m'> = C[|m - m'|] + C[m + m'], with 1/sqrt(2) for the constant
+    H = sla.toeplitz(C[:dim]) + sla.hankel(C[:dim], C[dim - 1 : 2 * dim - 1])
     H[0, :] /= np.sqrt(2.0)
     H[:, 0] /= np.sqrt(2.0)
-    H[m, m] += (np.pi * m) ** 2
-    ev = sla.eigh(H, eigvals_only=True, subset_by_index=(0, count - 1))
-    return ev
+    H[np.diag_indices(dim)] += (np.pi * np.arange(dim)) ** 2
+    return H
+
+
+def galerkin_neumann(p: Potential, count: int, dim: int | None = None) -> np.ndarray:
+    """First `count` Neumann eigenvalues nu_0.. on [0, 1] via a cosine basis."""
+    return sla.eigh(_cosine_matrix(p, count, dim), eigvals_only=True, subset_by_index=(0, count - 1))
 
 
 # --- eigenvector read-outs: design Jacobians and sheets ----------------------

@@ -2,8 +2,8 @@
 
 The fixed-step fourth-order integrator below shares no code with the
 adaptive engine in the package; it is the oracle the monodromy outputs are
-checked against.  The dense Hill block below is the reference for the
-banded eigensolver.
+checked against.  The dense Hill block below, over exponentials and turned
+into the real cos / sin basis, is the reference for the banded eigensolver.
 """
 
 import numpy as np
@@ -74,17 +74,45 @@ def dense_spectrum_samples(bands, eigenvalues, step):
     return np.asarray(pts)
 
 
-def dense_hill_block(p, offset, modes):
-    """Eigenpairs of the full Hermitian Fourier block, coefficients sampled from v itself.
+def dense_hill_matrix(p, offset, modes):
+    """The full Hermitian Fourier block, coefficients sampled from v itself.
 
     H[i, j] = (2 pi (j_i + offset))^2 delta_ij + vhat(j_i - j_j), with vhat
     the exponential Fourier coefficients of v on 4 modes + 2 points: no
     alias of a mode of v reaches an offset |j_i - j_j| <= 2 modes while v has
     fewer than 2 modes + 2 of them, so the sampled coefficients are exact.
+    Rows run over j = -modes..modes (offset 0) or -modes..modes-1 (offset 1/2).
     """
     grid = np.arange(4 * modes + 2) / (4 * modes + 2)
     vhat = np.fft.fft(p.evaluate(grid)) / grid.size
     js = np.arange(-modes, modes + 1) if offset == 0.0 else np.arange(-modes, modes)
     H = vhat[np.subtract.outer(js, js) % grid.size]
     H[np.diag_indices_from(H)] += (2.0 * np.pi * (js + offset)) ** 2
-    return sla.eigh(H)
+    return H
+
+
+def dense_hill_block(p, offset, modes):
+    """Eigenpairs of `dense_hill_matrix`."""
+    return sla.eigh(dense_hill_matrix(p, offset, modes))
+
+
+def real_hill_matrix(p, offset, modes):
+    """U^H H U of `dense_hill_matrix`, U the real basis over the exponentials.
+
+    The columns of U are the constant 1 (offset 0 only), then for each
+    q = 1 - offset, 2 - offset, .. the pair sqrt(2) cos 2 pi q x =
+    (e_q + e_-q) / sqrt(2) and sqrt(2) sin 2 pi q x = -i (e_q - e_-q) / sqrt(2),
+    with e_q = exp(2 pi i q x).
+    """
+    H = dense_hill_matrix(p, offset, modes)
+    n = H.shape[0]
+    U = np.zeros((n, n), dtype=complex)
+    first = 1 if offset == 0.0 else 0
+    if first:
+        U[modes, 0] = 1.0
+    for pair in range(modes):
+        plus = modes + pair + first  # row of e_q, q = pair + 1 - offset
+        minus = modes - pair - 1  # row of e_-q
+        U[[plus, minus], first + 2 * pair] = np.sqrt(0.5)
+        U[[plus, minus], first + 2 * pair + 1] = np.array([-1j, 1j]) * np.sqrt(0.5)
+    return U.conj().T @ H @ U

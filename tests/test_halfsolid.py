@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +157,20 @@ def test_ground_state_criterion(condition_p):
         assert abs(hsm.wronskian(p, tau, gs.energy, 0)) < 1e-9
     assert hsm.ground_state_count(p, nu0 - 1.0, bs=bs).count == 0
     assert hsm.ground_state_count(p, rho**2 + 1.0, bs=bs).count == 0
+
+
+def test_rho_is_a_over_phi_at_lambda0(condition_p):
+    # F^2 = 1 at the band edge lambda_0, so rho = m_+(lambda_0) = a / phi(1);
+    # a nudge of lambda_0 by rounding size must not move rho past rounding
+    p = condition_p
+    bs = bands.band_structure(p, 1)
+    rho = hsm.ground_state_count(p, 1.0, bs=bs).rho
+    mb = mo.integrate_batch(p, [bs.lambda0])
+    a = 0.5 * (mb.phi_prime_1[0] - mb.theta_1[0])
+    assert rho == pytest.approx(a / mb.phi_1[0], rel=1e-12)
+    for nudge in (-1e-13, 1e-13):
+        nudged = replace(bs, lambda0=bs.lambda0 + nudge)
+        assert hsm.ground_state_count(p, 1.0, bs=nudged).rho == pytest.approx(rho, rel=1e-10)
 
 
 def test_even_potential_has_no_ground_state():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hill_octant import bands, monodromy as mo
 from hill_octant import spectral_matrix as sm
@@ -169,6 +170,44 @@ def test_zero_counts_free_potential():
     mb = mo.integrate_batch(p, [5.0, 95.0, 105.0, 400.0], count_zeros=True)
     assert list(mb.phi_zeros) == [0, 3, 3, 6]
     assert list(mb.theta_zeros) == [1, 3, 3, 6]
+
+
+def test_zero_count_below_a_dirichlet_point_of_the_free_potential():
+    # phi(1) = +5e-14 at pi^2 (1 - 1e-13): the zero at x = 1 is not reached
+    mb = mo.integrate_batch(zero_potential(), [math.pi**2 * (1.0 - 1e-13)], count_zeros=True)
+    assert mb.phi_1[0] > 0
+    assert list(mb.phi_zeros) == [0]
+
+
+def _roots_of(p, component, lo, hi, count):
+    """The first `count` roots of component(integrate_batch(p, lam)) above lo, by sign changes and brentq."""
+    grid = np.linspace(lo, hi, 4001)
+    vals = component(mo.integrate_batch(p, grid))
+    cuts = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[:count]
+    assert cuts.size == count
+    f = lambda lam: float(component(mo.integrate_batch(p, [lam]))[0])
+    return np.array([brentq(f, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-15) for i in cuts])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        piecewise_potential([(0.0, 0.35, -30.0), (0.35, 1.0, 0.0)]),
+        piecewise_potential([(0.0, 0.6, 25.0), (0.6, 1.0, -12.0)], shift=0.15),
+    ],
+)
+def test_zero_counts_are_sturm_counts_within_rounding_of_mu(p):
+    # at mu_n (1 -+ 1e-13) phi has n - 1 and n zeros in (0, 1]; theta's zeros
+    # count the roots of theta(1, .) below lambda, none of them near a mu_n
+    lo = -40.0
+    mu = _roots_of(p, lambda mb: mb.phi_1, lo, 450.0, 5)
+    nd = _roots_of(p, lambda mb: mb.theta_1, lo, 450.0, 5)
+    assert np.min(np.abs(np.subtract.outer(mu, nd))) > 1e-6
+    for n, m in enumerate(mu, start=1):
+        lams = np.array([m - 1e-13 * abs(m), m + 1e-13 * abs(m)])
+        mb = mo.integrate_batch(p, lams, count_zeros=True)
+        assert list(mb.phi_zeros) == [n - 1, n]
+        assert list(mb.theta_zeros) == [int(np.sum(nd < lam)) for lam in lams]
 
 
 def test_zero_counts_match_transfer_and_rk(mathieu):

@@ -8,7 +8,7 @@ from hill_octant.cluster import _add_potentials
 from hill_octant.potential import fourier_potential, translate, zero_potential
 
 from conftest import random_corpus, reflect
-from oracles import dense_hill_block
+from oracles import dense_hill_block, real_hill_matrix
 
 MODES = 24
 N_GAPS = 4
@@ -66,11 +66,87 @@ def test_simple_eigenvector_overlap():
         assert abs(np.vdot(v[:, i], u)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_cos_only_blocks_stay_real():
-    _, _, _, _, info = sm.hill_edges_and_vectors(EVEN, 2, modes=MODES)
-    assert all(np.isrealobj(u) for _, u in info.values())
-    _, _, _, _, info = sm.hill_edges_and_vectors(POTENTIALS["translated"], 2, modes=MODES)
-    assert all(np.iscomplexobj(u) for _, u in info.values())
+def banded_to_dense(band, bw):
+    """The matrix of a `_hill_band` layout: H[i, j] at band[2 bw + i - j, j]."""
+    dim = band.shape[1]
+    i, j = np.indices((dim, dim))
+    inside = np.abs(i - j) <= bw
+    H = np.zeros((dim, dim))
+    H[inside] = band[2 * bw + i[inside] - j[inside], j[inside]]
+    return H
+
+
+def assert_real_blocks_match_the_oracle(p, modes):
+    const, a, b = sm._mode_arrays(p)
+    for offset in (0.0, 0.5):
+        band, bw, _ = sm._hill_band(a, b, offset, modes, const)
+        want = real_hill_matrix(p, offset, modes)
+        scale = np.linalg.norm(want, 2)
+        assert np.max(np.abs(want.imag)) <= 1e-12 * scale
+        assert np.max(np.abs(banded_to_dense(band, bw) - want.real)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ["asym", "translated"])
+def test_real_blocks_match_the_rotated_exponential_blocks(name):
+    assert_real_blocks_match_the_oracle(POTENTIALS[name], MODES)
+
+
+def test_real_blocks_of_the_deep_design_match_the_oracle(deep_n2_d3):
+    # a Hill solve of the position fit: 270 modes, a potential of 48 modes with sine terms
+    _, _, _, hill_args = deep_n2_d3
+    p, _, modes = hill_args[-2]
+    assert modes is not None and max(t.k for t in p.fourier) == 48
+    assert_real_blocks_match_the_oracle(p, modes)
+
+
+def test_every_block_is_solved_in_real_arithmetic(monkeypatch):
+    # with and without sine terms, both blocks reach the Lanczos loop real
+    orth, dims = sm._orthonormal_block, []
+
+    def real_only(V, Q, rng):
+        assert np.isrealobj(V) and np.isrealobj(Q)
+        dims.append(V.shape[0])
+        return orth(V, Q, rng)
+
+    monkeypatch.setattr(sm, "_orthonormal_block", real_only)
+    for name in ("even", "translated"):
+        dims.clear()
+        sm.hill_edges_and_vectors(POTENTIALS[name], N_GAPS, modes=MODES)
+        assert set(dims) == {2 * MODES + 1, 2 * MODES}  # the periodic and the anti-periodic block
+
+
+def gathered_galerkin_matrices(p, dim):
+    """Sine and cosine Galerkin matrices by a loop over modes and index gathers."""
+    const, ks, a, b = p.effective_fourier()
+    j = np.arange(2 * dim + 1)
+    C = np.zeros(2 * dim + 1)
+    C[0] = const
+    for k, ak, bk in zip(ks, a, b):
+        if 2 * k <= 2 * dim:
+            C[2 * k] += 0.5 * ak
+        odd = j % 2 == 1
+        C[odd] += bk * (4.0 * k / np.pi) / (4.0 * k**2 - j[odd] ** 2)
+    m = np.arange(1, dim + 1)
+    sine = C[np.abs(m[:, None] - m[None, :])] - C[m[:, None] + m[None, :]]
+    sine[m - 1, m - 1] += (np.pi * m) ** 2
+    m = np.arange(dim)
+    cosine = C[np.abs(m[:, None] - m[None, :])] + C[m[:, None] + m[None, :]]
+    cosine[0, :] /= np.sqrt(2.0)
+    cosine[:, 0] /= np.sqrt(2.0)
+    cosine[m, m] += (np.pi * m) ** 2
+    return C, sine, cosine
+
+
+@pytest.mark.parametrize("name", ["asym", "translated"])
+def test_galerkin_matrices_match_the_gathered_reference(name, monkeypatch):
+    # the moments' sine sum runs as one product, in another order: a few
+    # ulps of the largest term; the Toeplitz / Hankel assembly moves no bits
+    p, dim = POTENTIALS[name], 96
+    C, sine, cosine = gathered_galerkin_matrices(p, dim)
+    assert np.max(np.abs(sm._cosine_moments(p, 2 * dim) - C)) <= 8 * np.finfo(float).eps * np.max(np.abs(C))
+    monkeypatch.setattr(sm, "_cosine_moments", lambda *_: C)
+    assert np.array_equal(sm._sine_matrix(p, 1, dim), sine)
+    assert np.array_equal(sm._cosine_matrix(p, 1, dim), cosine)
 
 
 def test_exp_vector_gradient_matches_finite_difference():
