@@ -27,6 +27,10 @@ back to the hull [min(mu, nu), max(mu, nu)], a guaranteed inner
 approximation computed from well-conditioned simple roots.  Either way the
 edges still contain mu and nu, gaps below the merge tolerance collapse to a
 point, and each gap state records the route that certified its edges.
+`next_band_end` falls back the same way when gap N + 1 is unresolved, and
+`BandStructure.next_band_end_route` says so; lambda_0 is always shot here,
+and `lambda0_route` reads "matrix" only in the deep designs that assemble
+their band structure from the Hill matrices.
 
 All searches are batched: each Newton pass costs one integration pass over
 the energies still unconverged (2N + 3 at most), and one pass evaluates the
@@ -102,6 +106,9 @@ class BandStructure:
     dirichlet: np.ndarray
     neumann: np.ndarray
     states: tuple[GapState, ...] = ()
+    # route of lambda0 and of next_band_end: "shooting", "matrix" or "hull"
+    lambda0_route: str = "shooting"
+    next_band_end_route: str = "shooting"
 
     def bands(self) -> list[tuple[float, float]]:
         """sigma_0 .. sigma_N as closed intervals (N+1 of them)."""
@@ -339,6 +346,7 @@ def band_structure(p: Potential, N: int) -> BandStructure:
         gap_lo[:N] = m_lo
         gap_hi[:N] = m_hi
         next_band_end = m_next
+    next_band_end_route = "shooting" if resolved[N] else fallback
     for (kind, n), val in zip(t_tag, roots):
         if kind == "edge0":
             lambda0 = float(val)
@@ -410,6 +418,7 @@ def band_structure(p: Potential, N: int) -> BandStructure:
         dirichlet=mu[:N].copy(),
         neumann=nu[: N + 1].copy(),
         states=tuple(states),
+        next_band_end_route=next_band_end_route,
     )
 
 

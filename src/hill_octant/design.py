@@ -413,6 +413,8 @@ def _matrix_band_structure(p: Potential, N: int, mb_mu, mu, nu) -> BandStructure
         dirichlet=np.asarray(mu, dtype=float),
         neumann=np.asarray(nu, dtype=float),
         states=states,
+        lambda0_route="matrix",
+        next_band_end_route="matrix",
     )
 
 
@@ -480,17 +482,16 @@ def construct_model_potential(N: int, kappa: float, d: int, tolerance: float = 1
 
 def _shift_band_structure(bs: BandStructure, c: float, p_new: Potential) -> BandStructure:
     """Spectral data of the potential shifted by a constant: everything moves by c."""
-    states = tuple(replace(s, mu=s.mu + c) for s in bs.states)
-    return BandStructure(
+    return replace(
+        bs,
         potential=p_new,
-        n_gaps=bs.n_gaps,
         lambda0=bs.lambda0 + c,
         gap_lo=bs.gap_lo + c,
         gap_hi=bs.gap_hi + c,
         next_band_end=bs.next_band_end + c,
         dirichlet=bs.dirichlet + c,
         neumann=bs.neumann + c,
-        states=states,
+        states=tuple(replace(s, mu=s.mu + c) for s in bs.states),
     )
 
 

@@ -17,6 +17,11 @@ Two evaluation routes:
     DOP853's error test, its 5th-order estimate damped by the 3rd-order
     one.  A block keeps the steps before its first failure, and the next
     block's step comes from the worst error ratio of the rejected tail.
+    The first trial step is 0.065 / sqrt(sup|v| + sqrt(sum (2 pi k)^2 |c_k|)
+    + max|lambda| / 2): it resolves the wavelength and the curvature of v.
+    A block holds at most LANE_BUDGET lanes, and its exact solution grows
+    by at most e^MAX_BLOCK_GROWTH; nothing else caps it.  The potential is
+    evaluated by Horner's rule in e^{2 pi i x}.
   * Piecewise-constant (and constant) potentials: exact per-segment
     transfer matrices with derivatives by the product rule.
 
@@ -260,9 +265,7 @@ for _i, _row in enumerate(_A):
     _A_MAT[_i, : len(_row)] = _row
 _ERR = np.stack((_E5, _E3))
 
-# (step, lambda) lanes per block; fewer steps when the (stages x steps, terms)
-# phase array of Potential.evaluate would be larger than one (8, lanes) state
-# array
+# (step, lambda) lanes per block
 LANE_BUDGET = 2048
 # a block's exact solution grows at most e^MAX_BLOCK_GROWTH, so states that
 # start below the 1e120 renormalization threshold stay finite inside it
@@ -343,6 +346,21 @@ def _block_trial(p, lams, S, x, h, steps, rtol, atol):
     return U, np.max(_error_ratio(r5, r3), axis=(0, 1, 2, 4))
 
 
+def _first_step(p, lams):
+    """The first trial step of a pass, from the potential and the energies.
+
+    A step must resolve the local wavelength, which sup|v| + max|lambda|
+    bounds, and the scale on which v itself bends, which sup|v''| <=
+    sum (2 pi k)^2 |c_k| sets.  With the energies at full weight, the first
+    block of a high-energy pass on the test fixtures passes at about twice
+    the constant that a low-energy pass allows; at half weight both start
+    near their largest passing step, and at a quarter high-energy blocks
+    begin to fail.
+    """
+    scale = p.sup_norm_bound + math.sqrt(p.curvature_bound) + 0.5 * float(np.max(np.abs(lams)))
+    return 0.065 / math.sqrt(max(1.0, scale))
+
+
 def _rk_segment(p, lams, u, x0, x1, rtol, atol, trackers, log_scale):
     """Advance the batch state from x0 to x1 in blocks of equal RK steps.
 
@@ -354,10 +372,9 @@ def _rk_segment(p, lams, u, x0, x1, rtol, atol, trackers, log_scale):
     e^{sqrt(v - lambda)}).
     """
     n = lams.size
-    max_steps = max(1, min(LANE_BUDGET // n, 8 * LANE_BUDGET // (_STAGES * len(p.fourier))))
+    max_steps = max(1, LANE_BUDGET // n)
     q_max = p.sup_norm_bound - float(np.min(lams))
-    scale0 = math.sqrt(max(1.0, p.sup_norm_bound + float(np.max(np.abs(lams)))))
-    h = min(0.1, (x1 - x0), 0.1 / scale0)
+    h = min(x1 - x0, _first_step(p, lams))
     x = x0
     S = u.reshape(2, 2, 2, n)
     while x < x1 - 1e-15:

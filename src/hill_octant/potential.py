@@ -85,6 +85,10 @@ class Potential:
         object.__setattr__(self, "_ks", 2.0 * np.pi * ks)
         object.__setattr__(self, "_ac", np.array([t.cos for t in self.fourier]))
         object.__setattr__(self, "_as", np.array([t.sin for t in self.fourier]))
+        # a_k - i b_k for k = kmax .. 1, repeated modes summed: Horner's order
+        horner = np.zeros(int(ks.max(initial=0.0)) + 1, dtype=complex)
+        np.add.at(horner, ks.astype(int), self._ac - 1j * self._as)
+        object.__setattr__(self, "_horner", horner[:0:-1])
 
     # --- evaluation -----------------------------------------------------
 
@@ -102,13 +106,16 @@ class Potential:
                 mask = (xp >= s.lo) & (xp < s.hi)
                 vals = np.where(mask, self.constant + s.value, vals)
             return float(vals) if np.isscalar(x) or np.ndim(x) == 0 else vals
-        # the (points, terms) phase is the largest array of an integrator
-        # pass; it is built once and reused for the sine terms
-        phase = np.multiply.outer(xp, self._ks)
-        terms = np.cos(phase)
-        terms *= self._ac
-        terms += np.multiply(np.sin(phase, out=phase), self._as, out=phase)
-        out = self.constant + np.sum(terms, axis=-1)
+        # v = constant + Re sum_k (a_k - i b_k) z^k with z = e^{2 pi i x'},
+        # by Horner from the highest mode: one complex multiply-add per mode
+        # and O(points) memory.  x' - 1 for x' >= 1/2 is exact and halves the
+        # phase, and with it the rounding that z^k multiplies by k.
+        z = np.exp(2j * np.pi * np.where(xp >= 0.5, xp - 1.0, xp))
+        s = np.zeros_like(z)
+        for c in self._horner:
+            s += c
+            s *= z
+        out = self.constant + s.real
         return float(out) if np.ndim(x) == 0 else out
 
     # --- derived quantities ---------------------------------------------
@@ -119,6 +126,13 @@ class Potential:
         if self.piecewise:
             return max(abs(self.constant + s.value) for s in self.piecewise)
         return abs(self.constant) + float(np.sum(np.abs(self._ac)) + np.sum(np.abs(self._as)))
+
+    @property
+    def curvature_bound(self) -> float:
+        """Upper bound for sup |v''|: sum (2 pi k)^2 sqrt(a_k^2 + b_k^2)."""
+        if self.piecewise:
+            raise SpecFormatError("curvature_bound requires a Fourier-form potential")
+        return float(np.sum(self._ks**2 * np.hypot(self._ac, self._as)))
 
     def effective_fourier(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Shift-absorbed (constant, k, cos, sin) arrays.

@@ -88,16 +88,18 @@ def _orthonormal_block(V, Q, rng):
     return Q
 
 
-def _hill_shift(vhat, wavenumbers, constant):
-    """A shift sigma at least 1 below every eigenvalue of the Hill block.
+def _symbol_bounds(a, b):
+    """What `_hill_shift` needs of the Toeplitz symbol; both blocks share it.
 
-    The Toeplitz part is a compression of multiplication by its symbol
-    f(x) = sum_j vhat_j e^{2 pi i j x}, so it is bounded below by min f, and
-    the diagonal by min w^2.  min f is sampled on SYMBOL_GRID points by one
-    FFT; the grid point nearest the minimizer lies within h/2, where f
-    exceeds its minimum by at most h^2/8 max|f''| <= h^2/8 sum (2 pi j)^2 |vhat_j|.
-    The Gershgorin shift constant - sum|vhat| - 1 is the floor.
+    The Toeplitz part of a Hill block is a compression of multiplication by
+    its symbol f(x) = sum_j vhat_j e^{2 pi i j x} (vhat the exponential
+    coefficients of modes -kmax..kmax), so it is bounded below by min f.
+    min f is sampled on SYMBOL_GRID points by one FFT; the grid point nearest
+    the minimizer lies within h/2, where f exceeds its minimum by at most
+    h^2/8 max|f''| <= h^2/8 sum (2 pi j)^2 |vhat_j|.  Returns (sum |vhat|,
+    the sampled min f, that slack).
     """
+    vhat = 0.5 * np.concatenate(((a + 1j * b)[:0:-1], a - 1j * b))
     bw = (vhat.size - 1) // 2
     j = np.arange(-bw, bw + 1)
     grid = max(SYMBOL_GRID, vhat.size)
@@ -105,7 +107,18 @@ def _hill_shift(vhat, wavenumbers, constant):
     coeffs[j % grid] = vhat
     f_min = float(np.fft.fft(coeffs).real.min())  # f at -x on the grid: the same minimum
     slack = float(np.sum((2.0 * np.pi * j) ** 2 * np.abs(vhat))) / (8.0 * grid**2)
-    gershgorin = constant - float(np.sum(np.abs(vhat)))
+    return float(np.sum(np.abs(vhat))), f_min, slack
+
+
+def _hill_shift(symbol, wavenumbers, constant):
+    """A shift sigma at least 1 below every eigenvalue of the Hill block.
+
+    `symbol` is `_symbol_bounds` of the potential: the Toeplitz part is at
+    least the sampled min f less its slack, and the diagonal adds at least
+    min w^2.  The Gershgorin shift constant - sum|vhat| - 1 is the floor.
+    """
+    sum_abs, f_min, slack = symbol
+    gershgorin = constant - sum_abs
     return max(gershgorin, constant + f_min - slack + float(np.min(wavenumbers**2))) - 1.0
 
 
@@ -190,14 +203,15 @@ def _hill_band(a, b, offset, K, constant):
     return band, bw, q
 
 
-def _hill_block(a, b, offset, K, constant, n_lowest):
+def _hill_block(a, b, offset, K, constant, n_lowest, symbol):
     """Lowest eigenpairs of the real Hill block `_hill_band`.
 
-    Returns (values ascending, real vectors as columns).  The shift sigma
-    from `_hill_shift` gives H - sigma >= 1, so it is nonsingular; in a deep
-    well it sits about half a gap spacing below the lowest eigenvalue, so the
-    wanted end of the spectrum of (H - sigma)^-1 stands well apart from the
-    rest and Lanczos reaches it in few steps.  Block Lanczos on
+    Returns (values ascending, real vectors as columns); `symbol` is
+    `_symbol_bounds(a, b)`.  The shift sigma from `_hill_shift` gives
+    H - sigma >= 1, so it is nonsingular; in a deep well it sits about half
+    a gap spacing below the lowest eigenvalue, so the wanted end of the
+    spectrum of (H - sigma)^-1 stands well apart from the rest and Lanczos
+    reaches it in few steps.  Block Lanczos on
     (H - sigma)^-1 with full reorthogonalization converges to the largest
     theta first, and lambda = sigma + 1/theta.  Rayleigh-Ritz on
     V^T (H - sigma)^-1 V runs every RITZ_EVERY steps once the basis holds
@@ -207,9 +221,7 @@ def _hill_block(a, b, offset, K, constant, n_lowest):
     band, bw, q = _hill_band(a, b, offset, K, constant)
     dim = q.size
     k = min(n_lowest, dim)
-    # exponential coefficients of modes -kmax..kmax: the symbol, for the shift
-    vhat = 0.5 * np.concatenate(((a + 1j * b)[:0:-1], a - 1j * b))
-    sigma = _hill_shift(vhat, 2.0 * np.pi * q, constant)
+    sigma = _hill_shift(symbol, 2.0 * np.pi * q, constant)
     # Every BLAS/LAPACK call below goes through scipy, so all of them share one
     # OpenBLAS thread pool: numpy's products would use numpy's own pool, and
     # the idle workers of two pools spin for the same cores.  H - sigma is
@@ -290,7 +302,8 @@ def _hill_edges(p: Potential, n_gaps: int, modes: int | None):
     if 2 * modes < n_gaps + 1:  # the anti-periodic block has dimension 2 modes
         raise ValueError(f"modes={modes} is too few for {n_gaps} gaps: need at least {(n_gaps + 2) // 2}")
     K = modes
-    blocks = {offset: _hill_block(a, b, offset, K, const, n_gaps + 1) for offset in (0.0, 0.5)}
+    symbol = _symbol_bounds(a, b)  # one FFT of the symbol serves both blocks
+    blocks = {offset: _hill_block(a, b, offset, K, const, n_gaps + 1, symbol) for offset in (0.0, 0.5)}
 
     def edge(m, index):  # (value, (offset, exponential vector)) of eigenpair `index` of m's block
         offset = 0.5 if m % 2 else 0.0

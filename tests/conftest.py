@@ -162,8 +162,8 @@ def logged_model_design(N, kappa, d):
 
         return logged
 
-    def logged_shift(vhat, wavenumbers, constant):
-        sigma = shift(vhat, wavenumbers, constant)
+    def logged_shift(symbol, wavenumbers, constant):
+        sigma = shift(symbol, wavenumbers, constant)
         blocks.append([wavenumbers.size, 0, sigma])
         return sigma
 

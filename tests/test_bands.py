@@ -201,6 +201,17 @@ def test_seeded_gap6_unresolved_reports_matrix_edges():
     assert bs.next_band_end == pytest.approx(nbe, rel=1e-9)
 
 
+def test_unresolved_next_gap_reports_matrix_band_end():
+    # gap 7 of corpus potential 0 is below F -+ 1 resolution, so the end of
+    # band 6 comes from the Hill matrices, and the band structure says so
+    p = random_corpus(1, seed=777)[0]
+    bs = bands.band_structure(p, 6)
+    assert bs.next_band_end_route == "matrix"
+    assert bs.lambda0_route == "shooting"
+    assert bs.next_band_end == pytest.approx(sm.hill_band_edges(p, 6)[3], rel=1e-9)
+    assert bands.band_structure(p, 5).next_band_end_route == "shooting"
+
+
 def test_piecewise_gaps_certified_by_shooting():
     p = piecewise_potential([(0.0, 0.3, 15.0), (0.3, 1.0, 0.0)])
     bs = bands.band_structure(p, 3)

@@ -348,6 +348,14 @@ def test_deep_model_meets_the_benchmark_checks(deep_n2_d3):
     assert [s.sign for s in bs.states] == [1, 1]
 
 
+def test_deep_design_reports_matrix_routes(deep_n2_d3):
+    # the deep band structure is assembled from the Hill matrices, and the
+    # normalizing shift keeps its route labels
+    (_, _, bs, _), *_ = deep_n2_d3
+    assert (bs.lambda0_route, bs.next_band_end_route) == ("matrix", "matrix")
+    assert {s.certified_by for s in bs.states} == {"matrix"}
+
+
 def test_deep_blocks_converge_within_step_budget(deep_n2_d3):
     _, _, blocks, _ = deep_n2_d3
     steps = [n for dim, n, _ in blocks if dim == 541]

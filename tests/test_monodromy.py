@@ -335,3 +335,47 @@ def test_zero_counts_match_galerkin_sturm_counts():
         assert list(mb.phi_zeros) == [int(np.sum(mu < lam)) for lam in lams]
         half_turn = mb.theta_1 * mb.theta_prime_1 < 0
         assert list(mb.theta_zeros + half_turn) == [int(np.sum(nu < lam)) for lam in lams]
+
+
+def _counted_blocks(monkeypatch):
+    """Every trial block of `_rk_segment` as a flag: True where a step failed."""
+    log, trial = [], mo._block_trial
+
+    def counted(*args):
+        U, ratio = trial(*args)
+        log.append(not np.all(ratio <= 1.0))
+        return U, ratio
+
+    monkeypatch.setattr(mo, "_block_trial", counted)
+    return log
+
+
+def test_deep_cross_check_pass_takes_few_blocks(deep_n2_d3, monkeypatch):
+    # the 48-mode design's two-energy pass: lanes and growth alone cap its
+    # blocks (it took 90 blocks of 28 steps under a mode-count cap)
+    (p, _, bs, _), *_ = deep_n2_d3
+    blocks = _counted_blocks(monkeypatch)
+    mb = mo.integrate_batch(p, bs.dirichlet, count_zeros=True)
+    assert len(blocks) <= 10
+    assert mb.phi_zeros.tolist() == [1, 2]
+    assert mb.a_sign.tolist() == [1.0, -1.0]
+
+
+def test_first_step_rejects_no_block_at_low_energy(modest_design, monkeypatch):
+    # criterion 6's design at its Dirichlet points: the first step accounts
+    # for the potential's curvature, so no block is thrown away
+    p, bs = modest_design
+    blocks = _counted_blocks(monkeypatch)
+    mo.integrate_batch(p, bs.dirichlet)
+    assert blocks and not any(blocks)
+
+
+def test_repeated_passes_agree_bit_for_bit(asym_potential):
+    # nothing carries over from one pass to the next
+    lams = np.linspace(-3.0, 120.0, 7)
+    first = mo.integrate_batch(asym_potential, lams, count_zeros=True)
+    for _ in range(2):
+        again = mo.integrate_batch(asym_potential, lams, count_zeros=True)
+        assert np.array_equal(again.discriminant, first.discriminant)
+        assert np.array_equal(again.phi_lam, first.phi_lam)
+        assert np.array_equal(again.phi_zeros, first.phi_zeros)

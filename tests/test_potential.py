@@ -146,3 +146,26 @@ def test_effective_fourier_absorbs_shift():
         for i, k in enumerate(ks)
     )
     assert np.allclose(rebuilt, p.evaluate(xs), atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["deep_design", "shifted_asym"])
+def test_horner_evaluation_matches_mpmath(case, request):
+    # the series at the reduced point x' = (x mod 1 + shift) mod 1, against
+    # 40-digit arithmetic: within 4 kmax eps (|c_0| + sum |c_k|)
+    mpmath = pytest.importorskip("mpmath")
+    if case == "deep_design":  # (2, 0.1, 3): 48 modes, sup|v| ~ 4.3e5
+        p = request.getfixturevalue("deep_n2_d3")[0][0]
+    else:
+        p = translate(request.getfixturevalue("asym_potential"), 0.3)
+    xs = np.concatenate((np.linspace(-1.0, 2.0, 301), np.random.default_rng(5).uniform(-3.0, 3.0, 200)))
+    xp = (np.mod(xs, 1.0) + p.shift) % 1.0
+    kmax = max(t.k for t in p.fourier)
+    scale = abs(p.constant) + sum(math.hypot(t.cos, t.sin) for t in p.fourier)
+    with mpmath.workdps(40):
+        def exact(x):
+            ang = 2 * mpmath.pi * mpmath.mpf(float(x))
+            terms = (t.cos * mpmath.cos(t.k * ang) + t.sin * mpmath.sin(t.k * ang) for t in p.fourier)
+            return p.constant + sum(terms)
+
+        err = max(abs(float(mpmath.mpf(float(v)) - exact(x))) for v, x in zip(p.evaluate(xs), xp))
+    assert err <= 4 * kmax * np.finfo(float).eps * scale
