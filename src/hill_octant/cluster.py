@@ -16,6 +16,15 @@ spectra (`fast_factor_spectrum`) read their sheets off the sine-Galerkin
 Dirichlet eigenvectors (`spectral_matrix.dirichlet_sheets`) and integrate
 nothing; the shooting band structure keeps `bands.sheet_signs`, so each
 route checks the other.
+
+`perturb_and_recount` tests the paper's stability claim: the counts in the
+separating intervals survive v_j -> v_j + eps w_j with eps <= kappa^3 and
+sup|w_j| <= 1.  Its "after" spectra are not fresh eigensolves.  They are
+Rayleigh-Ritz values of the truncated perturbed Hill and sine-Galerkin
+matrices on the unperturbed eigenvectors (`spectral_matrix.ritz_enclosures`),
+each with a Kato-Temple enclosure, and a factor or a count that the
+enclosures cannot settle falls back to a full solve.  The enclosures are
+for the truncated matrices; they do not cover the truncation tail.
 """
 
 from __future__ import annotations
@@ -23,6 +32,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.linalg as sla
 
 from .bands import BandStructure
 from .errors import CountChanged, NoGroundState, SeparationFail
@@ -325,18 +337,18 @@ def count_in_interval(cs: ClusterSpectrum, interval) -> tuple[int, list, bool]:
 # --- perturbation stability -------------------------------------------------
 
 
-def fast_factor_spectrum(p: Potential, N: int, gamma: float) -> NormalizedSpectrum1D:
-    """Half-line factor spectrum through the matrix route.
+@dataclass(frozen=True)
+class _Eigenbasis:
+    """A factor's matrix-route eigenpairs, at the basis sizes they were solved at."""
 
-    Band edges and Dirichlet points come from the Fourier/Galerkin
-    eigensolvers, and the sheet signs from the Dirichlet eigenvectors
-    (`spectral_matrix.dirichlet_sheets`): no integrator pass.  Used where
-    many factor recomputations are needed (perturbation sweeps); the
-    shooting band_structure remains the reference route.
-    """
-    lam0, glo, ghi, nbe = sm.hill_band_edges(p, N)
-    mu, Y = sm.galerkin_dirichlet_vectors(p, N)
-    signs = sm.dirichlet_sheets(Y)
+    hill: dict  # Hill block offset -> (lowest N + 1 eigenvalues, real vectors as columns)
+    mu: np.ndarray  # Dirichlet points mu_1 .. mu_(N+1)
+    Y: np.ndarray  # their sine-Galerkin eigenvectors (columns)
+
+
+def _normalized(edges, mu, signs, N, gamma) -> NormalizedSpectrum1D:
+    """Factor spectrum from matrix-route edges, Dirichlet points mu_1..mu_N and their sheets."""
+    lam0, glo, ghi, nbe = edges
     # deep wells make neighbouring edges degenerate to rounding; keep the
     # band intervals ordered
     bands = [(min(lam0, glo[0]), glo[0])]
@@ -347,6 +359,83 @@ def fast_factor_spectrum(p: Potential, N: int, gamma: float) -> NormalizedSpectr
     return NormalizedSpectrum1D(
         gamma, tuple((lo / gamma, hi / gamma) for lo, hi in bands), eig, "half-line"
     )
+
+
+def _solve_factor(p: Potential, N: int, gamma: float):
+    """(spectrum, eigenbasis) of one factor: both Hill blocks and one sine-Galerkin solve.
+
+    The Galerkin solve keeps mu_(N+1) as well, at the basis size for N
+    points, so that a Ritz step on these vectors has a computed neighbour
+    above mu_N.
+    """
+    *edges, _, hill = sm._hill_edges(p, N, None)
+    mu, Y = sm.galerkin_dirichlet_vectors(p, N + 1, dim=sm._galerkin_dim(p, N))
+    spectrum = _normalized(edges, mu, sm.dirichlet_sheets(Y[:, :N]), N, gamma)
+    return spectrum, _Eigenbasis(hill, mu, Y)
+
+
+def fast_factor_spectrum(p: Potential, N: int, gamma: float) -> NormalizedSpectrum1D:
+    """Half-line factor spectrum through the matrix route.
+
+    Band edges and Dirichlet points come from the Fourier/Galerkin
+    eigensolvers, and the sheet signs from the Dirichlet eigenvectors
+    (`spectral_matrix.dirichlet_sheets`): no integrator pass.  Used where
+    many factor recomputations are needed (perturbation sweeps); the
+    shooting band_structure remains the reference route.
+    """
+    return _solve_factor(p, N, gamma)[0]
+
+
+def _enclosures_overlap(theta, radius) -> bool:
+    return bool(np.any(theta[1:] - radius[1:] <= theta[:-1] + radius[:-1]))
+
+
+def _ritz_factor(basis: _Eigenbasis, q: Potential, spread: float, N: int, gamma: float):
+    """The factor spectrum of q from the eigenvectors of a nearby factor, or None.
+
+    q differs from the solved factor by a potential of sup norm at most
+    `spread`.  The Hill blocks and the sine-Galerkin matrix of q are built
+    at the solved factor's basis sizes, and `spectral_matrix.ritz_enclosures`
+    projects each onto the solved vectors.  Returns (spectrum, radius),
+    where every Dirichlet point lies within radius (normalized by gamma) of
+    its Ritz value, or None where two enclosures in one block overlap (a
+    nearly closed gap) or a sheet is uncertain: |psi'(0)| - |psi'(1)| of a
+    Ritz vector must exceed twice the error its angle bound allows in each
+    wall derivative.
+    """
+    Y = basis.Y
+    H = sm._sine_matrix(q, N, Y.shape[0])
+    HY = H @ Y
+    # ||H|| <= its largest absolute row sum; H is not needed after H Y
+    mu, V, mu_radius, angle = sm.ritz_enclosures(HY, Y, basis.mu, spread, np.abs(H, out=H).sum(axis=1).max())
+    if _enclosures_overlap(mu, mu_radius):
+        return None
+    # ||v - u|| <= sqrt(2) sin(angle) for unit v, u, and |m . (v - u)| <= ||m|| ||v - u||
+    d0, d1 = sm._wall_derivatives(V[:, :N])
+    readout = math.sqrt(2.0) * float(np.linalg.norm(np.arange(1, Y.shape[0] + 1))) * angle[:N]
+    if not np.all(np.abs(d0 - d1) > 2.0 * readout):
+        return None
+    const, a, b = sm._mode_arrays(q)
+    thetas = {}
+    for offset, (values, X) in basis.hill.items():
+        dim = X.shape[0]
+        band, bw, _ = sm._hill_band(a, b, offset, dim // 2, const)
+        # the band sits in LAPACK's general band layout with bw zero rows on top
+        HX = np.column_stack([sla.blas.dgbmv(dim, dim, bw, 2 * bw, 1.0, band, x) for x in X.T])
+        norm = np.abs(band, out=band).sum(axis=0).max()  # largest absolute column sum
+        theta, _, radius, _ = sm.ritz_enclosures(HX, X, values, spread, norm)
+        if _enclosures_overlap(theta, radius):
+            return None
+        thetas[offset] = theta
+    spectrum = _normalized(sm._block_edges(thetas, N), mu, sm.dirichlet_sheets(V[:, :N]), N, gamma)
+    return spectrum, float(mu_radius[:N].max()) / gamma
+
+
+def _meets_an_end(cs: ClusterSpectrum, intervals, radius: float) -> bool:
+    """Whether any eigenvalue sum lies within radius of an end of a counting interval."""
+    ends = np.array([(iv.lo, iv.hi) if isinstance(iv, Interval) else iv for iv in intervals], dtype=float)
+    sums = np.array([v for evs in cs.eigenvalue_clusters.values() for _, v in evs])
+    return bool(np.any(np.abs(sums[:, None] - ends.ravel()) <= radius))
 
 
 def perturb_and_recount(
@@ -363,6 +452,19 @@ def perturb_and_recount(
     Preconditions: eps <= kappa^3 and sup|w_j| <= 1.  Counting uses the
     original separating intervals.  Returns (counts_before, counts_after)
     and raises CountChanged on any difference.
+
+    Each distinct v_j is solved once through the matrix route, as in
+    `fast_factor_spectrum`, and its eigenvectors are kept.  The "after"
+    values of v_j + eps w_j are Ritz values of its truncated Hill blocks and
+    sine-Galerkin matrix on those vectors, at the same basis sizes, and its
+    sheets are read off the Ritz vectors.  Each Ritz value carries a
+    Kato-Temple radius, whose gap comes from the unperturbed neighbours less
+    eps sup|w_j| (Weyl).  A perturbed factor is solved in full
+    (`fast_factor_spectrum`) instead where two of its enclosures overlap (a
+    nearly closed gap) or a sheet is uncertain, and every perturbed factor
+    is where the enclosure of an eigenvalue sum meets an end of a counting
+    interval.  The enclosures are for the truncated matrices; they do not
+    cover the truncation tail.
     """
     if eps > kappa**3 + 1e-15:
         raise ValueError(f"eps = {eps} must not exceed kappa^3 = {kappa**3:.3e}")
@@ -372,17 +474,28 @@ def perturb_and_recount(
     if len(potentials) != len(perturbations):
         raise ValueError("need one perturbation per factor")
 
-    def pipeline(pots):
-        # one factor solve per distinct potential: the factors are often copies
-        spectra = {p: fast_factor_spectrum(p, N, gamma) for p in dict.fromkeys(pots)}
-        cs = _assemble([spectra[p] for p in pots], kappa, N)
-        return [count_in_interval(cs, iv)[0] for iv in intervals]
+    def recount(spectra):
+        cs = _assemble(spectra, kappa, N)
+        return cs, [count_in_interval(cs, iv)[0] for iv in intervals]
 
-    before = pipeline(list(potentials))
-    perturbed = [
-        _add_potentials(p, w, eps) for p, w in zip(potentials, perturbations)
-    ]
-    after = pipeline(perturbed)
+    # one factor solve per distinct potential: the factors are often copies
+    solved = {p: _solve_factor(p, N, gamma) for p in dict.fromkeys(potentials)}
+    _, before = recount([solved[p][0] for p in potentials])
+
+    pairs = list(zip(potentials, perturbations))
+    perturbed = {(p, w): _add_potentials(p, w, eps) for p, w in pairs}
+    ritz = {
+        (p, w): _ritz_factor(solved[p][1], q, eps * w.sup_norm_bound, N, gamma)
+        for (p, w), q in perturbed.items()
+    }
+    spectra = {pair: r[0] if r else fast_factor_spectrum(perturbed[pair], N, gamma) for pair, r in ritz.items()}
+    cs, after = recount([spectra[pair] for pair in pairs])
+    radius = sum(ritz[pair][1] for pair in pairs if ritz[pair])  # of every eigenvalue sum
+    if radius > 0.0 and _meets_an_end(cs, intervals, radius):
+        for pair, r in ritz.items():
+            if r:
+                spectra[pair] = fast_factor_spectrum(perturbed[pair], N, gamma)
+        _, after = recount([spectra[pair] for pair in pairs])
     if before != after:
         raise CountChanged(f"counts changed: {before} -> {after}")
     return before, after

@@ -104,7 +104,8 @@ def _gauss_newton(residual_jac, x0, tol, max_iter=MAX_ITERATIONS):
 
     Each step is the minimum-norm least-squares solution of J s = -r (the
     fits have at least as many parameters as residuals), shortened by
-    Armijo backtracking.  Returns (x, ||r||, iterations).
+    Armijo backtracking.  Returns (x, ||r||, iterations); the last call of
+    residual_jac was at the returned x.
     """
     x = np.asarray(x0, dtype=float).copy()
     r, J = residual_jac(x)
@@ -148,14 +149,16 @@ def _potential_from_coeffs(cos_coeffs, sin_coeffs=None):
 def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, dim=None):
     """Gap lengths, Dirichlet offsets mu_n - lambda_n^- and their gradients.
 
-    Returns (lengths, offsets, d_lengths, d_offsets) for gaps 1..N.  Row n of
+    Returns (lengths, offsets, d_lengths, d_offsets, solved) for gaps 1..N,
+    where solved = (lambda0, gap_lo, gap_hi, next_band_end, mu) are the
+    eigenvalues behind them (mu None without `positions`).  Row n of
     a gradient holds the derivatives in the coefficients of cos(2 pi k x),
     then of sin(2 pi k x), k = 1..M: each edge and Dirichlet point is a
     simple eigenvalue, so its derivative comes from its Hill or sine-Galerkin
     eigenvector.  Without `positions` the offsets are None and no Galerkin
     matrix is solved.
     """
-    _, lo, hi, _, info = sm.hill_edges_and_vectors(p, N, modes=modes)
+    lam0, lo, hi, nbe, info = sm.hill_edges_and_vectors(p, N, modes=modes)
 
     def edge_gradients(edge):
         return np.array([np.concatenate(sm.exp_vector_gradient(info[(edge, n)][1], M))
@@ -164,10 +167,10 @@ def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, dim=N
     d_lo = edge_gradients("lo")
     d_len = edge_gradients("hi") - d_lo
     if not positions:
-        return hi - lo, None, d_len, None
+        return hi - lo, None, d_len, None, (lam0, lo, hi, nbe, None)
     mu, Y = sm.galerkin_dirichlet_vectors(p, N, dim=dim)
     d_mu = np.array([np.concatenate(sm.sine_vector_gradient(y, M)) for y in Y.T])
-    return hi - lo, mu - lo, d_len, d_mu - d_lo
+    return hi - lo, mu - lo, d_len, d_mu - d_lo, (lam0, lo, hi, nbe, mu)
 
 
 # --- public operations -------------------------------------------------------
@@ -200,7 +203,7 @@ def design_gap_lengths(target: DesignTarget, report: DesignReport | None = None)
     x0 = _length_seed(goal, M)
 
     def residual_jac(x):
-        lengths, _, d_len, _ = _forward_map(_potential_from_coeffs(x), N, M, positions=False)
+        lengths, _, d_len, _, _ = _forward_map(_potential_from_coeffs(x), N, M, positions=False)
         return (lengths - goal) / scale, d_len[:, :M] / scale
 
     x, rn, its = _gauss_newton(residual_jac, x0, target.tolerance)
@@ -235,7 +238,7 @@ def place_states(p0: Potential, target: DesignTarget, report: DesignReport | Non
 
     def residual_jac(x):
         p = _potential_from_coeffs(x[:M], x[M:])
-        lengths, pos, d_len, d_pos = _forward_map(p, N, M)
+        lengths, pos, d_len, d_pos, _ = _forward_map(p, N, M)
         r = np.concatenate((lengths - goal_len, pos - fracs * goal_len))
         return r / scale, np.vstack((d_len, d_pos)) / scale
 
@@ -287,6 +290,8 @@ class _DeepFitter:
     translation t carries the dominant correlated direction of the state
     positions, the mode amplitudes are pure shape knobs.  The forward map's
     gradients in the untranslated coefficients reach z by the chain rule.
+    `solved` holds the last z evaluated and the forward map's eigenvalues
+    there.
     """
 
     def __init__(self, n_gaps, gamma, modes_M, hill_modes, galerkin_dim):
@@ -296,6 +301,7 @@ class _DeepFitter:
         self.hill_modes = hill_modes
         self.gdim = galerkin_dim
         self.goal = np.full(n_gaps, gamma)
+        self.solved = None
 
     def build(self, z):
         M = self.M
@@ -306,7 +312,8 @@ class _DeepFitter:
     def residual_jac(self, z, f_target):
         M = self.M
         p = self.build(z)
-        lengths, pos, d_len, d_pos = _forward_map(p, self.N, M, modes=self.hill_modes, dim=self.gdim)
+        lengths, pos, d_len, d_pos, solved = _forward_map(p, self.N, M, modes=self.hill_modes, dim=self.gdim)
+        self.solved = (z.copy(), solved)
         fr = pos / lengths
 
         _, ks, a_eff, b_eff = p.effective_fourier()
@@ -340,7 +347,11 @@ class _DeepFitter:
 
 
 def _deep_design(N, gamma, frac, tolerance, report):
-    """Equal gaps of length gamma with states at the given fraction."""
+    """Equal gaps of length gamma with states at the given fraction.
+
+    Returns (potential, fitter, solved): solved = (lambda0, gap_lo, gap_hi,
+    next_band_end, mu) of the potential, from the fit's last forward map.
+    """
     # 1) cos-only gap lengths from the harmonic single-well seed
     p_len = design_gap_lengths(
         DesignTarget(n_gaps=N, gap_lengths=tuple(gamma for _ in range(N)), basis_size=N,
@@ -385,17 +396,20 @@ def _deep_design(N, gamma, frac, tolerance, report):
     tol = max(tolerance / 3.0, 1e-6)
     z, _, iters = _gauss_newton(lambda x: fit.residual_jac(x, f_goal), z, tol, max_iter=30)
     report.iterations += iters
-    return fit.build(z), fit
+    z_solved, solved = fit.solved
+    assert np.array_equal(z_solved, z)  # the Gauss-Newton ends on an evaluated point
+    return fit.build(z), fit, solved
 
 
-def _matrix_band_structure(p: Potential, N: int, mb_mu, mu, nu) -> BandStructure:
+def _matrix_band_structure(p: Potential, N: int, mb_mu, edges, mu, nu) -> BandStructure:
     """BandStructure assembled from the matrix route plus shooting signs.
 
     Used in the deep regime where the discriminant trace is beyond float64;
     a/F/phi_lam saturate at +-inf with the correct signs, and the residue
-    2a/phi_lam, formed from the scaled components, stays finite.
+    2a/phi_lam, formed from the scaled components, stays finite.  `edges`
+    is (lambda0, gap_lo, gap_hi, next_band_end).
     """
-    lam0, glo, ghi, nbe = sm.hill_band_edges(p, N)
+    lam0, glo, ghi, nbe = edges
     signs = sheet_signs(mb_mu)
     residue = mb_mu.residue.tolist()
     states = tuple(
@@ -438,9 +452,8 @@ def construct_model_potential(N: int, kappa: float, d: int, tolerance: float = 1
         targets={"N": N, "kappa": kappa, "d": d, "gamma": gamma, "frac": frac}
     )
 
-    p, fit = _deep_design(N, gamma, frac, tolerance, report)
+    p, fit, (*edges, mu) = _deep_design(N, gamma, frac, tolerance, report)
     # shooting cross-checks: Dirichlet anchors and sheet signs
-    mu = sm.galerkin_dirichlet(p, N, dim=fit.gdim)
     nu = sm.galerkin_neumann(p, N + 1, dim=fit.gdim)
     mb_mu = integrate_batch(p, mu, count_zeros=True)
     signs = sheet_signs(mb_mu)
@@ -454,7 +467,7 @@ def construct_model_potential(N: int, kappa: float, d: int, tolerance: float = 1
         raise SignUnreachable(
             f"shooting sheet signs {signs.tolist()} disagree with bound-state targets"
         )
-    bs = _matrix_band_structure(p, N, mb_mu, mu, nu)
+    bs = _matrix_band_structure(p, N, mb_mu, edges, mu, nu)
 
     lengths = bs.gap_lengths
     if np.max(np.abs(lengths - gamma)) > 10 * tolerance * gamma:

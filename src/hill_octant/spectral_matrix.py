@@ -26,7 +26,9 @@ Dirichlet eigenvectors also carry the sheet of each Dirichlet point
 pass; the shooting rule `bands.sheet_signs` stays the independent check.
 The same wall read-out gives the slope of each Dirichlet point under
 translation (`dirichlet_translation_slopes`), which the deep design solves
-along.
+along.  For a matrix close to one already solved, `ritz_enclosures`
+projects it onto the known eigenvectors (Rayleigh-Ritz) and bounds the
+error of each Ritz value (Kato-Temple), with no new eigensolve.
 
 Only Fourier-form potentials are supported here.
 """
@@ -51,6 +53,7 @@ __all__ = [
     "galerkin_dirichlet_vectors",
     "exp_vector_gradient",
     "sine_vector_gradient",
+    "ritz_enclosures",
 ]
 
 DEFAULT_MODES = 64
@@ -59,6 +62,7 @@ LANCZOS_BLOCK = 2  # Hill eigenvalues have multiplicity at most 2
 LANCZOS_TOL = 1e-12  # Ritz residual bound, relative to the largest Ritz value
 RITZ_EVERY = 4  # Lanczos steps between Rayleigh-Ritz checks
 SYMBOL_GRID = 4096  # points on which the minimum of the Toeplitz symbol is sampled
+RITZ_ROUNDING = 16  # rounding allowance of a Ritz value or residual, in units of eps ||H||
 
 
 def _turning_index(p: Potential, count: int, spacing: float) -> int:
@@ -286,15 +290,31 @@ def _exponential_vector(x, offset, K):
     return np.concatenate((plus[::-1].conj(), plus))
 
 
-def _hill_edges(p: Potential, n_gaps: int, modes: int | None):
-    """What hill_edges_and_vectors returns, from one solve of each Hill block.
+def _block_edges(values, n_gaps: int):
+    """(lambda0, gap_lo, gap_hi, next_band_end) from the ascending eigenvalues of each Hill block.
 
-    The periodic block (wavenumbers 2 pi k) carries the even-index edges,
-    the anti-periodic block (2 pi (k + 1/2)) the odd-index ones; the edges of
-    gap m are eigenvalues m - 1 and m of their block.  Both blocks are real
-    (`_hill_band`).  Both public entry points call this helper rather than
-    each other, so a wrapper around either name (the perfbench tracer) sees
-    only its own callers.
+    `values` maps offset 0 (the periodic block, wavenumbers 2 pi k) and 1/2
+    (the anti-periodic block, 2 pi (k + 1/2)) to the block's lowest
+    n_gaps + 1 eigenvalues.  The periodic block carries the even-index
+    edges, the anti-periodic one the odd-index ones; the edges of gap m are
+    eigenvalues m - 1 and m of block m mod 2.
+    """
+    def block(m):
+        return values[0.5 if m % 2 else 0.0]
+
+    lo = np.array([block(m)[m - 1] for m in range(1, n_gaps + 1)])
+    hi = np.array([block(m)[m] for m in range(1, n_gaps + 1)])
+    return float(values[0.0][0]), lo, hi, float(block(n_gaps + 1)[n_gaps])
+
+
+def _hill_edges(p: Potential, n_gaps: int, modes: int | None):
+    """What hill_edges_and_vectors returns, from one solve of each Hill block, plus the blocks.
+
+    The last item maps each block's offset to its lowest n_gaps + 1
+    eigenpairs, (values ascending, real vectors as columns), in the basis
+    of `_hill_band`.  Both public entry points call this helper rather
+    than each other, so a wrapper around either name (the perfbench tracer)
+    sees only its own callers.
     """
     const, a, b = _mode_arrays(p)
     if modes is None:
@@ -304,22 +324,16 @@ def _hill_edges(p: Potential, n_gaps: int, modes: int | None):
     K = modes
     symbol = _symbol_bounds(a, b)  # one FFT of the symbol serves both blocks
     blocks = {offset: _hill_block(a, b, offset, K, const, n_gaps + 1, symbol) for offset in (0.0, 0.5)}
+    lam0, lo, hi, nbe = _block_edges({offset: ev for offset, (ev, _) in blocks.items()}, n_gaps)
 
-    def edge(m, index):  # (value, (offset, exponential vector)) of eigenpair `index` of m's block
+    def vector(m, index):  # (offset, exponential vector) of eigenpair `index` of m's block
         offset = 0.5 if m % 2 else 0.0
-        ev, vec = blocks[offset]
-        return ev[index], (offset, _exponential_vector(vec[:, index], offset, K))
+        return offset, _exponential_vector(blocks[offset][1][:, index], offset, K)
 
-    lam0, info0 = edge(0, 0)
-    info = {("lambda0", 0): info0}
-    lo, hi = [], []
+    info = {("lambda0", 0): vector(0, 0), ("next", n_gaps + 1): vector(n_gaps + 1, n_gaps)}
     for m in range(1, n_gaps + 1):
-        value, info[("lo", m)] = edge(m, m - 1)
-        lo.append(value)
-        value, info[("hi", m)] = edge(m, m)
-        hi.append(value)
-    nbe, info[("next", n_gaps + 1)] = edge(n_gaps + 1, n_gaps)
-    return float(lam0), np.array(lo), np.array(hi), float(nbe), info
+        info[("lo", m)], info[("hi", m)] = vector(m, m - 1), vector(m, m)
+    return lam0, lo, hi, nbe, info, blocks
 
 
 def hill_band_edges(p: Potential, n_gaps: int, modes: int | None = None):
@@ -341,7 +355,7 @@ def hill_edges_and_vectors(p: Potential, n_gaps: int, modes: int | None = None):
     anti-periodic ones.  Keys: ("lo", n), ("hi", n) for n = 1..n_gaps,
     ("lambda0", 0) and ("next", n_gaps + 1).
     """
-    return _hill_edges(p, n_gaps, modes)
+    return _hill_edges(p, n_gaps, modes)[:5]
 
 
 def _cosine_moments(p: Potential, jmax: int) -> np.ndarray:
@@ -356,13 +370,20 @@ def _cosine_moments(p: Potential, jmax: int) -> np.ndarray:
     return C
 
 
+def _galerkin_dim(p: Potential, count: int) -> int:
+    """Default size of the sine and cosine bases for the lowest `count` eigenvalues."""
+    return max(DEFAULT_GALERKIN, _turning_index(p, count, math.pi))
+
+
 def _sine_matrix(p: Potential, count: int, dim: int | None) -> np.ndarray:
     """The Dirichlet operator in the sine basis sqrt(2) sin(pi m x), m = 1..dim."""
     if dim is None:
-        dim = max(DEFAULT_GALERKIN, _turning_index(p, count, math.pi))
+        dim = _galerkin_dim(p, count)
     C = _cosine_moments(p, 2 * dim)
-    # <m| v |m'> = C[|m - m'|] - C[m + m']: Toeplitz minus Hankel
-    H = sla.toeplitz(C[:dim]) - sla.hankel(C[2 : dim + 2], C[dim + 1 : 2 * dim + 1])
+    # <m| v |m'> = C[|m - m'|] - C[m + m']: Toeplitz minus Hankel, subtracted
+    # in place so that only two dim x dim arrays are ever alive
+    H = sla.toeplitz(C[:dim])
+    H -= sla.hankel(C[2 : dim + 2], C[dim + 1 : 2 * dim + 1])
     H[np.diag_indices(dim)] += (np.pi * np.arange(1, dim + 1)) ** 2
     return H
 
@@ -381,10 +402,11 @@ def galerkin_dirichlet_vectors(p: Potential, count: int, dim: int | None = None)
 def _cosine_matrix(p: Potential, count: int, dim: int | None) -> np.ndarray:
     """The Neumann operator in the cosine basis 1, sqrt(2) cos(pi m x), m = 1..dim-1."""
     if dim is None:
-        dim = max(DEFAULT_GALERKIN, _turning_index(p, count, math.pi))
+        dim = _galerkin_dim(p, count)
     C = _cosine_moments(p, 2 * dim)
     # <m| v |m'> = C[|m - m'|] + C[m + m'], with 1/sqrt(2) for the constant
-    H = sla.toeplitz(C[:dim]) + sla.hankel(C[:dim], C[dim - 1 : 2 * dim - 1])
+    H = sla.toeplitz(C[:dim])
+    H += sla.hankel(C[:dim], C[dim - 1 : 2 * dim - 1])
     H[0, :] /= np.sqrt(2.0)
     H[:, 0] /= np.sqrt(2.0)
     H[np.diag_indices(dim)] += (np.pi * np.arange(dim)) ** 2
@@ -394,6 +416,49 @@ def _cosine_matrix(p: Potential, count: int, dim: int | None) -> np.ndarray:
 def galerkin_neumann(p: Potential, count: int, dim: int | None = None) -> np.ndarray:
     """First `count` Neumann eigenvalues nu_0.. on [0, 1] via a cosine basis."""
     return sla.eigh(_cosine_matrix(p, count, dim), eigvals_only=True, subset_by_index=(0, count - 1))
+
+
+# --- Rayleigh-Ritz on known eigenvectors ---------------------------------------
+
+
+def ritz_enclosures(HX: np.ndarray, X: np.ndarray, values: np.ndarray, spread: float, norm: float):
+    """Rayleigh-Ritz of a symmetric H on the columns of X, with an enclosure of each eigenvalue.
+
+    X holds orthonormal eigenvectors of a symmetric H0 for its lowest
+    eigenvalues `values` (ascending), HX = H X, and H is symmetric of the
+    same size with ||H - H0|| <= spread and ||H|| <= norm.  Returns
+    (theta, V, radius, angle): the Ritz values theta ascending, the Ritz
+    vectors V (columns), a radius such that eigenvalue i of H lies within
+    radius[i] of theta[i], and angle[i] >= sin of the angle between V[:, i]
+    and eigenvector i of H.
+
+    Each residual norm r_i = ||H v_i - theta_i v_i|| is raised by a
+    rounding allowance of RITZ_ROUNDING eps norm.  By Weyl, eigenvalue
+    i - 1 of H lies at most spread above values[i - 1] and eigenvalue i + 1
+    at least spread below values[i + 1] (both padded by the same allowance);
+    delta_i is the distance from theta_i to the nearer of these bounds.  If
+    r_i < delta_i, eigenvalue i is the only one in between, and Kato-Temple
+    (Kato, J. Phys. Soc. Japan 4, 1949; Parlett, The Symmetric Eigenvalue
+    Problem, ch. 10-11) bounds |lambda_i - theta_i| by r_i^2 / delta_i;
+    Davis-Kahan bounds the angle by r_i / delta_i.  The lowest eigenvalue
+    has no neighbour below.  The highest has no computed neighbour above,
+    so it gets the Weinstein radius r_i (an eigenvalue lies within it) and
+    no angle.  Where r_i >= delta_i both are infinite.
+    """
+    rounding = RITZ_ROUNDING * np.finfo(float).eps * norm
+    G = X.T @ HX
+    theta, S = np.linalg.eigh(0.5 * (G + G.T))
+    V = X @ S
+    r = np.linalg.norm(HX @ S - V * theta, axis=0) + rounding
+    below = np.concatenate(([-np.inf], values[:-1] + spread + rounding))
+    above = np.concatenate((values[1:] - spread - rounding, [np.inf]))
+    delta = np.minimum(theta - below, above - theta)
+    separated = r < delta
+    safe = np.where(separated, delta, 1.0)
+    angle = np.where(separated, r / safe, np.inf)
+    radius = np.where(separated, r * r / safe, np.inf)
+    angle[-1], radius[-1] = np.inf, r[-1]
+    return theta, V, radius + rounding, angle
 
 
 # --- eigenvector read-outs: design Jacobians and sheets ----------------------
@@ -443,18 +508,24 @@ def sine_vector_gradient(y: np.ndarray, max_mode: int):
     return da, db
 
 
+def _wall_derivatives(Y: np.ndarray):
+    """|psi'(0)| and |psi'(1)| / (sqrt(2) pi) of psi = sum_m y_m sqrt(2) sin(pi m x), per column of Y.
+
+    psi'(0) = sqrt(2) pi sum_m m y_m and psi'(1) = sqrt(2) pi sum_m m (-1)^m y_m.
+    """
+    m = np.arange(1, Y.shape[0] + 1)
+    return np.abs(m @ Y), np.abs((m * (-1.0) ** m) @ Y)
+
+
 def dirichlet_translation_slopes(Y: np.ndarray) -> np.ndarray:
     """d mu_n / dt under v(x) -> v(x + t), from the sine-Galerkin eigenvectors (columns of Y).
 
-    psi = sum_m y_m sqrt(2) sin(pi m x) has psi'(0) = sqrt(2) pi sum_m m y_m
-    and psi'(1) = sqrt(2) pi sum_m m (-1)^m y_m.  Hellmann-Feynman gives
-    d mu / dt = int v'(x + t) psi^2, and one integration by parts with
-    psi'' = (v - mu) psi turns that into psi'(0)^2 - psi'(1)^2.  Written as
+    Hellmann-Feynman gives d mu / dt = int v'(x + t) psi^2, and one
+    integration by parts with psi'' = (v - mu) psi turns that into
+    psi'(0)^2 - psi'(1)^2 (`_wall_derivatives`).  Written as
     (|psi'(0)| - |psi'(1)|)(|psi'(0)| + |psi'(1)|), its sign is exact.
     """
-    m = np.arange(1, Y.shape[0] + 1)
-    d0 = np.abs(m @ Y)
-    d1 = np.abs((m * (-1.0) ** m) @ Y)
+    d0, d1 = _wall_derivatives(Y)
     return 2.0 * np.pi**2 * (d0 - d1) * (d0 + d1)
 
 

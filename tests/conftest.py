@@ -121,6 +121,23 @@ def mixed_sheet_design():
     return dz.place_states(p0, target, rep), rep
 
 
+def separable_perturbations(seed, trials, d):
+    """`trials` lists of d random w with modes 1..3 and sup|w| <= 1.
+
+    At seed 11, 10 trials and d = 2 these are criterion 9's perturbations.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        ws = []
+        for _ in range(d):
+            c = rng.uniform(-1.0, 1.0, 6)
+            c *= 1.0 / max(1.0, np.sum(np.abs(c)))  # sup|w| <= 1
+            ws.append(fourier_potential([(k + 1, c[2 * k], c[2 * k + 1]) for k in range(3)]))
+        out.append(ws)
+    return out
+
+
 def reflect(p):
     """v(x) -> v(-x): the sine terms and the shift change sign."""
     return fourier_potential(

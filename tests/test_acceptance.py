@@ -23,9 +23,9 @@ from hill_octant.cluster import (
     normalize,
     perturb_and_recount,
 )
-from hill_octant.potential import fourier_potential, l2_norm, save_spec, zero_potential
+from hill_octant.potential import l2_norm, save_spec, zero_potential
 
-from conftest import random_corpus
+from conftest import random_corpus, separable_perturbations
 
 KAPPA = 0.05
 N_MODEL = 3
@@ -267,14 +267,8 @@ def test_criterion_9_perturbation_stability(model_design):
     cs = assemble_2d(factor, factor, KAPPA, N_MODEL)
     intervals = [(cs.separating[n].lo, cs.separating[n].hi) for n in (1, 2, 3)]
     eps = KAPPA**3
-    rng = np.random.default_rng(11)
     ok = True
-    for trial in range(10):
-        ws = []
-        for _ in range(2):
-            c = rng.uniform(-1.0, 1.0, 6)
-            c *= 1.0 / max(1.0, np.sum(np.abs(c)))  # sup|w| <= 1
-            ws.append(fourier_potential([(k + 1, c[2 * k], c[2 * k + 1]) for k in range(3)]))
+    for ws in separable_perturbations(11, 10, 2):
         before, after = perturb_and_recount([p, p], ws, eps, intervals, KAPPA, gamma, N_MODEL)
         ok &= before == after == [1, 2, 3]
     report(9, ok, f"10 random separable perturbations at eps = kappa^3 = {eps:.2e}: counts stable (1,2,3)")

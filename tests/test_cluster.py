@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from hill_octant import bands, cluster, monodromy as mo, spectral_matrix as sm
 from hill_octant.cluster import (
@@ -14,11 +15,14 @@ from hill_octant.cluster import (
     ground_state_product,
     normalize,
     perturb_and_recount,
+    _add_potentials,
 )
 from hill_octant.errors import CountChanged, NoGroundState, SeparationFail
 from hill_octant.halfsolid import GroundState, HalfSolidSpectrum
 from hill_octant.intervals import Interval, IntervalSet, minkowski_sum
 from hill_octant.potential import fourier_potential, zero_potential
+
+from conftest import separable_perturbations
 
 KAPPA = 0.05
 E1 = 0.125  # designed first normalized eigenvalue, 1/(4d) at d = 2
@@ -260,6 +264,175 @@ def test_fast_factor_spectrum_integrates_nothing(deep_n2_d3, monkeypatch):
     assert [n for n, _ in ns.eigenvalues] == [1, 2]
     mu = np.array([e for _, e in ns.eigenvalues]) * gamma
     assert mu == pytest.approx(sm.galerkin_dirichlet(p, 2), rel=1e-12)
+
+
+RITZ_TOL = 4  # Ritz against same-size solves, in units of eps ||H||; 1.7 seen at most
+
+
+def ritz_against_same_size_solves(p, gamma, N, kappa, trials, intervals):
+    """Ritz recounts of separable perturbations of p, each checked against full solves.
+
+    Each perturbed factor q gets a full solve at the basis sizes of the Ritz
+    step: `scipy.linalg.eigh` of its sine-Galerkin matrix and the Lanczos
+    solve of its Hill blocks (converged far below eps ||H||).  Every Ritz
+    value lies within RITZ_TOL eps ||H|| of that solve and inside its own
+    enclosure, the Ritz sheets are `dirichlet_sheets` of the eigh vectors,
+    and the counts in `intervals` agree.  ||H|| is the row-sum bound that
+    the Ritz step itself uses.
+    """
+    eps = kappa**3
+    _, basis = cluster._solve_factor(p, N, gamma)
+    K, dim = basis.hill[0.0][1].shape[0] // 2, basis.Y.shape[0]
+    ritz_steps = []
+    enclosures = sm.ritz_enclosures
+
+    def recorded(HX, X, values, spread, norm):
+        out = enclosures(HX, X, values, spread, norm)
+        ritz_steps.append((out[0], out[2], norm))
+        return out
+
+    for ws in trials:
+        ritz_spectra, full_spectra = [], []
+        for w in ws:
+            q = _add_potentials(p, w, eps)
+            ritz_steps.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(sm, "ritz_enclosures", recorded)
+                ritz = cluster._ritz_factor(basis, q, eps * w.sup_norm_bound, N, gamma)
+            assert ritz is not None  # no fallback on these trials
+            *edges, _, hill = sm._hill_edges(q, N, K)
+            mu, Y = sla.eigh(sm._sine_matrix(q, N, dim), subset_by_index=(0, N))
+            for (theta, radius, norm), want in zip(ritz_steps, [mu, hill[0.0][0], hill[0.5][0]], strict=True):
+                err = np.abs(theta - want)
+                assert np.all(err <= RITZ_TOL * np.finfo(float).eps * norm)
+                assert np.all(err <= radius)
+            full = cluster._normalized(edges, mu, sm.dirichlet_sheets(Y[:, :N]), N, gamma)
+            assert [n for n, _ in ritz[0].eigenvalues] == [n for n, _ in full.eigenvalues]
+            ritz_spectra.append(ritz[0])
+            full_spectra.append(full)
+        counts = [
+            [count_in_interval(cluster._assemble(spectra, kappa, N), iv)[0] for iv in intervals]
+            for spectra in (ritz_spectra, full_spectra)
+        ]
+        assert counts[0] == counts[1]
+
+
+def test_ritz_recount_matches_full_solves_on_criterion_9(criterion5_design):
+    (p, gamma, _, _), *_ = criterion5_design
+    N, kappa = 3, 0.05
+    cs = assemble_2d(*[fast_factor_spectrum(p, N, gamma)] * 2, kappa, N)
+    intervals = [cs.separating[n] for n in (1, 2, 3)]
+    ritz_against_same_size_solves(p, gamma, N, kappa, separable_perturbations(11, 10, 2), intervals)
+
+
+def test_ritz_recount_matches_full_solves_on_the_benchmark_design(deep_n2_d3):
+    (p, gamma, _, _), *_ = deep_n2_d3
+    N, kappa = 2, 0.1
+    cs = assemble_3d(*[fast_factor_spectrum(p, N, gamma)] * 3, kappa, N)
+    intervals = [cs.separating[n] for n in (0, 1, 2)]
+    trials = separable_perturbations(3, 3, 3)
+    ritz_against_same_size_solves(p, gamma, N, kappa, trials, intervals)
+    for ws in trials:
+        assert perturb_and_recount([p] * 3, ws, kappa**3, intervals, kappa, gamma, N) == ([1, 3, 3], [1, 3, 3])
+
+
+def test_recount_solves_each_factor_once_and_integrates_nothing(deep_n2_d3, monkeypatch):
+    # three copies of one factor: one Hill solve and one Galerkin solve in
+    # all; the three perturbed factors come from Ritz steps
+    (p, gamma, _, _), *_ = deep_n2_d3
+    N, kappa = 2, 0.1
+    cs = assemble_3d(*[fast_factor_spectrum(p, N, gamma)] * 3, kappa, N)
+    intervals = [cs.separating[n] for n in (0, 1, 2)]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("perturb_and_recount ran an integrator pass")
+
+    monkeypatch.setattr(mo, "integrate_batch", refuse)
+    monkeypatch.setattr(cluster, "integrate_batch", refuse)
+    for name in ("_hill_edges", "galerkin_dirichlet_vectors", "galerkin_dirichlet"):
+        monkeypatch.setattr(sm, name, counted(name, getattr(sm, name)))
+    monkeypatch.setattr(cluster, "fast_factor_spectrum", counted("fast_factor_spectrum", fast_factor_spectrum))
+    (ws,) = separable_perturbations(5, 1, 3)
+    assert perturb_and_recount([p] * 3, ws, kappa**3, intervals, kappa, gamma, N) == ([1, 3, 3], [1, 3, 3])
+    assert sorted(calls) == ["_hill_edges", "galerkin_dirichlet_vectors"]
+
+
+FALLBACK_CASES = {
+    # gap 2 is 1.4e-4 long, under 2 eps sup|w|: by Weyl the perturbed edges
+    # may cross, so the Ritz enclosures of the periodic block overlap (and
+    # mu_2, inside that gap, has an uncertain sheet as well)
+    "nearly closed gap": (
+        fourier_potential([(1, 30.0, -12.0), (2, -9.575, 9.119)]),
+        [fourier_potential([(1, 0.3, -0.2), (2, 0.1, 0.25)]), fourier_potential([(3, -0.4, 0.3)])],
+        2,
+        [1],
+    ),
+    # an even potential puts mu_1 on a band edge, |psi'(0)| = |psi'(1)|, and
+    # an odd perturbation moves it off by less than the Ritz read-out resolves
+    "uncertain sheet": (
+        fourier_potential([(1, 30.0, 0.0)]),
+        [fourier_potential([(1, 0.0, 0.5)])] * 2,
+        1,
+        [0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_uncertain_factors_fall_back_to_full_solves(case, monkeypatch):
+    p, ws, N, counts = FALLBACK_CASES[case]
+    gamma, kappa = 10.0, 0.1
+    eps = kappa**3
+    _, basis = cluster._solve_factor(p, N, gamma)
+    perturbed = list(dict.fromkeys(_add_potentials(p, w, eps) for w in ws))
+    assert all(cluster._ritz_factor(basis, q, eps * w.sup_norm_bound, N, gamma) is None for q, w in zip(perturbed, ws))
+    e = basis.mu[0] / gamma
+    intervals = [(2 * e - 0.1, 2 * e + 0.1)]
+    solved = []
+
+    def full_solve(q, *args):
+        solved.append(q)
+        return fast_factor_spectrum(q, *args)
+
+    monkeypatch.setattr(cluster, "fast_factor_spectrum", full_solve)
+    before, after = perturb_and_recount([p, p], ws, eps, intervals, kappa, gamma, N)
+    assert solved == perturbed
+    cs = assemble_2d(*[fast_factor_spectrum(_add_potentials(p, w, eps), N, gamma) for w in ws], kappa, N)
+    assert before == after == [count_in_interval(cs, iv)[0] for iv in intervals] == counts
+
+
+def test_interval_end_inside_an_enclosure_falls_back_to_full_solves(bound_state_potential, monkeypatch):
+    # the interval ends at the Ritz sum itself; mu_1's Ritz value is an upper
+    # bound, so the full solves put the sum just inside, as they put the
+    # unperturbed one
+    p, gamma, kappa, N = bound_state_potential, 10.0, 0.1, 1
+    eps = kappa**3
+    w = fourier_potential([(1, 0.3, 0.1)], constant=0.5)
+    q = _add_potentials(p, w, eps)
+    spectrum, basis = cluster._solve_factor(p, N, gamma)
+    ritz, radius = cluster._ritz_factor(basis, q, eps * w.sup_norm_bound, N, gamma)
+    e_ritz = ritz.eigenvalues[0][1]
+    interval = (2 * spectrum.eigenvalues[0][1] - 0.1, 2 * e_ritz)
+    solved = []
+
+    def full_solve(q, *args):
+        solved.append(q)
+        return fast_factor_spectrum(q, *args)
+
+    monkeypatch.setattr(cluster, "fast_factor_spectrum", full_solve)
+    before, after = perturb_and_recount([p, p], [w, w], eps, [interval], kappa, gamma, N)
+    assert solved == [q]
+    e_full = fast_factor_spectrum(q, N, gamma).eigenvalues[0][1]
+    assert 0.0 < e_ritz - e_full < radius
+    assert before == after == [1]
 
 
 # --- ground-state products ---------------------------------------------------

@@ -54,10 +54,10 @@ def test_forward_map_gradients_match_central_difference(modest_design):
     x = np.concatenate(([t.cos for t in p.fourier], [t.sin for t in p.fourier]))
 
     def values(x):
-        lengths, pos, _, _ = dz._forward_map(dz._potential_from_coeffs(x[:M], x[M:]), N, M)
+        lengths, pos, _, _, _ = dz._forward_map(dz._potential_from_coeffs(x[:M], x[M:]), N, M)
         return np.concatenate((lengths, pos))
 
-    _, _, d_len, d_pos = dz._forward_map(p, N, M)
+    _, _, d_len, d_pos, _ = dz._forward_map(p, N, M)
     J = np.vstack((d_len, d_pos))
     J_fd = _central_difference(values, x, np.full(2 * M, 1e-3), range(2 * M))
     assert np.max(np.abs(J - J_fd)) < 1e-6 * np.max(np.abs(J))

@@ -253,3 +253,28 @@ def test_dirichlet_sheets_match_shooting_in_a_deep_well(deep_n2_d3):
         matrix, shooting, log_ratio = sheets_by_both_routes(q, 2)
         assert list(matrix) == list(shooting) == [sheet, sheet]
         assert np.all(np.abs(log_ratio) >= 3)
+
+
+def test_ritz_enclosures_hold_for_a_perturbed_matrix():
+    # H = H0 + E with ||E|| = spread: Kato-Temple radii of order spread^2
+    # for the two lowest values, a Weinstein radius for the highest computed
+    # one, and Davis-Kahan angles that bound the true ones
+    rng = np.random.default_rng(4)
+    Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    values, spread = np.arange(1.0, 9.0), 0.05
+    E = rng.standard_normal((8, 8))
+    E = (E + E.T) * (spread / np.linalg.norm(E + E.T, 2))
+    H = (Q * values) @ Q.T + E
+    X = Q[:, :3]
+    theta, V, radius, angle = sm.ritz_enclosures(H @ X, X, values[:3], spread, np.abs(H).sum(axis=1).max())
+    lam, U = np.linalg.eigh(H)
+    assert np.all(np.abs(theta - lam[:3]) <= radius)
+    assert np.all(radius[:2] <= spread**2)
+    assert radius[2] == pytest.approx(np.linalg.norm(H @ V[:, 2] - theta[2] * V[:, 2]), rel=1e-6)
+    sines = np.sqrt(np.maximum(0.0, 1.0 - np.sum(U[:, :2] * V[:, :2], axis=0) ** 2))
+    assert np.all(sines <= angle[:2]) and np.isinf(angle[2])
+    # neighbours closer than 2 spread: the Weyl bounds cannot tell them apart
+    values[1] = 1.0 + spread
+    H = (Q * values) @ Q.T + E
+    _, _, radius, angle = sm.ritz_enclosures(H @ X, X, values[:3], spread, np.abs(H).sum(axis=1).max())
+    assert np.all(np.isinf(radius[:2])) and np.all(np.isinf(angle[:2]))
