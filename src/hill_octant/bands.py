@@ -73,6 +73,7 @@ VIRTUAL_EDGE_REL = 1e-7
 VIRTUAL_A_TOL = 1e-9
 MAX_NEWTON = 60
 _EDGE_RTOL = 2e-13  # band-edge searches; phases and anchors run at mo.RTOL
+_SEED_GALERKIN = 128  # smallest Galerkin basis of the Dirichlet and Neumann seeds
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,16 @@ def _angles(p, lams):
 
 
 def _initial_guesses(p: Potential, n_need: int):
-    """Cheap eigenvalue guesses to seed the shooting solver."""
+    """Cheap eigenvalue guesses to seed the shooting solver.
+
+    A seed only has to land close enough to its root for the phase Newton
+    to stop after one step, so the Galerkin bases are sized by the turning
+    index alone, with a floor of _SEED_GALERKIN functions, and not by the
+    larger default floor of `spectral_matrix`.
+    """
     if p.fourier:
-        mu = sm.galerkin_dirichlet(p, n_need)
-        nu = sm.galerkin_neumann(p, n_need + 1)
-        return mu, nu
+        dim = max(_SEED_GALERKIN, sm._turning_index(p, n_need + 1, math.pi))
+        return sm.galerkin_dirichlet(p, n_need, dim=dim), sm.galerkin_neumann(p, n_need + 1, dim=dim)
     mean = p.constant
     if p.piecewise:
         mean += sum(s.value * (s.hi - s.lo) for s in p.piecewise)

@@ -13,12 +13,17 @@ stay resolved.  Each Hill block is the Galerkin matrix of -d^2 + v in the
 real trigonometric basis 1, sqrt(2) cos 2 pi q x, sqrt(2) sin 2 pi q x
 (`_hill_band`), so it is real symmetric and banded, and no eigensolve uses
 complex arithmetic; the edge eigenvectors are handed out over exponential
-wavenumbers.  Only the lowest few eigenpairs are wanted.  Shifted just below
-the spectrum, by a lower bound from the minimum of the potential, a block is
-positive definite, so one banded LU factor applies (H - sigma)^-1, and block
-Lanczos on that inverse finds the lowest eigenpairs first: the spectral
-transformation of Ericsson and Ruhe (Math. Comp. 35, 1980) with the block
-iteration of Golub and Underwood (1977).
+wavenumbers.  Only the lowest few eigenpairs are wanted, and the block
+dimension picks the solver.  A block of dimension up to BAND_SOLVER_DIM (the
+shallow potentials: 67 for the 3-mode test corpus at 6 gaps) goes to
+LAPACK's band eigensolver, which is faster there and rounds the low
+eigenvalues far below eps ||H||, as the 1e-12 stop of the edge Newton in
+`bands` needs; dense `eigh` would not.  A larger block (the deep wells) is
+shifted just below the spectrum, by a lower bound from the minimum of the
+potential, so that it is positive definite; one banded LU factor applies
+(H - sigma)^-1, and block Lanczos on that inverse finds the lowest
+eigenpairs first: the spectral transformation of Ericsson and Ruhe (Math.
+Comp. 35, 1980) with the block iteration of Golub and Underwood (1977).
 The Galerkin matrices are dense Toeplitz plus (or minus) Hankel matrices of
 the cosine moments of v and go to LAPACK through `scipy.linalg.eigh`.  The
 Dirichlet eigenvectors also carry the sheet of each Dirichlet point
@@ -56,8 +61,8 @@ __all__ = [
     "ritz_enclosures",
 ]
 
-DEFAULT_MODES = 64
 DEFAULT_GALERKIN = 256
+BAND_SOLVER_DIM = 160  # Hill blocks up to this dimension go to LAPACK's band solver, larger ones to Lanczos
 LANCZOS_BLOCK = 2  # Hill eigenvalues have multiplicity at most 2
 LANCZOS_TOL = 1e-12  # Ritz residual bound, relative to the largest Ritz value
 RITZ_EVERY = 4  # Lanczos steps between Rayleigh-Ritz checks
@@ -66,10 +71,25 @@ RITZ_ROUNDING = 16  # rounding allowance of a Ritz value or residual, in units o
 
 
 def _turning_index(p: Potential, count: int, spacing: float) -> int:
-    """Smallest basis index safely past the classical turning point."""
+    """Smallest basis index safely past the classical turning point.
+
+    Index k has wavenumber `spacing` k: pi m for the sine and cosine
+    bases, 2 pi q for a Hill block.  Both hold one basis function per pi
+    of wavenumber (a Hill block has a cos-sin pair per mode), so the margin
+    of 8 (count + 2) functions past the turning wavenumber is
+    8 (count + 2) pi / spacing indices: 4 (count + 2) Hill modes.
+
+    The turning wavenumber counts |constant| through `p.sup_norm_bound`,
+    though a constant shift leaves every eigenvector unchanged.  It stays
+    in, as margin the Galerkin bases need: on the normalized (2, 0.1, 3)
+    design (constant 2.0e5) the sizes without it (Hill K 157, Galerkin 314,
+    against 208 and 416) keep the Hill edges within 4e-12 of a 900-mode
+    reference, but raise the error of mu_1 (about 296) against an
+    1800-function sine basis from 1.1e-7 to 7.7e-7.
+    """
     sup = p.sup_norm_bound
     k_turn = math.sqrt(max(2.0 * sup, 1.0)) / spacing
-    return int(1.3 * k_turn) + 8 * (count + 2)
+    return int(1.3 * k_turn) + round(8 * (count + 2) * math.pi / spacing)
 
 
 def _orthonormal_block(V, Q, rng):
@@ -208,10 +228,40 @@ def _hill_band(a, b, offset, K, constant):
 
 
 def _hill_block(a, b, offset, K, constant, n_lowest, symbol):
-    """Lowest eigenpairs of the real Hill block `_hill_band`.
+    """Lowest `n_lowest` eigenpairs of the real Hill block `_hill_band`.
 
-    Returns (values ascending, real vectors as columns); `symbol` is
-    `_symbol_bounds(a, b)`.  The shift sigma from `_hill_shift` gives
+    Returns (values ascending, real vectors as columns).  A block of
+    dimension up to BAND_SOLVER_DIM goes to `_hill_banded`, a larger one to
+    `_hill_lanczos`, which needs `symbol`, `_symbol_bounds(a, b)` (None
+    when no block of the call is that large).
+    """
+    if 2 * K + (1 if offset == 0.0 else 0) <= BAND_SOLVER_DIM:
+        return _hill_banded(a, b, offset, K, constant, n_lowest)
+    return _hill_lanczos(a, b, offset, K, constant, n_lowest, symbol)
+
+
+def _hill_banded(a, b, offset, K, constant, n_lowest):
+    """What `_hill_block` returns, from LAPACK's band eigensolver.
+
+    `eig_banded` (dsbevx) reduces the lower band to tridiagonal form by
+    plane rotations and computes only the wanted eigenpairs.  Its cost
+    grows as dim^2 times the bandwidth, against Lanczos's nearly flat cost
+    per block, so it is the faster of the two up to BAND_SOLVER_DIM: on
+    3-mode potentials (2 cores, one BLAS thread) it takes 0.27 ms at
+    dimension 67 against 0.97 ms, and the two meet between dimension 130
+    (10 modes) and 190 (2 modes).  Dense `eigh` would cost about as much,
+    but it rounds each value by about eps ||H||, at K = 33 enough to move an
+    edge seed past the 1e-12 stop of the edge Newton in `bands`; the band
+    reduction's rounding of the low eigenvalues stays below it.
+    """
+    band, bw, _ = _hill_band(a, b, offset, K, constant)
+    return sla.eig_banded(band[2 * bw :], lower=True, select="i", select_range=(0, n_lowest - 1), check_finite=False)
+
+
+def _hill_lanczos(a, b, offset, K, constant, n_lowest, symbol):
+    """What `_hill_block` returns, from shift-invert block Lanczos.
+
+    The shift sigma from `_hill_shift` gives
     H - sigma >= 1, so it is nonsingular; in a deep well it sits about half
     a gap spacing below the lowest eigenvalue, so the wanted end of the
     spectrum of (H - sigma)^-1 stands well apart from the rest and Lanczos
@@ -318,11 +368,12 @@ def _hill_edges(p: Potential, n_gaps: int, modes: int | None):
     """
     const, a, b = _mode_arrays(p)
     if modes is None:
-        modes = max(DEFAULT_MODES, _turning_index(p, n_gaps, 2.0 * math.pi))
+        modes = _turning_index(p, n_gaps, 2.0 * math.pi)
     if 2 * modes < n_gaps + 1:  # the anti-periodic block has dimension 2 modes
         raise ValueError(f"modes={modes} is too few for {n_gaps} gaps: need at least {(n_gaps + 2) // 2}")
     K = modes
-    symbol = _symbol_bounds(a, b)  # one FFT of the symbol serves both blocks
+    # one FFT of the symbol serves both blocks, and only Lanczos needs it
+    symbol = _symbol_bounds(a, b) if 2 * K + 1 > BAND_SOLVER_DIM else None
     blocks = {offset: _hill_block(a, b, offset, K, const, n_gaps + 1, symbol) for offset in (0.0, 0.5)}
     lam0, lo, hi, nbe = _block_edges({offset: ev for offset, (ev, _) in blocks.items()}, n_gaps)
 

@@ -156,7 +156,7 @@ def logged_model_design(N, kappa, d):
     """
     events, blocks, hill_args, widths = [], [], [], set()
     lengths, solve = dz.design_gap_lengths, dz._gauss_newton
-    hill_edges, block, shift, orth = sm._hill_edges, sm._hill_block, sm._hill_shift, sm._orthonormal_block
+    hill_edges, block, shift, orth = sm._hill_edges, sm._hill_lanczos, sm._hill_shift, sm._orthonormal_block
 
     def logged_lengths(*args):
         out = lengths(*args)
@@ -198,7 +198,7 @@ def logged_model_design(N, kappa, d):
         m.setattr(dz, "design_gap_lengths", logged_lengths)
         m.setattr(dz, "_gauss_newton", logged_solve)
         for name, fn in [("_hill_edges", logged_edges), ("_hill_shift", logged_shift),
-                         ("_hill_block", logged_block), ("_orthonormal_block", logged_orth),
+                         ("_hill_lanczos", logged_block), ("_orthonormal_block", logged_orth),
                          ("galerkin_dirichlet", logged_galerkin(sm.galerkin_dirichlet)),
                          ("galerkin_dirichlet_vectors", logged_galerkin(sm.galerkin_dirichlet_vectors))]:
             m.setattr(sm, name, fn)

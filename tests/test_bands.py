@@ -71,6 +71,24 @@ def test_shooting_edges_match_hill_matrix(asym_potential):
     assert abs(bs.next_band_end - nbe) / max(1.0, abs(nbe)) < 1e-6
 
 
+def test_default_hill_seeds_lie_within_the_edge_newton_stop():
+    # each default Hill edge within the edge Newton's 1e-12 stop of its
+    # shooting root, which keeps each edge search at one pass; dense eigh on
+    # the same small blocks rounds some edges past it.  A shooting root is
+    # known only to the Newton step it would take from itself: on the
+    # narrow gap 6 of potential 10 (1 / F' = 1.7e6) that step is 7e-12
+    # relative, at every Hill size.
+    parity = np.concatenate(([0], np.arange(1, 7), np.arange(1, 7)))
+    for p in random_corpus(12, seed=777):
+        bs = bands.band_structure(p, 6)
+        lam0, glo, ghi, _ = sm.hill_band_edges(p, 6)
+        seeds = np.concatenate(([lam0], glo, ghi))
+        edges = np.concatenate(([bs.lambda0], bs.gap_lo, bs.gap_hi))
+        mb = mo.integrate_batch(p, edges, rtol=bands._EDGE_RTOL)
+        resolution = np.abs(((-1.0) ** parity * mb.discriminant - 1.0) / mb.discriminant_lam)
+        assert np.all(np.abs(seeds - edges) <= 1e-12 * np.maximum(1.0, np.abs(edges)) + resolution)
+
+
 def test_shooting_mu_nu_match_galerkin(asym_potential):
     bs = bands.band_structure(asym_potential, 5)
     mu_g = sm.galerkin_dirichlet(asym_potential, 5)

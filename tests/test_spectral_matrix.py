@@ -34,9 +34,7 @@ def edge_pairs(p, n_gaps=N_GAPS, modes=MODES):
     return [(values[key], info[key][1], *blocks[info[key][0]]) for key in values]
 
 
-@pytest.mark.parametrize("name", sorted(POTENTIALS))
-def test_hill_edges_match_dense_eigh(name):
-    p = POTENTIALS[name]
+def assert_edges_match_dense_eigh(p):
     lam0, glo, ghi, nbe = sm.hill_band_edges(p, N_GAPS, modes=MODES)
     w_per, _ = dense_hill_block(p, 0.0, MODES)
     w_anti, _ = dense_hill_block(p, 0.5, MODES)
@@ -47,6 +45,19 @@ def test_hill_edges_match_dense_eigh(name):
     got = np.concatenate(([lam0], glo, ghi, [nbe]))
     want = np.concatenate(([w_per[0]], want_lo, want_hi, [want_next]))
     assert np.allclose(got, want, rtol=1e-12, atol=1e-11)
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_hill_edges_match_dense_eigh(name):
+    assert 2 * MODES + 1 <= sm.BAND_SOLVER_DIM  # both blocks go to the band solver
+    assert_edges_match_dense_eigh(POTENTIALS[name])
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_hill_lanczos_matches_dense_eigh(name, monkeypatch):
+    # the same blocks through the solver of the blocks above BAND_SOLVER_DIM
+    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
+    assert_edges_match_dense_eigh(POTENTIALS[name])
 
 
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
@@ -99,6 +110,14 @@ def test_real_blocks_of_the_deep_design_match_the_oracle(deep_n2_d3):
     assert_real_blocks_match_the_oracle(p, modes)
 
 
+def lanczos_on_both_blocks(p):
+    """`_hill_lanczos` on the periodic, then the anti-periodic block of MODES modes."""
+    const, a, b = sm._mode_arrays(p)
+    symbol = sm._symbol_bounds(a, b)
+    for offset in (0.0, 0.5):
+        sm._hill_lanczos(a, b, offset, MODES, const, N_GAPS + 1, symbol)
+
+
 def test_every_block_is_solved_in_real_arithmetic(monkeypatch):
     # with and without sine terms, both blocks reach the Lanczos loop real
     orth, dims = sm._orthonormal_block, []
@@ -111,7 +130,7 @@ def test_every_block_is_solved_in_real_arithmetic(monkeypatch):
     monkeypatch.setattr(sm, "_orthonormal_block", real_only)
     for name in ("even", "translated"):
         dims.clear()
-        sm.hill_edges_and_vectors(POTENTIALS[name], N_GAPS, modes=MODES)
+        lanczos_on_both_blocks(POTENTIALS[name])
         assert set(dims) == {2 * MODES + 1, 2 * MODES}  # the periodic and the anti-periodic block
 
 
@@ -203,7 +222,7 @@ SHIFT_CASES = {
 def test_shift_lies_below_both_blocks(name, monkeypatch):
     p, shift, seen = SHIFT_CASES[name], sm._hill_shift, []
     monkeypatch.setattr(sm, "_hill_shift", lambda *args: seen.append(shift(*args)) or seen[-1])
-    sm.hill_band_edges(p, N_GAPS, modes=MODES)
+    lanczos_on_both_blocks(p)
     sigma_per, sigma_anti = seen  # the periodic block is solved first
     assert sigma_per < dense_hill_block(p, 0.0, MODES)[0][0]
     assert sigma_anti < dense_hill_block(p, 0.5, MODES)[0][0]
