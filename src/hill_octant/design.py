@@ -146,19 +146,22 @@ def _potential_from_coeffs(cos_coeffs, sin_coeffs=None):
     return fourier_potential(terms)
 
 
-def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, dim=None):
+def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, dim=None, start=None):
     """Gap lengths, Dirichlet offsets mu_n - lambda_n^- and their gradients.
 
-    Returns (lengths, offsets, d_lengths, d_offsets, solved) for gaps 1..N,
-    where solved = (lambda0, gap_lo, gap_hi, next_band_end, mu) are the
-    eigenvalues behind them (mu None without `positions`).  Row n of
-    a gradient holds the derivatives in the coefficients of cos(2 pi k x),
-    then of sin(2 pi k x), k = 1..M: each edge and Dirichlet point is a
-    simple eigenvalue, so its derivative comes from its Hill or sine-Galerkin
-    eigenvector.  Without `positions` the offsets are None and no Galerkin
-    matrix is solved.
+    Returns (lengths, offsets, d_lengths, d_offsets, solved, vectors) for
+    gaps 1..N, where solved = (lambda0, gap_lo, gap_hi, next_band_end, mu)
+    are the eigenvalues behind them (mu None without `positions`).  Row n
+    of a gradient holds the derivatives in the coefficients of
+    cos(2 pi k x), then of sin(2 pi k x), k = 1..M: each edge and Dirichlet
+    point is a simple eigenvalue, so its derivative comes from its Hill or
+    sine-Galerkin eigenvector.  Without `positions` the offsets are None and
+    no Galerkin matrix is solved.  vectors = (Hill blocks, sine vectors or
+    None) are the eigenvectors of this call; passed back as `start` for a
+    nearby potential at the same `modes` and `dim`, they seed its solves.
     """
-    lam0, lo, hi, nbe, info = sm.hill_edges_and_vectors(p, N, modes=modes)
+    hill_start, sine_start = (None, None) if start is None else start
+    lam0, lo, hi, nbe, info, blocks = sm.hill_edges_and_vectors(p, N, modes=modes, start=hill_start)
 
     def edge_gradients(edge):
         return np.array([np.concatenate(sm.exp_vector_gradient(info[(edge, n)][1], M))
@@ -167,10 +170,10 @@ def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, dim=N
     d_lo = edge_gradients("lo")
     d_len = edge_gradients("hi") - d_lo
     if not positions:
-        return hi - lo, None, d_len, None, (lam0, lo, hi, nbe, None)
-    mu, Y = sm.galerkin_dirichlet_vectors(p, N, dim=dim)
+        return hi - lo, None, d_len, None, (lam0, lo, hi, nbe, None), (blocks, None)
+    mu, Y = sm.galerkin_dirichlet_vectors(p, N, dim=dim, start=sine_start)
     d_mu = np.array([np.concatenate(sm.sine_vector_gradient(y, M)) for y in Y.T])
-    return hi - lo, mu - lo, d_len, d_mu - d_lo, (lam0, lo, hi, nbe, mu)
+    return hi - lo, mu - lo, d_len, d_mu - d_lo, (lam0, lo, hi, nbe, mu), (blocks, Y)
 
 
 # --- public operations -------------------------------------------------------
@@ -203,7 +206,7 @@ def design_gap_lengths(target: DesignTarget, report: DesignReport | None = None)
     x0 = _length_seed(goal, M)
 
     def residual_jac(x):
-        lengths, _, d_len, _, _ = _forward_map(_potential_from_coeffs(x), N, M, positions=False)
+        lengths, _, d_len, _, _, _ = _forward_map(_potential_from_coeffs(x), N, M, positions=False)
         return (lengths - goal) / scale, d_len[:, :M] / scale
 
     x, rn, its = _gauss_newton(residual_jac, x0, target.tolerance)
@@ -238,7 +241,7 @@ def place_states(p0: Potential, target: DesignTarget, report: DesignReport | Non
 
     def residual_jac(x):
         p = _potential_from_coeffs(x[:M], x[M:])
-        lengths, pos, d_len, d_pos, _ = _forward_map(p, N, M)
+        lengths, pos, d_len, d_pos, _, _ = _forward_map(p, N, M)
         r = np.concatenate((lengths - goal_len, pos - fracs * goal_len))
         return r / scale, np.vstack((d_len, d_pos)) / scale
 
@@ -291,7 +294,8 @@ class _DeepFitter:
     positions, the mode amplitudes are pure shape knobs.  The forward map's
     gradients in the untranslated coefficients reach z by the chain rule.
     `solved` holds the last z evaluated and the forward map's eigenvalues
-    there.
+    there, and `vectors` the eigenvectors of the last evaluation, which
+    start the solves of the next: each iterate is a small step from the last.
     """
 
     def __init__(self, n_gaps, gamma, modes_M, hill_modes, galerkin_dim):
@@ -302,6 +306,7 @@ class _DeepFitter:
         self.gdim = galerkin_dim
         self.goal = np.full(n_gaps, gamma)
         self.solved = None
+        self.vectors = None
 
     def build(self, z):
         M = self.M
@@ -312,7 +317,9 @@ class _DeepFitter:
     def residual_jac(self, z, f_target):
         M = self.M
         p = self.build(z)
-        lengths, pos, d_len, d_pos, solved = _forward_map(p, self.N, M, modes=self.hill_modes, dim=self.gdim)
+        lengths, pos, d_len, d_pos, solved, self.vectors = _forward_map(
+            p, self.N, M, modes=self.hill_modes, dim=self.gdim, start=self.vectors
+        )
         self.solved = (z.copy(), solved)
         fr = pos / lengths
 
@@ -382,7 +389,9 @@ def _deep_design(N, gamma, frac, tolerance, report):
 
     def cost_and_slope(t, _):
         z[-1] = t[0]
-        mu, Y = sm.galerkin_dirichlet_vectors(fit.build(z), N, dim=gdim)
+        start = None if fit.vectors is None else fit.vectors[1]
+        mu, Y = sm.galerkin_dirichlet_vectors(fit.build(z), N, dim=gdim, start=start)
+        fit.vectors = (None, Y)  # each Newton step starts from the last, and the fit from the final one
         fr = (mu - glo) / (ghi - glo)
         d_fr = sm.dirichlet_translation_slopes(Y) / (ghi - glo)
         # _logit clips fr to [1e-12, 1 - 1e-12]: flat outside, so no slope there

@@ -154,9 +154,9 @@ def logged_model_design(N, kappa, d):
     (dimension, Lanczos steps, shift) per Hill block, `hill_args` the
     arguments of each Hill solve and `seconds` the build time.
     """
-    events, blocks, hill_args, widths = [], [], [], set()
+    events, blocks, hill_args, widths, shifts = [], [], [], set(), []
     lengths, solve = dz.design_gap_lengths, dz._gauss_newton
-    hill_edges, block, shift, orth = sm._hill_edges, sm._hill_lanczos, sm._hill_shift, sm._orthonormal_block
+    hill_edges, block, shift, orth = sm._hill_edges, sm._hill_lanczos, sm._shift, sm._orthonormal_block
 
     def logged_lengths(*args):
         out = lengths(*args)
@@ -167,10 +167,10 @@ def logged_model_design(N, kappa, d):
         events.append("solve")
         return solve(*args, **kwargs)
 
-    def logged_edges(*args):
+    def logged_edges(*args, **kwargs):
         events.append("hill")
         hill_args.append(args)
-        return hill_edges(*args)
+        return hill_edges(*args, **kwargs)
 
     def logged_galerkin(galerkin):
         def logged(*args, **kwargs):
@@ -179,15 +179,15 @@ def logged_model_design(N, kappa, d):
 
         return logged
 
-    def logged_shift(symbol, wavenumbers, constant):
-        sigma = shift(symbol, wavenumbers, constant)
-        blocks.append([wavenumbers.size, 0, sigma])
-        return sigma
+    def logged_shift(*args):
+        shifts.append(shift(*args))
+        return shifts[-1]
 
-    def logged_block(*args):
+    def logged_block(a, b, offset, K, *args, **kwargs):
         widths.clear()
-        out = block(*args)
-        blocks[-1][1] = len(widths)  # one basis width per Lanczos step
+        out = block(a, b, offset, K, *args, **kwargs)
+        # one basis width per Lanczos step; the block's shift is the last one taken
+        blocks.append([2 * K + (1 if offset == 0.0 else 0), len(widths), shifts[-1]])
         return out
 
     def logged_orth(V, Q, rng):
@@ -197,7 +197,7 @@ def logged_model_design(N, kappa, d):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dz, "design_gap_lengths", logged_lengths)
         m.setattr(dz, "_gauss_newton", logged_solve)
-        for name, fn in [("_hill_edges", logged_edges), ("_hill_shift", logged_shift),
+        for name, fn in [("_hill_edges", logged_edges), ("_shift", logged_shift),
                          ("_hill_lanczos", logged_block), ("_orthonormal_block", logged_orth),
                          ("galerkin_dirichlet", logged_galerkin(sm.galerkin_dirichlet)),
                          ("galerkin_dirichlet_vectors", logged_galerkin(sm.galerkin_dirichlet_vectors))]:

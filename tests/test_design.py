@@ -54,10 +54,10 @@ def test_forward_map_gradients_match_central_difference(modest_design):
     x = np.concatenate(([t.cos for t in p.fourier], [t.sin for t in p.fourier]))
 
     def values(x):
-        lengths, pos, _, _, _ = dz._forward_map(dz._potential_from_coeffs(x[:M], x[M:]), N, M)
+        lengths, pos = dz._forward_map(dz._potential_from_coeffs(x[:M], x[M:]), N, M)[:2]
         return np.concatenate((lengths, pos))
 
-    _, _, d_len, d_pos, _ = dz._forward_map(p, N, M)
+    _, _, d_len, d_pos = dz._forward_map(p, N, M)[:4]
     J = np.vstack((d_len, d_pos))
     J_fd = _central_difference(values, x, np.full(2 * M, 1e-3), range(2 * M))
     assert np.max(np.abs(J - J_fd)) < 1e-6 * np.max(np.abs(J))
@@ -329,6 +329,27 @@ def test_criterion_5_translation_solves(criterion5_design):
     assert scan.count("galerkin") <= 6
     assert rep.iterations <= 5
     assert [s.sign for s in bs.states] == [1, 1, 1]
+
+
+def test_deep_fit_starts_each_solve_from_the_last(monkeypatch):
+    # the translation Newton and the Gauss-Newton hand each solve's vectors
+    # to the next: only the first Dirichlet solve and the position fit's
+    # first Hill solve start cold (the gap-length fit's Hill bases vary)
+    starts = {"hill_edges_and_vectors": [], "galerkin_dirichlet_vectors": []}
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "galerkin_dirichlet_vectors" or kwargs.get("modes") is not None:
+                starts[name].append(kwargs.get("start") is not None)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in starts:
+        monkeypatch.setattr(sm, name, recorded(name, getattr(sm, name)))
+    dz.construct_model_potential(2, 0.1, 3)
+    for seen in starts.values():
+        assert len(seen) > 2 and not seen[0] and all(seen[1:])
 
 
 def test_wrong_shooting_sheets_raise_sign_unreachable(monkeypatch):
