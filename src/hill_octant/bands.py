@@ -7,35 +7,46 @@ globally safe bracketed Newton iteration.  Its brackets come from min-max
 comparison with the free operator, |mu_n - (pi n)^2| and |nu_n - (pi n)^2|
 at most sup|v|, so they need no search; the Galerkin eigenvalues (Fourier
 potentials) or (pi n)^2 plus the mean (piecewise ones) only seed it, and a
-root that ends at a bracket end raises.  Both mu_n and nu_n lie in the
-closure of gap n, and for an open gap their midpoint lies strictly inside,
-so (-1)^n F > 1 there.  (-1)^n F - 1 has a single critical point inside an
-open gap, so at the midpoint it is at least its smaller value at mu_n and
-nu_n.  The midpoints are each gap's one anchor: consecutive anchors bracket
-exactly one sign change of (-1)^n F - 1 for every band edge, and the same
-bracketed Newton iteration (dF/dlambda comes from the variational system)
-resolves it, even for near-closed gaps and for states sitting exactly on
-an edge.  For Fourier potentials each edge search starts at its Hill-matrix
-edge inside the anchor bracket (the bracket midpoint when the matrix edge
-falls outside): the bracket still certifies the shooting root, and the seed
-only cuts the passes it takes.
+root that ends at a bracket end raises.  The solve hands back each root's
+last Newton evaluation, moved to the root by one first-order step in
+lambda: the sheets, a(mu_n), F, phi_lambda and the residues, and the gap
+anchors below, come from it without another pass.
 
-A gap is resolved when (-1)^n F - 1 at its midpoint beats the integration
-noise.  Narrower gaps (roots become near-double) take their edges from the
-same Hill-matrix solve for Fourier potentials; piecewise potentials fall
-back to the hull [min(mu, nu), max(mu, nu)], a guaranteed inner
-approximation computed from well-conditioned simple roots.  Either way the
-edges still contain mu and nu, gaps below the merge tolerance collapse to a
-point, and each gap state records the route that certified its edges.
-`next_band_end` falls back the same way when gap N + 1 is unresolved, and
-`BandStructure.next_band_end_route` says so; lambda_0 is always shot here,
-and `lambda0_route` reads "matrix" only in the deep designs that assemble
-their band structure from the Hill matrices.
+Both mu_n and nu_n lie in the closure of gap n, where (-1)^n F >= 1, and
+(-1)^n F - 1 is positive only inside the open gap.  Each gap's one anchor
+is whichever of mu_n and nu_n has the larger excess; where that beats the
+integration noise, the anchor lies strictly inside the gap and the gap is
+resolved.  Where neither does, the hull midpoint may still: (-1)^n F - 1
+has a single critical point inside an open gap, so at the midpoint it is
+at least its smaller value at mu_n and nu_n.  The midpoints of just those
+gaps whose cubic Hermite estimate from F and dF/dlambda at mu_n and nu_n
+may beat the noise are evaluated, in one pass.  Below every potential,
+at lambda_min = -sup|v| - 1, v - lambda >= 1, so by Sturm comparison
+theta(1) and phi'(1), and with them F, are at least cosh 1: lambda_min
+needs no evaluation.  Consecutive anchors, lambda_min first, bracket
+exactly one sign change of (-1)^n F - 1 for every band edge, of a sign
+known at each end, and the same bracketed Newton iteration (dF/dlambda
+comes from the variational system) resolves it, even for near-closed gaps
+and for states sitting exactly on an edge.  For Fourier potentials each
+edge search starts at its Hill-matrix edge inside the anchor bracket (the
+bracket midpoint when the matrix edge falls outside): the bracket still
+certifies the shooting root, and the seed only cuts the passes it takes.
+
+Narrower gaps, which no anchor resolves (roots become near-double), take
+their edges from the same Hill-matrix solve for Fourier potentials;
+piecewise potentials fall back to the hull [min(mu, nu), max(mu, nu)], a
+guaranteed inner approximation computed from well-conditioned simple
+roots.  Either way the edges still contain mu and nu, gaps below the merge
+tolerance collapse to a point, and each gap state records the route that
+certified its edges.  `next_band_end` falls back the same way when gap
+N + 1 is unresolved, and `BandStructure.next_band_end_route` says so;
+lambda_0 is always shot here, and `lambda0_route` reads "matrix" only in
+the deep designs that assemble their band structure from the Hill
+matrices.
 
 All searches are batched: each Newton pass costs one integration pass over
-the energies still unconverged (2N + 3 at most), and one pass evaluates the
-anchors together with the Dirichlet points.  Phases and anchors run at the
-integrator's default tolerance and every band edge at the tighter
+the energies still unconverged (2N + 3 at most).  Phases and midpoints run
+at the integrator's default tolerance and every band edge at the tighter
 _EDGE_RTOL, since near-double roots amplify integration noise by
 1/|dF/dlambda|.  A search that reaches its cap raises.
 
@@ -168,7 +179,8 @@ def _prufer_phase(zeros, y, y_prime):
 
 
 def _angles(p, lams):
-    """Dirichlet and Neumann Prufer phases at x = 1 plus lambda-derivatives."""
+    """Dirichlet and Neumann Prufer phases at x = 1 plus lambda-derivatives,
+    and the batch they were read from."""
     mb = mo.integrate_batch(p, lams, count_zeros=True)
     angD = _prufer_phase(mb.phi_zeros, mb.phi_1, mb.phi_prime_1)
     angN = _prufer_phase(mb.theta_zeros, mb.theta_1, mb.theta_prime_1)
@@ -178,7 +190,7 @@ def _angles(p, lams):
     dN = (mb.theta_prime_1 * mb.theta_lam - mb.theta_1 * mb.theta_prime_lam) / (
         mb.theta_1**2 + mb.theta_prime_1**2
     )
-    return angD, dD, angN, dN
+    return angD, dD, angN, dN, mb
 
 
 def _initial_guesses(p: Potential, n_need: int):
@@ -245,26 +257,42 @@ def _bracketed_newton(evaluate, lo, hi, s_lo, tol, x0=None, iterate=None):
 
 
 def _phase_solve(p, targets, kinds, lo, hi, tol_rel, x0):
-    """Dirichlet (kinds False) and Neumann (True) phases equal to their targets."""
+    """Dirichlet (kinds False) and Neumann (True) phases equal to their targets.
+
+    Returns (roots, batch): the batch holds each root's last Newton
+    evaluation, moved to the root by one first-order step in lambda.  That
+    step is within the Newton stop, so the move errs by its square: a batch
+    at the roots without another integrator pass.
+    """
+    state, at, log_scale = np.empty((8, lo.size)), np.empty(lo.size), np.empty(lo.size)
 
     def evaluate(x, idx):
-        angD, dD, angN, dN = _angles(p, x)
+        angD, dD, angN, dN, mb = _angles(p, x)
+        for row, name in enumerate(mo.STATE_ROWS):
+            state[row, idx] = getattr(mb, name)
+        at[idx], log_scale[idx] = x, mb.log_scale
         k = kinds[idx]
         return np.where(k, angN, angD) - targets[idx], np.where(k, dN, dD)
 
-    return _bracketed_newton(evaluate, lo, hi, -np.ones(lo.size), tol_rel, x0)
+    x = _bracketed_newton(evaluate, lo, hi, -np.ones(lo.size), tol_rel, x0)
+    # the derivatives carry the same e^(-log_scale) as the values
+    state[:4] += state[4:] * (x - at)
+    return x, mo.MonodromyBatch(x, state, log_scale=log_scale)
 
 
 def _anchor_points(p: Potential, n_need: int):
     """mu_1..mu_{n_need} and nu_0..nu_{n_need} via the monotone phases, each
-    bracketed by (pi n)^2 -+ (sup|v| + 1) and seeded by the cheap guesses."""
+    bracketed by (pi n)^2 -+ (sup|v| + 1) and seeded by the cheap guesses.
+
+    Returns (mu, nu, batch), the batch at mu then nu from `_phase_solve`.
+    """
     n = np.concatenate((np.arange(1, n_need + 1), np.arange(n_need + 1)))
     kinds = np.arange(n.size) >= n_need  # False for mu, True for nu
     targets = np.pi * n + np.where(kinds, np.pi / 2, 0.0)
     reach = p.sup_norm_bound + 1.0
     lo, hi = (np.pi * n) ** 2 - reach, (np.pi * n) ** 2 + reach
     seeds = np.concatenate(_initial_guesses(p, n_need))
-    x = _phase_solve(p, targets, kinds, lo.copy(), hi.copy(), 3e-12, seeds)
+    x, mb = _phase_solve(p, targets, kinds, lo.copy(), hi.copy(), 3e-12, seeds)
     mu, nu = x[:n_need], x[n_need:]
     if np.any(np.diff(mu) <= 0) or np.any(np.diff(nu) <= 0):
         raise CountMismatch("eigenvalue ordering violated: bracketing failed")
@@ -272,23 +300,63 @@ def _anchor_points(p: Potential, n_need: int):
     # near a bracket end means the phases are wrong
     if np.any((x - lo < 0.5) | (hi - x < 0.5)):
         raise CountMismatch("a Dirichlet/Neumann phase root sits at its bracket end")
-    return mu, nu
+    return mu, nu, mb
 
 
 # --- band edges ------------------------------------------------------------
 
 
-def _edge_roots(p, lo, hi, f_lo_disc, parities, x0):
-    """Roots of (-1)^parity F(lambda) = 1, one sign change per bracket,
-    each search starting at its seed x0 where that lies inside the bracket."""
+def _edge_roots(p, lo, hi, s_lo, parities, x0):
+    """Roots of (-1)^parity F(lambda) = 1, one sign change per bracket, with
+    (-1)^parity F - 1 of sign s_lo at the lower end; each search starts at
+    its seed x0 where that lies inside the bracket."""
     sgn = (-1.0) ** np.asarray(parities)
-    s_lo = np.sign(sgn * np.asarray(f_lo_disc) - 1.0)
 
     def evaluate(x, idx):
         mb = mo.integrate_batch(p, x, rtol=_EDGE_RTOL)
         return sgn[idx] * mb.discriminant - 1.0, sgn[idx] * mb.discriminant_lam
 
-    return _bracketed_newton(evaluate, np.array(lo, float), np.array(hi, float), s_lo, 1e-12, x0)
+    return _bracketed_newton(
+        evaluate, np.array(lo, float), np.array(hi, float), np.array(s_lo, float), 1e-12, x0
+    )
+
+
+def _gap_anchors(p, mu, nu, mb_mu, mb_nu):
+    """(anchors, resolved): one point of each closed gap n = 1..len(mu), and
+    whether g = (-1)^n F - 1 there beats the integration noise,
+    200 RTOL max(1, |F|), which puts it inside the open gap.
+
+    The anchor is mu_n or nu_n, whichever has the larger g in its batch.
+    Where neither resolves the gap but the cubic Hermite estimate of g at
+    the hull midpoint, from g and g' at mu_n and nu_n, reaches half the
+    noise bound, the midpoint replaces it; those midpoints take one pass.
+    Near the bound the estimate matched the evaluated g to three digits on
+    the seed-777 corpus.  An unresolved anchor still has F within noise of
+    (-1)^n, so it anchors the sign of the neighbouring parities.
+    """
+    par = (-1.0) ** np.arange(1, mu.size + 1)
+
+    def noise(F):
+        return 200.0 * mo.RTOL * np.maximum(1.0, np.abs(F))
+
+    F_mu, F_nu = mb_mu.discriminant, mb_nu.discriminant
+    g_mu, g_nu = par * F_mu - 1.0, par * F_nu - 1.0
+    take_nu = g_nu > g_mu
+    anchor = np.where(take_nu, nu, mu)
+    F = np.where(take_nu, F_nu, F_mu)
+    resolved = par * F - 1.0 > noise(F)
+
+    # the Hermite cubic at the midpoint reads the same from either end
+    dg_mu, dg_nu = par * mb_mu.discriminant_lam, par * mb_nu.discriminant_lam
+    with np.errstate(invalid="ignore"):  # inf - inf in a deep well: no probe
+        g_mid = 0.5 * (g_mu + g_nu) + 0.125 * (nu - mu) * (dg_mu - dg_nu)
+        probe = ~resolved & (g_mid > 0.5 * noise(F))
+    if np.any(probe):
+        mid = 0.5 * (mu[probe] + nu[probe])
+        F_mid = mo.integrate_batch(p, mid).discriminant
+        anchor[probe] = mid
+        resolved[probe] = par[probe] * F_mid - 1.0 > noise(F_mid)
+    return anchor, resolved
 
 
 # --- main computation ------------------------------------------------------
@@ -299,23 +367,16 @@ def band_structure(p: Potential, N: int) -> BandStructure:
     if N < 1:
         raise ValueError("N must be >= 1")
     n_need = N + 1
-    mu, nu = _anchor_points(p, n_need)
+    mu, nu, mb = _anchor_points(p, n_need)
+    mb_mu, mb_nu = mb.take(slice(n_need)), mb.take(slice(n_need + 1, None))
 
     hull_lo = np.minimum(mu, nu[1:])
     hull_hi = np.maximum(mu, nu[1:])
     merge_tol = EDGE_MERGE_REL * np.maximum(1.0, np.abs(hull_lo))
-
-    # one pass over lambda_min, the hull midpoints and mu_1..mu_{N+1}.  Gap
-    # n is resolved where (-1)^n F - 1 at its midpoint beats the integration
-    # noise; an unresolved midpoint still has F within noise of (-1)^n, a
-    # strict sign anchor for the neighbouring parities
-    x_anchor = np.concatenate(([-p.sup_norm_bound - 1.0], 0.5 * (hull_lo + hull_hi)))
-    mb = mo.integrate_batch(p, np.concatenate((x_anchor, mu)))
-    F_anchor = mb.discriminant[: n_need + 1]
-    mb_mu = mb.take(slice(n_need + 1, None))
-    F_mid = F_anchor[1:]
-    excess = (-1.0) ** np.arange(1, n_need + 1) * F_mid - 1.0
-    resolved = excess > 200.0 * mo.RTOL * np.maximum(1.0, np.abs(F_mid))
+    anchor, resolved = _gap_anchors(p, mu, nu[1:], mb_mu, mb_nu)
+    # below every potential v - lambda >= 1, so by Sturm comparison theta(1)
+    # and phi'(1) are at least cosh 1 there, and so is F: no pass needed
+    x_anchor = np.concatenate(([-p.sup_norm_bound - 1.0], anchor))
 
     # the Hill matrices give every edge of a Fourier potential: the seed of
     # its Newton search, and the edges of gaps below F -+ 1 resolution.  The
@@ -326,19 +387,19 @@ def band_structure(p: Potential, N: int) -> BandStructure:
         m_lam0, m_lo, m_hi, m_next = math.nan, np.full(N, math.nan), np.full(N, math.nan), math.nan
     seed_lo = np.append(m_lo, m_next)
 
-    # one bracket (lower end, upper end, F at the lower end, parity, tag,
-    # seed) per edge, each between consecutive anchors
-    brackets = [(x_anchor[0], x_anchor[1], F_anchor[0], 0, ("edge0", 0), m_lam0)]
+    # one bracket (lower end, upper end, sign of (-1)^parity F - 1 at the
+    # lower end, parity, tag, seed) per edge, each between consecutive
+    # anchors: (-1)^(n-1) F >= 1 - noise at anchor n - 1, so (-1)^n F - 1
+    # is negative there
+    brackets = [(x_anchor[0], x_anchor[1], 1.0, 0, ("edge0", 0), m_lam0)]
     for n in range(1, n_need + 1):
         if not resolved[n - 1]:
             continue
-        brackets.append(
-            (x_anchor[n - 1], x_anchor[n], F_anchor[n - 1], n, ("lo", n), seed_lo[n - 1])
-        )
+        brackets.append((x_anchor[n - 1], x_anchor[n], -1.0, n, ("lo", n), seed_lo[n - 1]))
         if n <= N:
-            brackets.append((x_anchor[n], x_anchor[n + 1], F_anchor[n], n, ("hi", n), m_hi[n - 1]))
-    t_lo, t_hi, t_flo, t_par, t_tag, t_seed = zip(*brackets)
-    roots = _edge_roots(p, t_lo, t_hi, t_flo, t_par, t_seed)
+            brackets.append((x_anchor[n], x_anchor[n + 1], 1.0, n, ("hi", n), m_hi[n - 1]))
+    t_lo, t_hi, t_slo, t_par, t_tag, t_seed = zip(*brackets)
+    roots = _edge_roots(p, t_lo, t_hi, t_slo, t_par, t_seed)
 
     lambda0 = math.nan
     gap_lo = hull_lo.copy()
@@ -430,14 +491,12 @@ def band_structure(p: Potential, N: int) -> BandStructure:
 
 def dirichlet_eigs(p: Potential, N: int) -> np.ndarray:
     """mu_1 .. mu_N."""
-    mu, _ = _anchor_points(p, N)
-    return mu
+    return _anchor_points(p, N)[0]
 
 
 def neumann_eigs(p: Potential, N: int) -> np.ndarray:
     """nu_0 .. nu_N (N+1 values)."""
-    _, nu = _anchor_points(p, N)
-    return nu
+    return _anchor_points(p, N)[1]
 
 
 def classify_states(p: Potential, N: int) -> list[tuple[float, int]]:

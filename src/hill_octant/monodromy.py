@@ -161,6 +161,13 @@ class MonodromyData:
         return self.theta_1 * self.phi_prime_1 - self.theta_prime_1 * self.phi_1
 
 
+# the rows of a batch's state, in order
+STATE_ROWS = (
+    "theta_1", "theta_prime_1", "phi_1", "phi_prime_1",
+    "theta_lam", "theta_prime_lam", "phi_lam", "phi_prime_lam",
+)
+
+
 class MonodromyBatch:
     """Structure-of-arrays monodromy data for a vector of energies.
 
@@ -239,13 +246,7 @@ class MonodromyBatch:
 
     def take(self, idx) -> MonodromyBatch:
         """The entries idx (a slice or index array) as a batch of their own."""
-        state = [
-            getattr(self, name)[idx]
-            for name in (
-                "theta_1", "theta_prime_1", "phi_1", "phi_prime_1",
-                "theta_lam", "theta_prime_lam", "phi_lam", "phi_prime_lam",
-            )
-        ]
+        state = [getattr(self, name)[idx] for name in STATE_ROWS]
         zeros = [None if z is None else z[idx] for z in (self.phi_zeros, self.theta_zeros)]
         return MonodromyBatch(self.lams[idx], state, *zeros, self.log_scale[idx])
 

@@ -310,10 +310,15 @@ def _lanczos(solve, dim, k, start=None):
     first, which are the lowest lambda = sigma + 1/theta: the spectral
     transformation of Ericsson and Ruhe (Math. Comp. 35, 1980) with the
     block iteration of Golub and Underwood (1977).  Returns (theta
-    descending, vectors as columns); the only exit is a Ritz residual
-    ||(H - sigma)^-1 x - theta x|| of at most LANCZOS_TOL theta_1 for every
-    wanted pair, and a solve that fails it on the full basis raises
-    `NoConvergence`.
+    descending, vectors as columns) once the Ritz residual
+    ||(H - sigma)^-1 x - theta x|| is at most LANCZOS_TOL theta_1 for every
+    wanted pair.  Once the basis is the whole space the Ritz pairs are
+    exact but for rounding, and they are returned at whatever residual that
+    rounding leaves: the last directions added to a nearly full basis lose
+    orthogonality to about 1e-10, which alone lifts the residual above
+    LANCZOS_TOL (7e-11 theta_1 on a warm-started 49-dimension Hill block,
+    whose wanted values still lay within 0.06 eps ||H|| of the band
+    solver's).  Only a non-finite residual there raises `NoConvergence`.
 
     The start block is LANCZOS_BLOCK seeded random columns, after the
     columns of `start` when given (eigenvectors of a nearby matrix, such as
@@ -363,11 +368,9 @@ def _lanczos(solve, dim, k, start=None):
         if np.all(resid <= LANCZOS_TOL):
             return theta, X
         if m == dim:
-            raise NoConvergence(
-                f"Lanczos at dimension {dim}: Ritz residual {resid.max():.2e} "
-                f"above {LANCZOS_TOL:.0e} on the full basis",
-                best_residual=float(resid.max()),
-            )
+            if np.all(np.isfinite(resid)):
+                return theta, X
+            raise NoConvergence(f"Lanczos at dimension {dim}: non-finite Ritz residual on the full basis")
 
 
 def _exponential_vector(x, offset, K):

@@ -12,19 +12,21 @@ from hill_octant import bands, design as dz, monodromy as mo, spectral_matrix as
 from hill_octant.potential import fourier_potential, zero_potential
 
 
-Pass = namedtuple("Pass", "width rtol zeros")
+Pass = namedtuple("Pass", "width rtol zeros lams")
 
 
 @pytest.fixture
 def passes(monkeypatch):
     """Every integrator pass made through `monodromy.integrate_batch`, as a
-    Pass(width, rtol, zeros): its number of energies, its tolerance and
-    whether it counted zeros (the Prufer phase passes do)."""
+    Pass(width, rtol, zeros, lams): its number of energies, its tolerance,
+    whether it counted zeros (the Prufer phase passes do) and a copy of
+    its energies."""
     log = []
     batch = mo.integrate_batch
 
     def counted(p, lams, rtol=mo.RTOL, **kwargs):
-        log.append(Pass(int(np.size(lams)), rtol, kwargs.get("count_zeros", False)))
+        energies = np.array(lams, dtype=float, ndmin=1)
+        log.append(Pass(energies.size, rtol, kwargs.get("count_zeros", False), energies))
         return batch(p, lams, rtol=rtol, **kwargs)
 
     monkeypatch.setattr(mo, "integrate_batch", counted)

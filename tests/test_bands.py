@@ -301,7 +301,8 @@ def test_phase_root_at_its_bracket_end_raises(asym_potential, monkeypatch):
     # root lies, so the anchors must raise instead of returning those ends
     def too_high(p, lams):
         big = np.full(np.size(lams), 1e9)
-        return big, np.ones_like(big), big, np.ones_like(big)
+        mb = mo.MonodromyBatch(np.atleast_1d(lams), np.zeros((8, big.size)))
+        return big, np.ones_like(big), big, np.ones_like(big), mb
 
     monkeypatch.setattr(bands, "_angles", too_high)
     with pytest.raises(CountMismatch, match="bracket end"):
@@ -335,9 +336,9 @@ def test_unordered_anchor_points_raise(asym_potential, monkeypatch):
     phase_solve = bands._phase_solve
 
     def swapped(*args):
-        x = phase_solve(*args)
+        x, mb = phase_solve(*args)
         x[[0, 1]] = x[[1, 0]]  # mu_1 above mu_2
-        return x
+        return x, mb
 
     monkeypatch.setattr(bands, "_phase_solve", swapped)
     with pytest.raises(CountMismatch, match="ordering"):
@@ -362,16 +363,49 @@ def test_edges_do_not_depend_on_translation():
 def test_band_structure_pass_budget(passes):
     # the phases start at their Galerkin seeds inside the comparison
     # brackets: one pass over mu_1..mu_{N+1} and nu_0..nu_{N+1} (2N + 3
-    # energies), then at most one over the few unconverged.  The anchor pass
-    # carries lambda_min, the hull midpoints and mu_1..mu_{N+1} (2N + 3
-    # energies, the sheets read from its tail), and the edge passes are
-    # narrower still.
+    # energies), then at most one over the few unconverged.  The sheets, the
+    # residues and the gap anchors come from the phase passes themselves:
+    # no later pass evaluates a Dirichlet point again, nor lambda_min, whose
+    # F is at least cosh 1 by comparison.  Only the hull midpoints of gaps
+    # that mu_n and nu_n leave unresolved get a pass of their own, and the
+    # edge passes are narrower still.
     N = 6
     for p in random_corpus(6, seed=777):
+        mu = bands.dirichlet_eigs(p, N + 1)  # the same phase solve, so the same bits
         passes.clear()
         bands.band_structure(p, N)
         assert max(q.width for q in passes) <= 2 * N + 3
         assert sum(q.zeros for q in passes) <= 2
+        later = np.concatenate([q.lams for q in passes if not q.zeros])
+        assert not np.any(np.isin(later, mu))
+        assert -p.sup_norm_bound - 1.0 not in later
+
+
+KRONIG_PENNEY = [piecewise_potential([(0.0, a, v), (a, 1.0, 0.0)]) for a, v in [(0.4, 25.0), (0.6, -30.0)]]
+
+
+def test_every_gap_a_hull_midpoint_resolves_is_shot(asym_potential):
+    # mu_n or nu_n anchors a gap where (-1)^n F - 1 beats the noise bound
+    # there, and the hull midpoint is evaluated only where a Hermite estimate
+    # says it may; no gap that the midpoint alone resolves may be missed
+    cases = [(p, 6) for p in random_corpus(100, seed=777)]
+    cases += [(asym_potential, 5)] + [(p, 6) for p in KRONIG_PENNEY]
+    for p, N in cases:
+        bs = bands.band_structure(p, N)
+        mu, nu = bands._anchor_points(p, N + 1)[:2]
+        F = mo.integrate_batch(p, 0.5 * (mu + nu[1:])).discriminant
+        resolves = (-1.0) ** np.arange(1, N + 2) * F - 1.0 > 200.0 * mo.RTOL * np.maximum(1.0, np.abs(F))
+        routes = [s.certified_by for s in bs.states] + [bs.next_band_end_route]
+        assert all(r == "shooting" for r, ok in zip(routes, resolves) if ok), (p, routes, resolves)
+
+
+def test_lambda_min_needs_no_pass(modest_design):
+    # v - lambda >= 1 at lambda_min = -sup|v| - 1, so theta(1) and phi'(1),
+    # and with them F, are at least cosh 1 there (Sturm comparison with
+    # y'' = y): the lower end of lambda_0's bracket has a known sign
+    for p in random_corpus(100, seed=777) + KRONIG_PENNEY + [modest_design[0]]:
+        F = mo.integrate_batch(p, [-p.sup_norm_bound - 1.0]).discriminant[0]
+        assert F >= math.cosh(1.0), p
 
 
 @pytest.mark.parametrize("a, v", [(0.4, 25.0), (0.6, -30.0)])

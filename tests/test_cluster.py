@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from hill_octant import bands, cluster, monodromy as mo, spectral_matrix as sm
 from hill_octant.cluster import (
@@ -266,18 +265,21 @@ def test_fast_factor_spectrum_integrates_nothing(deep_n2_d3, monkeypatch):
     assert mu == pytest.approx(sm.galerkin_dirichlet(p, 2), rel=1e-12)
 
 
-RITZ_TOL = 4  # Ritz against same-size solves, in units of eps ||H||; 1.7 seen at most
+RITZ_TOL = 4  # Ritz against same-size solves, in units of eps ||H||; 0.07 seen at most (1.7 against eigh)
 
 
 def ritz_against_same_size_solves(p, gamma, N, kappa, trials, intervals):
     """Ritz recounts of separable perturbations of p, each checked against full solves.
 
     Each perturbed factor q gets a full solve at the basis sizes of the Ritz
-    step: `scipy.linalg.eigh` of its sine-Galerkin matrix and the Lanczos
-    solve of its Hill blocks (converged far below eps ||H||).  Every Ritz
-    value lies within RITZ_TOL eps ||H|| of that solve and inside its own
-    enclosure, the Ritz sheets are `dirichlet_sheets` of the eigh vectors,
-    and the counts in `intervals` agree.  ||H|| is the row-sum bound that
+    step: `_galerkin_solve` of its sine-Galerkin matrix, Lanczos at these
+    sizes (held to eigh from dimension 320 to 1443 by
+    `test_galerkin_lanczos_matches_eigh`, at a quarter of eigh's cost at
+    1443), and the Lanczos solve of its Hill blocks (converged far below
+    eps ||H||).  Every Ritz value lies within RITZ_TOL eps ||H|| of that
+    solve and inside its own enclosure, the Ritz sheets are
+    `dirichlet_sheets` of the full-solve vectors, and the counts in
+    `intervals` agree.  ||H|| is the row-sum bound that
     the Ritz step itself uses.
     """
     eps = kappa**3
@@ -301,7 +303,7 @@ def ritz_against_same_size_solves(p, gamma, N, kappa, trials, intervals):
                 ritz = cluster._ritz_factor(basis, q, eps * w.sup_norm_bound, N, gamma)
             assert ritz is not None  # no fallback on these trials
             *edges, _, hill = sm._hill_edges(q, N, K)
-            mu, Y = sla.eigh(sm._sine_matrix(q, N, dim), subset_by_index=(0, N))
+            mu, Y = sm._galerkin_solve(sm._sine_matrix(q, N, dim), q, N + 1, np.pi**2)
             for (theta, radius, norm), want in zip(ritz_steps, [mu, hill[0.0][0], hill[0.5][0]], strict=True):
                 err = np.abs(theta - want)
                 assert np.all(err <= RITZ_TOL * np.finfo(float).eps * norm)

@@ -441,6 +441,27 @@ def test_hill_warm_start_matches_the_cold_solve(deep_n2_d3, lanczos_steps):
         assert abs(np.vdot(warm[4][key][1], u)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_full_basis_returns_its_pairs_at_the_rounding_floor(asym_potential, lanczos_steps, monkeypatch):
+    # asym at 24 modes: a periodic block of dimension 49.  Started from the
+    # blocks of the potential translated by 1e-3 (5 vectors, then 2 random
+    # ones), Lanczos reaches the full basis with a Ritz residual of 5.6e-12
+    # theta_1, above LANCZOS_TOL: the last directions of a basis that spans
+    # the whole space are orthogonal only to about 1e-11.  The pairs are
+    # exact but for that rounding, so they are returned, not refused.
+    modes = 24
+    reference = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes)  # the band solver
+    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
+    start = sm.hill_edges_and_vectors(translate(asym_potential, 1e-3), 4, modes=modes)[5]
+    lanczos_steps.clear()
+    warm = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes, start=start)
+    assert max(lanczos_steps) + 5 + sm.LANCZOS_BLOCK >= 2 * modes + 1  # the last step filled the basis
+    norm = (2.0 * np.pi * modes) ** 2 + asym_potential.sup_norm_bound
+    for a, b in zip(reference[:4], warm[:4]):
+        assert np.all(np.abs(a - b) <= EIGH_TOL * np.finfo(float).eps * norm)
+    for key, (offset, u) in reference[4].items():
+        assert abs(np.vdot(warm[4][key][1], u)) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("name", ["corpus", "deep"])
 def test_stale_or_permuted_start_still_finds_the_lowest(name, deep_n2_d3, lanczos_steps):
     # the seeded random columns reach a wanted vector that the start lacks,
