@@ -213,13 +213,15 @@ def _initial_guesses(p: Potential, n_need: int):
     return mu, nu
 
 
-def _bracketed_newton(evaluate, lo, hi, s_lo, tol, x0=None, iterate=None):
+def _bracketed_newton(evaluate, lo, hi, s_lo, tol, x0=None, iterate=None, first=None):
     """Bracketed Newton on a batch of roots, evaluating the active entries only.
 
     `evaluate(x, idx)` returns (g, g') at the points x of entries idx, and
     `s_lo` is the sign of g at `lo`.  Each entry starts at its `x0` where
     that lies strictly inside (lo, hi), else (NaN, or no x0) at the
-    midpoint.  `iterate(x, g, g', idx)`, when given, replaces the Newton
+    midpoint.  `first`, when given, is (g, g') at the starts already, made
+    by the caller's own pass, and takes the place of the first evaluation.
+    `iterate(x, g, g', idx)`, when given, replaces the Newton
     iterate x - g/g' (a Newton step taken in another variable).  An iterate
     that leaves the bracket is replaced by bisection.  An entry stops when
     its step to the next iterate is at most tol * max(1, |x|), when its
@@ -235,7 +237,8 @@ def _bracketed_newton(evaluate, lo, hi, s_lo, tol, x0=None, iterate=None):
     for _ in range(MAX_NEWTON):
         idx = np.nonzero(active)[0]
         xa = x[idx]
-        g, dg = evaluate(xa, idx)
+        g, dg = evaluate(xa, idx) if first is None else first
+        first = None
         left = np.sign(g) == s_lo[idx]
         lo[idx] = np.where(left, xa, lo[idx])
         hi[idx] = np.where(~left, xa, hi[idx])

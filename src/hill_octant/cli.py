@@ -30,8 +30,8 @@ from .errors import (
     SeparationFail,
     SpecFormatError,
 )
-from .halfsolid import _rate_fit, asymptotic_coefficient, gap_eigenvalues, wronskian
-from .halfsolid import verify_sqrt_rate  # noqa: F401  (the benchmark tracer wraps this binding)
+from .halfsolid import _gap_roots, _rate_fit, _w_and_slope, ac_spectrum, asymptotic_coefficient
+from .halfsolid import gap_eigenvalues, verify_sqrt_rate, wronskian  # noqa: F401  (the benchmark tracer wraps these bindings)
 from .monodromy import integrate_batch
 from .potential import load_spec, save_spec
 
@@ -174,11 +174,14 @@ def cmd_halfsolid(args) -> int:
     else:
         taus = list(_parse_tau_grid(_require(args, cfg, "tau_grid")))
     bs = band_structure(p, N)
-    rows, pairs = [], []
-    for tau in taus:
-        hs = gap_eigenvalues(p, tau, N, bs=bs)
-        rows.extend((tau, j, lam, wronskian(p, tau, lam, j)) for j, lam in hs.eigenvalues)
-        pairs.append((float(tau), dict(hs.eigenvalues).get(gap_index)))
+    # the whole grid is one sweep, and every residual comes from one pass
+    roots = _gap_roots(p, [(tau, ac_spectrum(p, tau, N, bs=bs).gap_list) for tau in taus], bs)
+    rows = [(tau, j, lam) for tau, found in zip(taus, roots) for j, lam in found]
+    if rows:
+        t, j, lam = (np.array(v) for v in zip(*rows))
+        w, _ = _w_and_slope(p, t, lam, j)
+        rows = [row + (res,) for row, res in zip(rows, w.tolist())]
+    pairs = [(float(tau), dict(found).get(gap_index)) for tau, found in zip(taus, roots)]
     _write_csv(out / "eigenvalues.csv", ["tau", "j", "mu_j_tau", "w_residual"], rows)
     if one_tau is not None:
         return EXIT_OK  # one tau writes its eigenvalues only; the rate fit needs a grid

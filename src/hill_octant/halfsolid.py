@@ -17,6 +17,16 @@ w that remove its square-root branches at band edges and its pole at
 mu_j.  A whole tau sweep is one solve, each piece at its own tau.  The
 lowest gap is one more piece, uncut: the junction form is at least
 min(tau, min v), so w < 0 below that.
+
+Each Newton starts where the leading-order asymptotics put the root.
+Below a bound mu_j that is the tau law mu_j + c_j / sqrt(tau - mu_j), c_j
+the residue of m_+ at mu_j.  Below lambda_0 it is the threshold law
+m_+ = rho - beta sqrt(lambda_0 - lambda), whose beta comes from the pass at
+lambda_0 that gives rho.  Any other piece starts at its midpoint.  One
+first pass evaluates w at both ends and at the start of every piece, so no
+pass is spent on signs alone.  On the benchmark's sweep a tau of
+`gap_eigenvalues` takes 2 to 5 passes (3.5 on average), a 6-tau rate fit
+4, and a ground state 3 to 4 with its pass at lambda_0.
 """
 
 from __future__ import annotations
@@ -136,29 +146,22 @@ def _w_and_slope(p, tau, lams, gap_index):
     return m - root, dm + 0.5 / root
 
 
-def _gap_roots(p, sweep, bs: BandStructure):
-    """The junction eigenvalues of a sweep: one tuple of (index, lambda) per tau.
+def _pieces(sweep, bs: BandStructure, lowest_start=math.nan):
+    """The pieces of a sweep and the start of each one's Newton iteration.
 
     `sweep` lists (tau, surviving gaps to search) pairs.  Each gap is cut at
     its Dirichlet point mu_j, where m_+ may have its pole (gap 0, the lowest
-    one, has no mu and no cut); w is strictly increasing on each piece, so
-    the signs of w at the piece ends decide which pieces hold a root, and
-    one batched Newton iteration solves them all, each piece at its own
-    tau.  Roots on both sides of mu_j for one tau raise MultipleRoots, and
-    a w that is not finite at a piece end (m_+ beyond float64) raises
-    BracketFailure.
+    one, has no mu and no cut).  The piece just below a bound mu_j starts
+    at the tau law mu_j + c_j / sqrt(tau - mu_j), c_j < 0 the residue of m_+
+    there: the root of c_j / (lambda - mu_j) - sqrt(tau - mu_j), the leading
+    order of w.  The lowest gap starts at `lowest_start`.  A start that
+    does not lie strictly inside its piece, and every other piece, starts
+    at the midpoint.
 
-    Newton runs on g = w |lambda - mu_j| on a cut piece, which has no pole,
-    and on w elsewhere, in the variable u of
-
-        lambda = lo + (hi - lo) (sin^2 u - s_lo) / (s_hi - s_lo),
-
-    with s = 0 (lower end) or 1 (upper end) at a band edge or at tau, where
-    w has a square-root branch that u removes, and s = 1/2 at a cut or at
-    the lowest gap's lower end.  Bracket and stopping rule stay in lambda.
+    Returns None for no pieces, else arrays (lower end, upper end, gap
+    index, position in the sweep, tau, s_lo, s_hi, mu_j at a cut piece or
+    nan, start), with s_lo and s_hi as in `_gap_roots`.
     """
-    # (lower end, upper end, gap index, position in the sweep, s_lo, s_hi,
-    # mu_j at a cut piece or nan)
     pieces = []
     for k, (tau, gaps) in enumerate(sweep):
         for gap in gaps:
@@ -169,19 +172,52 @@ def _gap_roots(p, sweep, bs: BandStructure):
             if b <= a:
                 continue
             if j:  # gap 0, the lowest, has no Dirichlet point to cut at
-                mu_j = bs.dirichlet[j - 1]
+                mu_j = float(bs.dirichlet[j - 1])
                 split = POLE_SPLIT_REL * (bs.gap_hi[j - 1] - bs.gap_lo[j - 1])
                 if a < mu_j - split and mu_j + split < b:
-                    pieces.append((a, mu_j - split, j, k, 0.0, 0.5, mu_j))
-                    pieces.append((mu_j + split, b, j, k, 0.5, 1.0, mu_j))
+                    state = bs.state(j)
+                    law = mu_j + state.residue / math.sqrt(tau - mu_j) if state.sign == +1 else math.nan
+                    pieces.append((a, mu_j - split, j, k, tau, 0.0, 0.5, mu_j, law))
+                    pieces.append((mu_j + split, b, j, k, tau, 0.5, 1.0, mu_j, math.nan))
                     continue
-            pieces.append((a, b, j, k, 0.0 if j else 0.5, 1.0, math.nan))
+            start = math.nan if j else lowest_start
+            pieces.append((a, b, j, k, tau, 0.0 if j else 0.5, 1.0, math.nan, start))
     if not pieces:
+        return None
+    lo, hi, owner, at, tau, s_lo, s_hi, pole, start = (np.array(v) for v in zip(*pieces))
+    start = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))  # false for NaN
+    return lo, hi, owner, at, tau, s_lo, s_hi, pole, start
+
+
+def _gap_roots(p, sweep, bs: BandStructure, lowest_start=math.nan):
+    """The junction eigenvalues of a sweep: one tuple of (index, lambda) per tau.
+
+    `sweep` and `lowest_start` are as in `_pieces`.  w is strictly
+    increasing on each piece, so the signs of w at the piece ends decide
+    which pieces hold a root.  One pass evaluates w at both ends and at the
+    start of every piece; then one batched Newton iteration solves the
+    pieces with a root, each at its own tau, its first step and first
+    narrowing of the bracket taken from that pass.  Roots on both sides of
+    mu_j for one tau raise MultipleRoots, and a w that is not finite at a
+    piece end (m_+ beyond float64) raises BracketFailure.
+
+    Newton runs on g = w |lambda - mu_j| on a cut piece, which has no pole,
+    and on w elsewhere, in the variable u of
+
+        lambda = lo + (hi - lo) (sin^2 u - s_lo) / (s_hi - s_lo),
+
+    with s = 0 (lower end) or 1 (upper end) at a band edge or at tau, where
+    w has a square-root branch that u removes, and s = 1/2 at a cut or at
+    the lowest gap's lower end.  Bracket and stopping rule stay in lambda.
+    """
+    pieces = _pieces(sweep, bs, lowest_start)
+    if pieces is None:
         return [()] * len(sweep)
-    lo, hi, owner, at, s_lo, s_hi, pole = (np.array(v) for v in zip(*pieces))
-    tau = np.array([t for t, _ in sweep], dtype=float)[at]
-    w, _ = _w_and_slope(p, np.tile(tau, 2), np.concatenate((lo, hi)), np.tile(owner, 2))
-    w_lo, w_hi = np.split(w, 2)
+    lo, hi, owner, at, tau, s_lo, s_hi, pole, x0 = pieces
+    # the lower ends, the upper ends, then the starts
+    w, dw = _w_and_slope(p, np.tile(tau, 3), np.concatenate((lo, hi, x0)), np.tile(owner, 3))
+    w_lo, w_hi, w0 = np.split(w, 3)
+    dw0 = dw[2 * lo.size :]
     bad = ~(np.isfinite(w_lo) & np.isfinite(w_hi))
     if np.any(bad):
         raise BracketFailure(f"gap {owner[bad][0]}: w is not finite at a piece end, so no sign brackets a root")
@@ -192,23 +228,26 @@ def _gap_roots(p, sweep, bs: BandStructure):
     hit, count = np.unique(np.column_stack((at, owner)), axis=0, return_counts=True)
     if np.any(count > 1):
         raise MultipleRoots(f"gap {hit[count > 1][0, 1]}: a Wronskian root on both sides of mu_j")
-    lo, hi = lo[has], hi[has]
+    lo, hi, x0 = lo[has], hi[has], x0[has]
     lam_per_s = (hi - lo) / (s_hi[has] - s_lo)
 
-    def evaluate(x, idx):
-        w, dw = _w_and_slope(p, tau[idx], x, owner[idx])
+    def g_and_slope(x, w, dw, idx):
         d = x - pole[idx]
         cut = np.isfinite(d)
         dist = np.where(cut, np.abs(d), 1.0)
         return w * dist, dw * dist + np.where(cut, np.sign(d) * w, 0.0)
+
+    def evaluate(x, idx):
+        return g_and_slope(x, *_w_and_slope(p, tau[idx], x, owner[idx]), idx)
 
     def newton_in_u(x, g, dg, idx):
         u = np.arcsin(np.sqrt(np.clip(s_lo[idx] + (x - lo[idx]) / lam_per_s[idx], 0.0, 1.0)))
         u_next = u - g / (dg * lam_per_s[idx] * np.sin(2.0 * u))
         return lo[idx] + lam_per_s[idx] * (np.sin(u_next) ** 2 - s_lo[idx])
 
+    first = g_and_slope(x0, w0[has], dw0[has], slice(None))
     x = _bracketed_newton(
-        evaluate, lo.copy(), hi.copy(), -np.ones(owner.size), 1e-12, iterate=newton_in_u
+        evaluate, lo.copy(), hi.copy(), -np.ones(owner.size), 1e-12, x0, newton_in_u, first
     )
     roots = [[] for _ in sweep]
     for k, j, lam in zip(at.tolist(), owner.tolist(), x.tolist()):
@@ -304,17 +343,49 @@ def ground_state_count(
     if abs(bs.lambda0) > 1e-8:
         raise NotNormalized(f"lambda_0^+ = {bs.lambda0:.3e}; shift the potential to 0 first")
     nu0 = float(bs.neumann[0])
-    # rho = m_+(lambda_0) = (a - sqrt(F^2 - 1)) / phi(1), and F^2 = 1 at the
-    # band edge lambda_0, where the computed F^2 - 1 is rounding noise of
-    # either sign: so rho = a / phi(1), from the stored components (both
-    # carry e^(-log_scale), so the ratio is scale-free)
-    mb = mo.integrate_batch(p, [bs.lambda0])
-    rho = float(0.5 * (mb.phi_prime_1[0] - mb.theta_1[0]) / mb.phi_1[0])
+    rho, beta = _threshold_law(p, bs.lambda0)
     if rho <= 0 or not (nu0 < tau < rho**2):
-        return GroundState(0, float(rho), nu0, None)
+        return GroundState(0, rho, nu0, None)
     # the lowest gap (-inf, tau0) as a piece, its top kept as far from tau0
     # as a truncated gap's
     tau0 = min(0.0, tau)
     lowest = GapInterval(0, min(nu0, -p.sup_norm_bound, tau) - 5.0, tau0, True)
-    (roots,) = _gap_roots(p, [(tau, [lowest])], bs)
-    return GroundState(1, float(rho), nu0, roots[0][1] if roots else None)
+    start = _threshold_start(rho, beta, bs.lambda0, tau)
+    (roots,) = _gap_roots(p, [(tau, [lowest])], bs, lowest_start=start)
+    return GroundState(1, rho, nu0, roots[0][1] if roots else None)
+
+
+def _threshold_law(p: Potential, lam0: float) -> tuple[float, float]:
+    """(rho, beta) of m_+(lambda) = rho - beta sqrt(lam0 - lambda) + O(lam0 - lambda)
+    below the band edge lam0, from one pass at lam0.
+
+    rho = m_+(lam0) = (a - sqrt(F^2 - 1)) / phi(1), and F^2 = 1 at the band
+    edge, where the computed F^2 - 1 is rounding noise of either sign: so
+    rho = a / phi(1).  Below lam0, F^2 - 1 = 2 |F_lam| (lam0 - lambda) to
+    first order, so beta = sqrt(2 |F_lam|) / phi(1).  Both come from the
+    stored components, which carry s = e^(-log_scale): a / phi(1) is a
+    ratio of two of them, and beta = sqrt(2 s |F_lam|) / phi(1) in them.
+    """
+    mb = mo.integrate_batch(p, [lam0])
+    phi_1 = mb.phi_1[0]
+    rho = 0.5 * (mb.phi_prime_1[0] - mb.theta_1[0]) / phi_1
+    f_lam = 0.5 * (mb.phi_prime_lam[0] + mb.theta_lam[0])
+    beta = math.sqrt(2.0 * math.exp(-mb.log_scale[0]) * abs(f_lam)) / phi_1
+    return float(rho), float(beta)
+
+
+def _threshold_start(rho: float, beta: float, lam0: float, tau: float) -> float:
+    """The ground state the threshold law puts below lam0 for this tau, or nan.
+
+    With lambda = lam0 - s^2, w = 0 reads rho - beta s = sqrt(tau - lam0 + s^2).
+    Squared, (beta^2 - 1) s^2 - 2 rho beta s + rho^2 - (tau - lam0) = 0, whose
+    root on the branch rho - beta s >= 0 is the one written below without
+    cancellation: the smaller root when beta > 1, the positive one when
+    beta < 1.  nan when that branch holds no root.
+    """
+    c = rho * rho - (tau - lam0)
+    disc = (rho * beta) ** 2 - (beta * beta - 1.0) * c
+    if not disc >= 0.0:
+        return math.nan
+    s = c / (rho * beta + math.sqrt(disc))
+    return lam0 - s * s if s >= 0.0 and rho - beta * s >= 0.0 else math.nan

@@ -72,6 +72,7 @@ GALERKIN_LANCZOS_DIM = 300  # Galerkin matrices up to this dimension go to eigh,
 LANCZOS_BLOCK = 2  # Hill eigenvalues have multiplicity at most 2
 LANCZOS_TOL = 1e-12  # Ritz residual bound, relative to the largest Ritz value
 RITZ_EVERY = 4  # Rayleigh-Ritz checks come RITZ_EVERY LANCZOS_BLOCK basis vectors apart
+QR_GROWTH = 512.0  # most a Lanczos block's QR may amplify the rounding left along the basis
 SYMBOL_GRID = 4096  # points on which the minimum of the Toeplitz symbol is sampled
 RITZ_ROUNDING = 16  # rounding allowance of a Ritz value or residual, in units of eps ||H||
 
@@ -101,23 +102,45 @@ def _turning_index(p: Potential, count: int, spacing: float) -> int:
 def _orthonormal_block(V, Q, rng):
     """Q orthonormalized against the orthonormal columns of V, then by QR.
 
-    Two passes of block Gram-Schmidt keep the basis orthogonal to working
-    precision.  A direction that cancels (the Krylov space became
-    invariant, or a start vector is an eigenvector already in V) is
-    replaced by a random one before the QR is redone: the rest of the block
-    keeps its directions, which a QR with the cancelled column's rounding
-    noise in front would partly project away, and the basis keeps growing.
+    Two passes of block Gram-Schmidt against V, then a QR of the block.  A
+    direction that cancels (the Krylov space became invariant, or a start
+    vector is an eigenvector already in V) is replaced by a random one
+    before the QR is redone: the rest of the block keeps its directions,
+    which a QR with the cancelled column's rounding noise in front would
+    partly project away, and the basis keeps growing.
+
+    The passes leave each column orthogonal to V up to rounding, about eps
+    times its norm ||R e_i|| after them.  The QR divides column i by what
+    is left of it after the block's earlier columns, |R_ii|, and so
+    amplifies that rounding by ||R e_i|| / |R_ii|.  Where that exceeds
+    QR_GROWTH, the block takes a third pass against V and a second QR: the
+    test of Daniel, Gragg, Kaufman and Stewart (Math. Comp. 30, 1976), read
+    off the R the QR has made, with its bound set by the Lanczos stop
+    rather than at 1/sqrt(2).  512 eps = 1.1e-13 is a tenth of LANCZOS_TOL,
+    and a loss of orthogonality that size cannot hold a Ritz residual above
+    the stop.  ||R e_i|| is at most the column's norm before the passes, so
+    the norms of R are needed only where a column kept less than
+    1/QR_GROWTH of that.
     """
     gemm = sla.blas.dgemm
     scale = np.linalg.norm(Q, axis=0)
     for _ in range(2):
         Q = gemm(-1.0, V, gemm(1.0, V, Q, trans_a=1), beta=1.0, c=Q)  # Q - V V^T Q
     qr, tau = sla.lapack.dgeqrf(Q)[:2]  # LAPACK directly: scipy.linalg.qr costs 3x as much here
-    lost = ~(np.abs(np.diag(qr)) > 1e-8 * scale)
-    if np.any(lost):
-        Q[:, lost] = rng.standard_normal((Q.shape[0], int(lost.sum())))
-        return _orthonormal_block(V, Q, rng)
-    return sla.lapack.dorgqr(qr, tau)[0]
+    kept = np.abs(np.diag(qr))
+    amplified = False
+    if not np.all(QR_GROWTH * kept >= scale):  # false for NaN too
+        lost = ~(kept > 1e-8 * scale)
+        if np.any(lost):
+            Q[:, lost] = rng.standard_normal((Q.shape[0], int(lost.sum())))
+            return _orthonormal_block(V, Q, rng)
+        amplified = np.any(QR_GROWTH * kept < np.linalg.norm(np.triu(qr[: kept.size]), axis=0))
+    Q = sla.lapack.dorgqr(qr, tau)[0]
+    if amplified:
+        Q = gemm(-1.0, V, gemm(1.0, V, Q, trans_a=1), beta=1.0, c=Q)
+        qr, tau = sla.lapack.dgeqrf(Q)[:2]
+        Q = sla.lapack.dorgqr(qr, tau)[0]
+    return Q
 
 
 def _symbol_bounds(a, b):
@@ -314,11 +337,8 @@ def _lanczos(solve, dim, k, start=None):
     ||(H - sigma)^-1 x - theta x|| is at most LANCZOS_TOL theta_1 for every
     wanted pair.  Once the basis is the whole space the Ritz pairs are
     exact but for rounding, and they are returned at whatever residual that
-    rounding leaves: the last directions added to a nearly full basis lose
-    orthogonality to about 1e-10, which alone lifts the residual above
-    LANCZOS_TOL (7e-11 theta_1 on a warm-started 49-dimension Hill block,
-    whose wanted values still lay within 0.06 eps ||H|| of the band
-    solver's).  Only a non-finite residual there raises `NoConvergence`.
+    rounding leaves, which may lie above LANCZOS_TOL.  Only a non-finite
+    residual there raises `NoConvergence`.
 
     The start block is LANCZOS_BLOCK seeded random columns, after the
     columns of `start` when given (eigenvectors of a nearby matrix, such as

@@ -96,6 +96,9 @@ def test_halfsolid_bound_state(tmp_path, bound_state_potential):
 
 
 def test_halfsolid_rate_fit_reuses_the_sweep_roots(tmp_path, passes, modest_design):
+    # the grid is one junction sweep and its residuals one pass: at most 8
+    # passes beyond band_structure (43 when each tau and each residual took
+    # passes of its own)
     p, bs = modest_design
     spec = write_pot(tmp_path, p)
     rc = main(
@@ -105,20 +108,24 @@ def test_halfsolid_rate_fit_reuses_the_sweep_roots(tmp_path, passes, modest_desi
     assert rc == 0
     in_command = len(passes)
     passes.clear()
-    taus = np.geomspace(1e2, 1e6, 5)
     bands.band_structure(p, 3)
-    for tau in taus:
-        for j, lam in hsm.gap_eigenvalues(p, tau, 3, bs=bs).eigenvalues:
-            hsm.wronskian(p, tau, lam, j)
-    assert in_command == len(passes)  # the rate fit itself integrates nothing
+    assert in_command - len(passes) <= 8
+    header, rows = read_csv(tmp_path / "eigenvalues.csv")
+    assert header == ["tau", "j", "mu_j_tau", "w_residual"]
+    taus = np.geomspace(1e2, 1e6, 5)
+    want = [(tau, j, lam) for tau in taus for j, lam in hsm.gap_eigenvalues(p, tau, 3, bs=bs).eigenvalues]
+    assert [(float(r[0]), int(r[1])) for r in rows] == [(tau, j) for tau, j, _ in want]
+    for (tau, _, lam), r in zip(want, rows):
+        assert abs(float(r[2]) - lam) <= 1e-12 * abs(lam)
+        assert abs(float(r[3])) <= 1e-6 * max(1.0, math.sqrt(tau))
     passes.clear()
     fit = hsm.verify_sqrt_rate(p, 1, taus, bs=bs)
     assert passes  # verify_sqrt_rate solves every tau again, in one batch
     report = json.loads((tmp_path / "ratefit.json").read_text())
     assert report["taus"] == list(fit.taus)
     assert report["c_direct"] == fit.c_direct
-    # the sweep solves all gaps of one tau per batch, the fit gap 1 of every
-    # tau: the roots agree to 1e-12
+    # the sweep solves all gaps of every tau, the fit gap 1 of every tau:
+    # the roots agree to 1e-12
     assert report["slope"] == pytest.approx(fit.slope, rel=1e-9)
     assert report["constant"] == pytest.approx(fit.constant, rel=1e-9)
 

@@ -205,17 +205,20 @@ def test_shift_derivative_identity(condition_p):
 
 
 def test_gap_eigenvalues_root_budget(bound_state_potential, bound_state_bands, passes):
-    # one pass over the piece ends, then Newton on the pieces with a root
+    # one pass over the piece ends and starts, then Newton on the pieces
+    # with a root from its tau-law start
     hs = hsm.gap_eigenvalues(bound_state_potential, 1e4, 2, bs=bound_state_bands)
     assert 1 in dict(hs.eigenvalues)
+    assert len(passes) <= 5
     assert sum(q.width for q in passes) <= 100
 
 
 def test_ground_state_pass_budget(condition_p, passes):
     # the lowest gap is one piece bracketed by the form bound: one pass at
-    # lambda_0 for rho, one over the piece ends, then the Newton passes in
-    # the variable without the square-root branch at tau0 (19 passes when
-    # the Newton ran in lambda)
+    # lambda_0 for rho and the threshold law, one over the piece ends and the
+    # threshold-law start, then the Newton passes in the variable without
+    # the square-root branch at tau0 (19 passes when the Newton ran in
+    # lambda, 8 when it started at the midpoint after a pass on the ends)
     p = condition_p
     bs = bands.band_structure(p, 1)
     probe = hsm.ground_state_count(p, 1.0, bs=bs)
@@ -223,17 +226,18 @@ def test_ground_state_pass_budget(condition_p, passes):
     passes.clear()
     gs = hsm.ground_state_count(p, tau, bs=bs)
     assert gs.count == 1 and gs.energy is not None
-    assert len(passes) <= 10
+    assert len(passes) <= 4
 
 
 def test_rate_fit_solves_the_sweep_in_one_batch(modest_design, passes):
-    # every tau of the fit goes to one sign pass and one batched Newton (65
-    # passes when each tau was searched on its own), and each root is the
-    # one gap_eigenvalues finds for that tau alone
+    # every tau of the fit goes to one pass over the piece ends and starts
+    # and one batched Newton (65 passes when each tau was searched on its
+    # own, 6 when the Newton started at the piece midpoints), and each root
+    # is the one gap_eigenvalues finds for that tau alone
     p, bs = modest_design
     taus = np.geomspace(1e2, 1e6, 6)
     fit = hsm.verify_sqrt_rate(p, 1, taus, bs=bs)
-    assert len(passes) <= 20
+    assert len(passes) <= 5
     mu1 = bs.dirichlet[0]
     assert fit.taus == tuple(taus)
     for tau, gap in zip(fit.taus, fit.gaps_to_mu):
@@ -241,11 +245,77 @@ def test_rate_fit_solves_the_sweep_in_one_batch(modest_design, passes):
         assert abs(abs(lam - mu1) - gap) <= 1e-12 * abs(lam)
 
 
+def test_tau_law_starts_close_in_on_the_roots(modest_design):
+    # below each bound mu_j the Newton starts at mu_j + c_j / sqrt(tau - mu_j)
+    # where that lies inside the piece: nearer the root than the midpoint
+    # once tau >= 1e3, and with an error that does not grow against
+    # |mu_j - root| as tau grows (it is O(1/tau) against O(1/sqrt(tau)); the
+    # fitted log-log slope is taken, since second-order terms make it wander
+    # at the low taus).  At tau = 631 gap 2's root lies 0.045 from its
+    # piece's midpoint and 0.097 from the start.
+    p, bs = modest_design
+    taus = np.geomspace(1e2, 1e6, 6)
+    ratios, outside = {}, []
+    for tau in taus:
+        sweep = [(tau, hsm.ac_spectrum(p, tau, 3, bs=bs).gap_list)]
+        lo, hi, owner, _, _, _, s_hi, pole, start = hsm._pieces(sweep, bs)
+        roots = dict(hsm.gap_eigenvalues(p, tau, 3, bs=bs).eigenvalues)
+        below = (s_hi == 0.5) & np.isfinite(pole)
+        assert set(roots) <= set(owner[below].tolist())  # every root lies below its mu_j
+        for a, b, j, mu, x0 in zip(lo[below], hi[below], owner[below], pole[below], start[below]):
+            law = mu + bs.state(j).residue / np.sqrt(tau - mu)
+            if not a < law < b:
+                assert x0 == 0.5 * (a + b)
+                outside.append((tau, j))
+                continue
+            assert x0 == law
+            if j in roots:
+                root = roots[j]
+                assert tau < 1e3 or abs(x0 - root) < abs(0.5 * (a + b) - root)
+                ratios.setdefault(j, []).append((tau, abs(x0 - root) / abs(mu - root)))
+    # at tau = 100 the law puts gaps 2 and 3 below their gaps, and gap 3 has
+    # no root yet
+    assert outside == [(taus[0], 2), (taus[0], 3)] and len(ratios[3]) == len(taus) - 1
+    for j, pairs in ratios.items():
+        t, r = np.log(np.array(pairs)).T
+        assert np.polyfit(t, r, 1)[0] < 0 and r[-1] < r[0], (j, pairs)
+
+
+def test_threshold_start_is_near_the_ground_state(condition_p):
+    # below lambda_0, m_+ = rho - beta sqrt(lambda_0 - lambda) to leading
+    # order; the start it gives lies within 1e-2 of E, relative, across the
+    # window (max(nu_0, 0), rho^2)
+    p = condition_p
+    bs = bands.band_structure(p, 1)
+    rho, beta = hsm._threshold_law(p, bs.lambda0)
+    gs = hsm.ground_state_count(p, 1.0, bs=bs)
+    assert rho == gs.rho and beta > 0
+    for frac in np.linspace(0.02, 0.98, 9):
+        tau = max(gs.nu0, 0.0) + frac * (rho**2 - max(gs.nu0, 0.0))
+        E = hsm.ground_state_count(p, tau, bs=bs).energy
+        start = hsm._threshold_start(rho, beta, bs.lambda0, tau)
+        assert abs(start - E) <= 1e-2 * abs(E)
+
+
+def test_first_pass_holds_the_ends_and_starts(bound_state_potential, bound_state_bands, passes):
+    # one pass evaluates both ends and the start of every piece; no later
+    # pass evaluates a piece end, so no pass is spent on signs alone, and
+    # none evaluates a start again: the first Newton step comes from the
+    # first pass
+    bs = bound_state_bands
+    hs = hsm.gap_eigenvalues(bound_state_potential, 1e4, 2, bs=bs)
+    lo, hi, *_, start = hsm._pieces([(1e4, hs.gap_list)], bs)
+    first = np.concatenate((lo, hi, start))
+    assert np.array_equal(passes[0].lams, first)
+    assert not any(np.isin(q.lams, first).any() for q in passes[1:])
+
+
 def test_sign_changes_on_both_sides_of_mu_raise(bound_state_potential, bound_state_bands, monkeypatch):
     # gap 1 is cut at mu_1 into two pieces; w < 0 at both lower ends and
-    # w > 0 at both upper ends would put a root on each side
+    # w > 0 at both upper ends would put a root on each side.  The first
+    # pass lists the lower piece ends, the upper ones, then the starts.
     def both_sides(p, tau, lams, gap_index):
-        w = np.where(np.arange(lams.size) < lams.size // 2, -1.0, 1.0)
+        w = np.where(np.arange(lams.size) < lams.size // 3, -1.0, 1.0)
         return w, np.ones_like(w)
 
     monkeypatch.setattr(hsm, "_w_and_slope", both_sides)

@@ -442,24 +442,59 @@ def test_hill_warm_start_matches_the_cold_solve(deep_n2_d3, lanczos_steps):
 
 
 def test_full_basis_returns_its_pairs_at_the_rounding_floor(asym_potential, lanczos_steps, monkeypatch):
-    # asym at 24 modes: a periodic block of dimension 49.  Started from the
+    # asym at 24 modes: a periodic block of dimension 49, started from the
     # blocks of the potential translated by 1e-3 (5 vectors, then 2 random
-    # ones), Lanczos reaches the full basis with a Ritz residual of 5.6e-12
-    # theta_1, above LANCZOS_TOL: the last directions of a basis that spans
-    # the whole space are orthogonal only to about 1e-11.  The pairs are
-    # exact but for that rounding, so they are returned, not refused.
+    # ones).  Under a stop that no residual meets, Lanczos fills the basis;
+    # there the Ritz pairs are exact but for rounding, so they are returned,
+    # not refused.
     modes = 24
     reference = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes)  # the band solver
     monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
     start = sm.hill_edges_and_vectors(translate(asym_potential, 1e-3), 4, modes=modes)[5]
+    monkeypatch.setattr(sm, "LANCZOS_TOL", 0.0)
     lanczos_steps.clear()
     warm = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes, start=start)
     assert max(lanczos_steps) + 5 + sm.LANCZOS_BLOCK >= 2 * modes + 1  # the last step filled the basis
-    norm = (2.0 * np.pi * modes) ** 2 + asym_potential.sup_norm_bound
+    assert_matches_band_solver(asym_potential, modes, reference, warm)
+
+
+def test_warm_start_stops_before_the_full_basis(asym_potential, lanczos_steps, monkeypatch):
+    # the same start at the LANCZOS_TOL stop.  When the block's own QR
+    # amplified the rounding along the basis, the basis lost orthogonality
+    # to 7e-11 and the residual stayed above the stop up to the full basis;
+    # the third pass keeps it orthogonal, and the stop is met at 28 of 49
+    modes = 24
+    reference = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes)
+    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
+    start = sm.hill_edges_and_vectors(translate(asym_potential, 1e-3), 4, modes=modes)[5]
+    lanczos_steps.clear()
+    warm = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes, start=start)
+    assert max(lanczos_steps) + 5 + sm.LANCZOS_BLOCK < 2 * modes + 1
+    assert_matches_band_solver(asym_potential, modes, reference, warm)
+
+
+def assert_matches_band_solver(p, modes, reference, warm):
+    norm = (2.0 * np.pi * modes) ** 2 + p.sup_norm_bound
     for a, b in zip(reference[:4], warm[:4]):
         assert np.all(np.abs(a - b) <= EIGH_TOL * np.finfo(float).eps * norm)
     for key, (offset, u) in reference[4].items():
         assert abs(np.vdot(warm[4][key][1], u)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("offset, spread", [(1e-9, 1.0), (1e-3, 1e-4)])
+def test_block_near_the_basis_comes_back_orthonormal(offset, spread):
+    # a block within `offset` of span(V): its columns share one direction
+    # outside V and differ from each other by `spread` of it.  At spread
+    # 1e-4 the QR divides by what is left of the later columns after the
+    # first, 1e-7 of their norms, and two passes alone left them 8e-13 off
+    # orthogonal to V; the third pass brings them back to rounding
+    rng = np.random.default_rng(3)
+    V = np.linalg.qr(rng.standard_normal((60, 40)))[0]
+    shared, own = rng.standard_normal((60, 1)), rng.standard_normal((60, 3))
+    Q = V @ rng.standard_normal((40, 3)) + offset * (shared + spread * own)
+    out = sm._orthonormal_block(V, Q, np.random.default_rng(0))
+    assert np.abs(V.T @ out).max() <= 1e-14
+    assert np.abs(out.T @ out - np.eye(3)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["corpus", "deep"])
