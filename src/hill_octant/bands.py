@@ -13,42 +13,32 @@ lambda: the sheets, a(mu_n), F, phi_lambda and the residues, and the gap
 anchors below, come from it without another pass.
 
 Both mu_n and nu_n lie in the closure of gap n, where (-1)^n F >= 1, and
-(-1)^n F - 1 is positive only inside the open gap.  Each gap's one anchor
-is whichever of mu_n and nu_n has the larger excess; where that beats the
-integration noise, the anchor lies strictly inside the gap and the gap is
-resolved.  Where neither does, the hull midpoint may still: (-1)^n F - 1
-has a single critical point inside an open gap, so at the midpoint it is
-at least its smaller value at mu_n and nu_n.  The midpoints of just those
-gaps whose cubic Hermite estimate from F and dF/dlambda at mu_n and nu_n
-may beat the noise are evaluated, in one pass.  Below every potential,
-at lambda_min = -sup|v| - 1, v - lambda >= 1, so by Sturm comparison
-theta(1) and phi'(1), and with them F, are at least cosh 1: lambda_min
-needs no evaluation.  Consecutive anchors, lambda_min first, bracket
-exactly one sign change of (-1)^n F - 1 for every band edge, of a sign
-known at each end, and the same bracketed Newton iteration (dF/dlambda
-comes from the variational system) resolves it, even for near-closed gaps
-and for states sitting exactly on an edge.  For Fourier potentials each
-edge search starts at its Hill-matrix edge inside the anchor bracket (the
-bracket midpoint when the matrix edge falls outside): the bracket still
-certifies the shooting root, and the seed only cuts the passes it takes.
+(-1)^n F - 1 is positive only inside the open gap.  Near the edges that
+difference cancels, so gaps are read from the Wronskian form
+Delta = F^2 - 1 = a^2 + phi(1) theta'(1), whose terms err in proportion
+to themselves (Poschel and Trubowitz, Inverse Spectral Theory, 1987).
+At mu_n and at nu_n (theta'(1) = 0) Delta = a^2; where it beats its error
+bar at either, that point anchors the gap strictly inside it.  Where it
+beats it at neither, both sit on the gap's edges (an even potential, or a
+closed gap), and the hull midpoint is evaluated instead, in one pass for
+just those gaps.  At lambda_min = -sup|v| - 1, v - lambda >= 1, so by
+Sturm comparison theta(1) and phi'(1), and with them F, are at least
+cosh 1: lambda_min needs no evaluation.  Consecutive anchors, lambda_min
+first, bracket exactly one sign change of (-1)^n F - 1 for every band
+edge, of a sign known at each end, and the same bracketed Newton
+iteration resolves it, on Delta / ((-1)^n F + 1) where (-1)^n F > 0 and
+on (-1)^n F - 1 elsewhere, all at the integrator's default tolerance.
+For Fourier potentials each edge search starts at its Hill-matrix edge
+(the bracket midpoint when that falls outside): the bracket certifies the
+shooting root, and the seed only cuts the passes it takes.
 
-Narrower gaps, which no anchor resolves (roots become near-double), take
-their edges from the same Hill-matrix solve for Fourier potentials;
-piecewise potentials fall back to the hull [min(mu, nu), max(mu, nu)], a
-guaranteed inner approximation computed from well-conditioned simple
-roots.  Either way the edges still contain mu and nu, gaps below the merge
-tolerance collapse to a point, and each gap state records the route that
-certified its edges.  `next_band_end` falls back the same way when gap
-N + 1 is unresolved, and `BandStructure.next_band_end_route` says so;
-lambda_0 is always shot here, and `lambda0_route` reads "matrix" only in
-the deep designs that assemble their band structure from the Hill
-matrices.
-
-All searches are batched: each Newton pass costs one integration pass over
-the energies still unconverged (2N + 3 at most).  Phases and midpoints run
-at the integrator's default tolerance and every band edge at the tighter
-_EDGE_RTOL, since near-double roots amplify integration noise by
-1/|dF/dlambda|.  A search that reaches its cap raises.
+A gap whose hull midpoint is unresolved too has mu_n and nu_n on opposite
+edges within the bar, and the hull [min(mu, nu), max(mu, nu)] gives its
+edges.  Each gap state records the route of its edges, "shooting" or
+"hull", and `BandStructure.next_band_end_route` that of `next_band_end`.
+Gaps below the merge tolerance collapse to a point.  Each Newton pass
+integrates the energies still unconverged (2N + 3 at most) at once, and a
+search that reaches its cap raises.
 
 Gap state n is bound (+1) exactly when a(mu_n) has sign (-1)^(n+1), else
 anti-bound (-1), or virtual (0) when a(mu_n) is below the integration
@@ -83,7 +73,6 @@ EDGE_MERGE_REL = 1e-9
 VIRTUAL_EDGE_REL = 1e-7
 VIRTUAL_A_TOL = 1e-9
 MAX_NEWTON = 60
-_EDGE_RTOL = 2e-13  # band-edge searches; phases and anchors run at mo.RTOL
 _SEED_GALERKIN = 128  # smallest Galerkin basis of the Dirichlet and Neumann seeds
 
 
@@ -99,7 +88,7 @@ class GapState:
     discriminant: float
     phi_lam: float
     residue: float  # 2 a / phi_lam at mu, scale-free: the residue of m_+ when bound
-    certified_by: str  # route of the gap's edges: "shooting", "matrix" or "hull"
+    certified_by: str  # "shooting" or "hull"; "matrix" only from design._matrix_band_structure
 
     @property
     def b_sheet1(self) -> float:
@@ -118,7 +107,7 @@ class BandStructure:
     dirichlet: np.ndarray
     neumann: np.ndarray
     states: tuple[GapState, ...] = ()
-    # route of lambda0 and of next_band_end: "shooting", "matrix" or "hull"
+    # routes of lambda0 and of next_band_end, as in GapState.certified_by
     lambda0_route: str = "shooting"
     next_band_end_route: str = "shooting"
 
@@ -309,56 +298,78 @@ def _anchor_points(p: Potential, n_need: int):
 # --- band edges ------------------------------------------------------------
 
 
+def _excess(mb):
+    """(Delta, dDelta/dlambda, bar) of a batch: F^2 - 1 = a^2 + phi(1) theta'(1)
+    and its error bar.
+
+    The bar is 200 RTOL times each product's first-order error, each factor
+    erring by RTOL of its own size: max(|theta|, |phi'|) for a, and the
+    amplitudes hypot(phi, phi'/k) for phi and hypot(k theta, theta') for
+    theta', k = sqrt(max(|lambda|, 1)).  All three come from the stored
+    components and carry e^(-2 log_scale), so they stay finite in deep wells.
+    """
+    a = 0.5 * (mb.phi_prime_1 - mb.theta_1)
+    a_lam = 0.5 * (mb.phi_prime_lam - mb.theta_lam)
+    delta = a * a + mb.phi_1 * mb.theta_prime_1
+    delta_lam = 2.0 * a * a_lam + mb.phi_lam * mb.theta_prime_1 + mb.phi_1 * mb.theta_prime_lam
+    k = np.sqrt(np.maximum(np.abs(mb.lams), 1.0))
+    bar = 200.0 * mo.RTOL * (
+        2.0 * np.abs(a) * np.maximum(np.abs(mb.theta_1), np.abs(mb.phi_prime_1))
+        + np.abs(mb.theta_prime_1) * np.hypot(mb.phi_1, mb.phi_prime_1 / k)
+        + np.abs(mb.phi_1) * np.hypot(k * mb.theta_1, mb.theta_prime_1)
+    )
+    return delta, delta_lam, bar
+
+
+def _gap_function(mb, parities):
+    """g = (-1)^parity F - 1 and dg/dlambda, in the batch's stored units.
+
+    Where (-1)^parity F > 0, g = Delta / ((-1)^parity F + 1), which keeps its
+    digits at the band edges, where (-1)^parity F - 1 cancels.
+    """
+    sgn = (-1.0) ** np.asarray(parities)
+    one = np.exp(-mb.log_scale)  # 1 in the stored units
+    F = sgn * 0.5 * (mb.phi_prime_1 + mb.theta_1)
+    F_lam = sgn * 0.5 * (mb.phi_prime_lam + mb.theta_lam)
+    delta, delta_lam, _ = _excess(mb)
+    near = F > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(near, delta / (F + one), F - one)
+        dg = np.where(near, (delta_lam - g * F_lam) / (F + one), F_lam)
+    return g, dg
+
+
 def _edge_roots(p, lo, hi, s_lo, parities, x0):
     """Roots of (-1)^parity F(lambda) = 1, one sign change per bracket, with
     (-1)^parity F - 1 of sign s_lo at the lower end; each search starts at
     its seed x0 where that lies inside the bracket."""
-    sgn = (-1.0) ** np.asarray(parities)
 
     def evaluate(x, idx):
-        mb = mo.integrate_batch(p, x, rtol=_EDGE_RTOL)
-        return sgn[idx] * mb.discriminant - 1.0, sgn[idx] * mb.discriminant_lam
+        return _gap_function(mo.integrate_batch(p, x), parities[idx])
 
-    return _bracketed_newton(
-        evaluate, np.array(lo, float), np.array(hi, float), np.array(s_lo, float), 1e-12, x0
-    )
+    return _bracketed_newton(evaluate, lo, hi, s_lo, 1e-12, x0)
 
 
 def _gap_anchors(p, mu, nu, mb_mu, mb_nu):
     """(anchors, resolved): one point of each closed gap n = 1..len(mu), and
-    whether g = (-1)^n F - 1 there beats the integration noise,
-    200 RTOL max(1, |F|), which puts it inside the open gap.
+    whether Delta there beats its error bar, which puts it inside the open gap.
 
-    The anchor is mu_n or nu_n, whichever has the larger g in its batch.
-    Where neither resolves the gap but the cubic Hermite estimate of g at
-    the hull midpoint, from g and g' at mu_n and nu_n, reaches half the
-    noise bound, the midpoint replaces it; those midpoints take one pass.
-    Near the bound the estimate matched the evaluated g to three digits on
-    the seed-777 corpus.  An unresolved anchor still has F within noise of
-    (-1)^n, so it anchors the sign of the neighbouring parities.
+    The anchor is mu_n where Delta beats its bar there, else nu_n.  Where
+    neither beats it, both sit on the gap's edges, and the hull midpoint
+    replaces them; those midpoints take one pass.  An unresolved anchor
+    still has F within the bar of (-1)^n, so it anchors the sign of the
+    neighbouring parities.
     """
-    par = (-1.0) ** np.arange(1, mu.size + 1)
-
-    def noise(F):
-        return 200.0 * mo.RTOL * np.maximum(1.0, np.abs(F))
-
-    F_mu, F_nu = mb_mu.discriminant, mb_nu.discriminant
-    g_mu, g_nu = par * F_mu - 1.0, par * F_nu - 1.0
-    take_nu = g_nu > g_mu
-    anchor = np.where(take_nu, nu, mu)
-    F = np.where(take_nu, F_nu, F_mu)
-    resolved = par * F - 1.0 > noise(F)
-
-    # the Hermite cubic at the midpoint reads the same from either end
-    dg_mu, dg_nu = par * mb_mu.discriminant_lam, par * mb_nu.discriminant_lam
-    with np.errstate(invalid="ignore"):  # inf - inf in a deep well: no probe
-        g_mid = 0.5 * (g_mu + g_nu) + 0.125 * (nu - mu) * (dg_mu - dg_nu)
-        probe = ~resolved & (g_mid > 0.5 * noise(F))
+    d_mu, _, bar_mu = _excess(mb_mu)
+    d_nu, _, bar_nu = _excess(mb_nu)
+    ok_mu = d_mu > bar_mu
+    anchor = np.where(ok_mu, mu, nu)
+    resolved = ok_mu | (d_nu > bar_nu)
+    probe = ~resolved
     if np.any(probe):
-        mid = 0.5 * (mu[probe] + nu[probe])
-        F_mid = mo.integrate_batch(p, mid).discriminant
-        anchor[probe] = mid
-        resolved[probe] = par[probe] * F_mid - 1.0 > noise(F_mid)
+        anchor[probe] = 0.5 * (mu[probe] + nu[probe])
+        d_mid, _, bar_mid = _excess(mo.integrate_batch(p, anchor[probe]))
+        resolved[probe] = d_mid > bar_mid
     return anchor, resolved
 
 
@@ -381,51 +392,34 @@ def band_structure(p: Potential, N: int) -> BandStructure:
     # and phi'(1) are at least cosh 1 there, and so is F: no pass needed
     x_anchor = np.concatenate(([-p.sup_norm_bound - 1.0], anchor))
 
-    # the Hill matrices give every edge of a Fourier potential: the seed of
-    # its Newton search, and the edges of gaps below F -+ 1 resolution.  The
-    # bracket alone certifies the root, so a poor seed costs only passes.
+    # the Hill matrices seed the Newton search of every edge of a Fourier
+    # potential; the bracket alone certifies the root, so a poor seed costs
+    # only passes
     if p.fourier:
         m_lam0, m_lo, m_hi, m_next = sm.hill_band_edges(p, N)
     else:
         m_lam0, m_lo, m_hi, m_next = math.nan, np.full(N, math.nan), np.full(N, math.nan), math.nan
-    seed_lo = np.append(m_lo, m_next)
 
-    # one bracket (lower end, upper end, sign of (-1)^parity F - 1 at the
-    # lower end, parity, tag, seed) per edge, each between consecutive
-    # anchors: (-1)^(n-1) F >= 1 - noise at anchor n - 1, so (-1)^n F - 1
-    # is negative there
-    brackets = [(x_anchor[0], x_anchor[1], 1.0, 0, ("edge0", 0), m_lam0)]
-    for n in range(1, n_need + 1):
-        if not resolved[n - 1]:
-            continue
-        brackets.append((x_anchor[n - 1], x_anchor[n], -1.0, n, ("lo", n), seed_lo[n - 1]))
-        if n <= N:
-            brackets.append((x_anchor[n], x_anchor[n + 1], 1.0, n, ("hi", n), m_hi[n - 1]))
-    t_lo, t_hi, t_slo, t_par, t_tag, t_seed = zip(*brackets)
-    roots = _edge_roots(p, t_lo, t_hi, t_slo, t_par, t_seed)
-
-    lambda0 = math.nan
-    gap_lo = hull_lo.copy()
-    gap_hi = hull_hi.copy()
-    next_band_end = hull_lo[n_need - 1]
-    # below the discriminant's resolution the Hill matrices still give the
-    # edges; the hull is only a fallback for piecewise potentials
-    fallback = "hull"
-    if p.fourier and not np.all(resolved):
-        fallback = "matrix"
-        gap_lo[:N] = m_lo
-        gap_hi[:N] = m_hi
-        next_band_end = m_next
-    next_band_end_route = "shooting" if resolved[N] else fallback
-    for (kind, n), val in zip(t_tag, roots):
-        if kind == "edge0":
-            lambda0 = float(val)
-        elif kind == "lo" and n <= N:
-            gap_lo[n - 1] = val
-        elif kind == "hi":
-            gap_hi[n - 1] = val
-        else:
-            next_band_end = float(val)
+    # one bracket per edge between consecutive anchors: lambda_0, the lower
+    # edges of the resolved gaps 1..N+1 (the last is the band-N end) and
+    # their upper edges.  (-1)^(n-1) F is at least 1 less its error at
+    # anchor n - 1, so (-1)^n F - 1 is negative there.
+    lo_idx = np.nonzero(resolved)[0]
+    hi_idx = np.nonzero(resolved[:N])[0]
+    roots = _edge_roots(
+        p,
+        np.concatenate(([x_anchor[0]], x_anchor[lo_idx], x_anchor[hi_idx + 1])),
+        np.concatenate(([x_anchor[1]], x_anchor[lo_idx + 1], x_anchor[hi_idx + 2])),
+        np.concatenate(([1.0], -np.ones(lo_idx.size), np.ones(hi_idx.size))),
+        np.concatenate(([0], lo_idx + 1, hi_idx + 1)),
+        np.concatenate(([m_lam0], np.append(m_lo, m_next)[lo_idx], m_hi[hi_idx])),
+    )
+    lambda0 = roots[0]
+    gap_lo, gap_hi = hull_lo.copy(), hull_hi.copy()
+    gap_lo[lo_idx] = roots[1 : 1 + lo_idx.size]
+    gap_hi[hi_idx] = roots[1 + lo_idx.size :]
+    next_band_end = gap_lo[N]
+    routes = np.where(resolved, "shooting", "hull").tolist()
 
     # containment guarantees: mu_n, nu_n in [lambda_n^-, lambda_n^+].  The
     # anchors are simple well-conditioned roots, so they win over edge noise.
@@ -473,9 +467,8 @@ def band_structure(p: Potential, N: int) -> BandStructure:
                 and abs(a_n) <= 1e-6 * max(1.0, abs(F_n))
             )
             sign = 0 if virtual else int(sheets[i])
-        route = "shooting" if resolved[i] else fallback
         states.append(
-            GapState(n, mu_n, sign, bool(closed_flags[i]), a_n, F_n, phl_n, residue[i], route)
+            GapState(n, mu_n, sign, bool(closed_flags[i]), a_n, F_n, phl_n, residue[i], routes[i])
         )
 
     return BandStructure(
@@ -488,7 +481,7 @@ def band_structure(p: Potential, N: int) -> BandStructure:
         dirichlet=mu[:N].copy(),
         neumann=nu[: N + 1].copy(),
         states=tuple(states),
-        next_band_end_route=next_band_end_route,
+        next_band_end_route=routes[N],
     )
 
 

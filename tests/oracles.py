@@ -3,7 +3,8 @@
 The fixed-step fourth-order integrator below shares no code with the
 adaptive engine in the package; it is the oracle the monodromy outputs are
 checked against.  The dense Hill block below, over exponentials and turned
-into the real cos / sin basis, is the reference for the banded eigensolver.
+into the real cos / sin basis, is the reference for the banded eigensolver,
+and the closed-form Kronig-Penney discriminant for piecewise band edges.
 """
 
 import numpy as np
@@ -60,6 +61,24 @@ def rk4_monodromy(p, lam, nsteps=8192):
             u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             x += h
     return u
+
+
+def kronig_penney_discriminant(a, v, lam):
+    """F(lambda) of the potential v on [0, a) and 0 on [a, 1), in closed form.
+
+    On a piece where v - lambda = q is constant, y'' = q y carries (y, y')
+    across a length L by [[C, S], [q S, C]], C = cosh(sqrt(q) L) and
+    S = sinh(sqrt(q) L) / sqrt(q), real for either sign of q; F is half the
+    trace of the product of the two pieces' matrices.
+    """
+
+    def transfer(q, length):
+        w = np.sqrt(complex(q))
+        c = np.cosh(w * length).real
+        s = (np.sinh(w * length) / w).real if w != 0 else length
+        return np.array([[c, s], [q * s, c]])
+
+    return 0.5 * np.trace(transfer(-lam, 1.0 - a) @ transfer(v - lam, a))
 
 
 def dense_spectrum_samples(bands, eigenvalues, step):

@@ -15,6 +15,7 @@ from hill_octant.potential import (
 )
 
 from conftest import random_corpus
+from oracles import kronig_penney_discriminant
 
 FREE = np.array([(math.pi * n) ** 2 for n in range(1, 12)])
 
@@ -84,8 +85,8 @@ def test_default_hill_seeds_lie_within_the_edge_newton_stop():
         lam0, glo, ghi, _ = sm.hill_band_edges(p, 6)
         seeds = np.concatenate(([lam0], glo, ghi))
         edges = np.concatenate(([bs.lambda0], bs.gap_lo, bs.gap_hi))
-        mb = mo.integrate_batch(p, edges, rtol=bands._EDGE_RTOL)
-        resolution = np.abs(((-1.0) ** parity * mb.discriminant - 1.0) / mb.discriminant_lam)
+        g, dg = bands._gap_function(mo.integrate_batch(p, edges), parity)
+        resolution = np.abs(g / dg)
         assert np.all(np.abs(seeds - edges) <= 1e-12 * np.maximum(1.0, np.abs(edges)) + resolution)
 
 
@@ -188,46 +189,82 @@ def test_bound_state_sign_rule(bound_state_potential, bound_state_bands):
         assert signs.tolist() == [s.sign for s in bs.states]
 
 
-def _unresolved_gap_matches_matrix_route(p, N, n):
-    """Gap n is below F -+ 1 resolution: its length and sheet must still hold."""
+def _narrow_gap_matches_matrix_route(p, N, n):
+    """Gap n is below F -+ 1 resolution: it must still be shot, with the
+    Hill-matrix length and the sheet of a at the Dirichlet point."""
     bs = bands.band_structure(p, N)
     _, glo, ghi, nbe = sm.hill_band_edges(p, N)
-    assert bs.state(n).certified_by == "matrix"
     assert bs.gap_lengths[n - 1] == pytest.approx(ghi[n - 1] - glo[n - 1], rel=1e-6)
     assert bs.gap_lo[n - 1] <= bs.dirichlet[n - 1] <= bs.gap_hi[n - 1]
     # the sheet follows the sign of a at the Dirichlet point
     a_mu = mo.integrate(p, float(bs.dirichlet[n - 1])).a_value
     assert bs.state(n).sign == (1 if a_mu * (-1.0) ** (n + 1) > 0 else -1)
-    resolved = [s.certified_by == "shooting" for s in bs.states]
-    assert sum(resolved) == N - 1
+    routes = [s.certified_by for s in bs.states] + [bs.next_band_end_route]
+    assert routes == ["shooting"] * (N + 1)
     return bs, nbe
 
 
-def test_asym_gap5_unresolved_reports_matrix_edges(asym_potential):
-    # F - 1 inside gap 5 is below the noise; the [mu, nu] hull is 18% short
-    bs, _ = _unresolved_gap_matches_matrix_route(asym_potential, 5, 5)
+def test_asym_narrow_gap5_is_shot(asym_potential):
+    # F - 1 inside gap 5 is below the noise of F; the [mu, nu] hull is 18% short
+    bs, _ = _narrow_gap_matches_matrix_route(asym_potential, 5, 5)
     assert bs.state(5).sign == +1
 
 
-def test_seeded_gap6_unresolved_reports_matrix_edges():
-    # numpy.random.default_rng(24).uniform(-5, 5, 6): gap 6 has length
-    # 1.2373e-3, but F - 1 at its midpoint is 1.35e-10, under the noise
-    c = np.random.default_rng(24).uniform(-5.0, 5.0, 6)
-    p = fourier_potential([(k + 1, c[2 * k], c[2 * k + 1]) for k in range(3)])
-    bs, nbe = _unresolved_gap_matches_matrix_route(p, 6, 6)
+# numpy.random.default_rng(24).uniform(-5, 5, 6): gap 6 has length
+# 1.2373e-3, but F - 1 at its midpoint is 1.35e-10, under the noise of F
+_C24 = np.random.default_rng(24).uniform(-5.0, 5.0, 6)
+SEEDED_24 = fourier_potential([(k + 1, _C24[2 * k], _C24[2 * k + 1]) for k in range(3)])
+
+
+def test_seeded_narrow_gap6_is_shot():
+    bs, nbe = _narrow_gap_matches_matrix_route(SEEDED_24, 6, 6)
     assert bs.gap_lengths[5] == pytest.approx(1.2373e-3, rel=1e-4)
     assert bs.next_band_end == pytest.approx(nbe, rel=1e-9)
 
 
-def test_unresolved_next_gap_reports_matrix_band_end():
-    # gap 7 of corpus potential 0 is below F -+ 1 resolution, so the end of
-    # band 6 comes from the Hill matrices, and the band structure says so
+def test_narrow_next_gap_band_end_is_shot():
+    # gap 7 of corpus potential 0 is below F -+ 1 resolution, but not below
+    # that of a^2 + phi(1) theta'(1): the end of band 6 is shot too
     p = random_corpus(1, seed=777)[0]
     bs = bands.band_structure(p, 6)
-    assert bs.next_band_end_route == "matrix"
-    assert bs.lambda0_route == "shooting"
+    assert (bs.lambda0_route, bs.next_band_end_route) == ("shooting", "shooting")
     assert bs.next_band_end == pytest.approx(sm.hill_band_edges(p, 6)[3], rel=1e-9)
-    assert bands.band_structure(p, 5).next_band_end_route == "shooting"
+
+
+# even, so mu_n and nu_n sit on the band edges and only hull midpoints anchor
+EVEN = fourier_potential([(1, 3.0, 0.0), (2, 1.0, 0.0)])
+
+
+def test_excess_bar_holds_at_the_hill_edges(asym_potential):
+    # a point on a band edge must not pass for one inside its gap: |Delta|
+    # stays below its bar at every Hill edge, while asym's narrow gap 5
+    # still clears it at mu_5 and nu_5
+    cases = [(p, 6) for p in random_corpus(100, seed=777)] + [(asym_potential, 5), (EVEN, 6)]
+    for p, N in cases:
+        lam0, glo, ghi, nbe = sm.hill_band_edges(p, N)
+        delta, _, bar = bands._excess(mo.integrate_batch(p, np.concatenate(([lam0], glo, ghi, [nbe]))))
+        assert np.all(np.abs(delta) < bar), p
+    mu, nu = bands._anchor_points(asym_potential, 5)[:2]
+    delta, _, bar = bands._excess(mo.integrate_batch(asym_potential, [mu[4], nu[5]]))
+    assert np.all(delta > bar)
+
+
+def test_even_potential_gaps_resolve_at_the_hull_midpoint(passes):
+    # gap 6 (length 2.84e-6) is resolved at its hull midpoint, where
+    # Delta = phi(1) theta'(1); gap 7 (length 2.8e-8) is not, and the end of
+    # band 6 is its hull, whose ends mu_7 and nu_7 sit on the Hill edges
+    bs = bands.band_structure(EVEN, 6)
+    assert [s.certified_by for s in bs.states] == ["shooting"] * 6
+    assert bs.gap_lengths[5] == pytest.approx(2.84e-6, rel=1e-2)
+    probe = [q for q in passes if not q.zeros][0]  # the midpoints of all 7 gaps
+    assert probe.width == 7
+    assert bs.next_band_end_route == "hull"
+    _, glo, ghi, _ = sm.hill_band_edges(EVEN, 7)
+    mu, nu = bands._anchor_points(EVEN, 7)[:2]
+    hull = np.sort([mu[6], nu[7]])
+    assert hull[1] - hull[0] == pytest.approx(2.8e-8, rel=1e-2)
+    assert np.all(np.abs(hull - [glo[6], ghi[6]]) <= 1e-11)
+    assert bs.next_band_end == hull[0]
 
 
 def test_piecewise_gaps_certified_by_shooting():
@@ -385,18 +422,36 @@ KRONIG_PENNEY = [piecewise_potential([(0.0, a, v), (a, 1.0, 0.0)]) for a, v in [
 
 
 def test_every_gap_a_hull_midpoint_resolves_is_shot(asym_potential):
-    # mu_n or nu_n anchors a gap where (-1)^n F - 1 beats the noise bound
-    # there, and the hull midpoint is evaluated only where a Hermite estimate
-    # says it may; no gap that the midpoint alone resolves may be missed
+    # a gap is shot wherever Delta = a^2 + phi(1) theta'(1) beats its bar at
+    # mu_n, at nu_n or at the hull midpoint, the last evaluated only where
+    # neither of the others does; on these inputs that is every gap and
+    # every band-N end
     cases = [(p, 6) for p in random_corpus(100, seed=777)]
-    cases += [(asym_potential, 5)] + [(p, 6) for p in KRONIG_PENNEY]
+    cases += [(asym_potential, 5), (SEEDED_24, 6)] + [(p, 6) for p in KRONIG_PENNEY]
     for p, N in cases:
         bs = bands.band_structure(p, N)
         mu, nu = bands._anchor_points(p, N + 1)[:2]
-        F = mo.integrate_batch(p, 0.5 * (mu + nu[1:])).discriminant
-        resolves = (-1.0) ** np.arange(1, N + 2) * F - 1.0 > 200.0 * mo.RTOL * np.maximum(1.0, np.abs(F))
+        resolves = np.zeros(N + 1, dtype=bool)
+        for lams in (mu, nu[1:], 0.5 * (mu + nu[1:])):
+            delta, _, bar = bands._excess(mo.integrate_batch(p, lams))
+            resolves |= delta > bar
         routes = [s.certified_by for s in bs.states] + [bs.next_band_end_route]
-        assert all(r == "shooting" for r, ok in zip(routes, resolves) if ok), (p, routes, resolves)
+        assert np.all(resolves) and routes == ["shooting"] * (N + 1), (p, routes, resolves)
+
+
+def test_kronig_penney_narrow_gaps_are_shot():
+    # draws 3, 11, 15 and 16 have a gap (8.6e-4 to 1.4e-3 long) that
+    # (-1)^n F - 1 cannot resolve at mu_n, nu_n or the hull midpoint, but
+    # a^2 + phi(1) theta'(1) does: every edge is shot, and the closed-form F
+    # is -+1 there
+    rng = np.random.default_rng(5)
+    for draw in range(17):
+        a = rng.uniform(0.2, 0.8)
+        v = rng.uniform(1.0, 5.0)
+        bs = bands.band_structure(piecewise_potential([(0.0, a, v), (a, 1.0, 0.0)]), 12)
+        assert [s.certified_by for s in bs.states] + [bs.next_band_end_route] == ["shooting"] * 13, draw
+        edges = [bs.lambda0, *bs.gap_lo, *bs.gap_hi, bs.next_band_end]
+        assert max(abs(kronig_penney_discriminant(a, v, lam) ** 2 - 1.0) for lam in edges) <= 1e-9, draw
 
 
 def test_lambda_min_needs_no_pass(modest_design):
@@ -422,9 +477,7 @@ def test_bad_matrix_seed_cannot_change_the_edges(seed, monkeypatch):
     # the Hill-matrix edges only seed the edge Newton; the anchor brackets
     # certify the root, so seeds 0.3 gap lengths off (still inside their
     # brackets), 1000 off (outside every bracket: the midpoint start) or NaN
-    # (the midpoint start) must give the same edges.  Gap 7
-    # is below F + 1 resolution here, so next_band_end is the matrix edge
-    # itself and is left out.
+    # (the midpoint start) must give the same edges.
     p = random_corpus(1, seed=777)[0]
     base = bands.band_structure(p, 6)
     hill = sm.hill_band_edges
@@ -438,17 +491,17 @@ def test_bad_matrix_seed_cannot_change_the_edges(seed, monkeypatch):
 
     monkeypatch.setattr(sm, "hill_band_edges", bad)
     bs = bands.band_structure(p, 6)
-    for name in ("lambda0", "gap_lo", "gap_hi"):
+    for name in ("lambda0", "gap_lo", "gap_hi", "next_band_end"):
         a, b = np.atleast_1d(getattr(base, name)), np.atleast_1d(getattr(bs, name))
         assert np.max(np.abs(a - b) / np.abs(a)) <= 1e-11, name
-    assert [s.certified_by for s in bs.states] == ["shooting"] * 6
+    assert [s.certified_by for s in bs.states] + [bs.next_band_end_route] == ["shooting"] * 7
 
 
 def test_matrix_seeded_edge_newton_budget(asym_potential, passes, monkeypatch):
-    # each edge Newton starts at its Hill-matrix edge: at most 6 passes at
-    # the edge tolerance (from the bracket midpoints it took up to 18), and
-    # one Hill solve per Fourier call, which also serves the "matrix"
-    # fallback of asym's unresolved gap 5
+    # each edge Newton starts at its Hill-matrix edge, within the 1e-12 stop
+    # of its shooting root: one pass after the phase solve for every edge
+    # (from the bracket midpoints it took up to 18, and up to 5 when the
+    # edges were shot on F -+ 1), and one Hill solve per Fourier call
     hill_calls = []
     hill = sm.hill_band_edges
 
@@ -457,15 +510,14 @@ def test_matrix_seeded_edge_newton_budget(asym_potential, passes, monkeypatch):
         return hill(*args, **kwargs)
 
     monkeypatch.setattr(sm, "hill_band_edges", counted_hill)
-    for p in random_corpus(6, seed=777):
+    cases = [(p, 6) for p in random_corpus(100, seed=777)] + [(asym_potential, 5)]
+    for p, N in cases:
         passes.clear()
         hill_calls.clear()
-        bands.band_structure(p, 6)
-        assert sum(q.rtol == bands._EDGE_RTOL for q in passes) <= 6
+        bs = bands.band_structure(p, N)
+        assert sum(not q.zeros for q in passes) == 1, p
         assert len(hill_calls) == 1
-    hill_calls.clear()
-    assert bands.band_structure(asym_potential, 5).state(5).certified_by == "matrix"
-    assert len(hill_calls) == 1
+    assert bs.state(5).certified_by == "shooting"  # asym's narrow gap 5
     hill_calls.clear()
     bands.band_structure(piecewise_potential([(0.0, 0.3, 15.0), (0.3, 1.0, 0.0)]), 3)
     assert hill_calls == []
