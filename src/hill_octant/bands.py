@@ -260,8 +260,7 @@ def _phase_solve(p, targets, kinds, lo, hi, tol_rel, x0):
 
     def evaluate(x, idx):
         angD, dD, angN, dN, mb = _angles(p, x)
-        for row, name in enumerate(mo.STATE_ROWS):
-            state[row, idx] = getattr(mb, name)
+        state[:, idx] = mb.state
         at[idx], log_scale[idx] = x, mb.log_scale
         k = kinds[idx]
         return np.where(k, angN, angD) - targets[idx], np.where(k, dN, dD)

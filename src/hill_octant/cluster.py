@@ -39,7 +39,7 @@ import scipy.linalg as sla
 from .bands import BandStructure
 from .errors import CountChanged, NoGroundState, SeparationFail
 from .halfsolid import HalfSolidSpectrum
-from .intervals import Interval, IntervalSet, minkowski_sum  # noqa: F401  (re-exported)
+from .intervals import Interval, IntervalSet
 from .potential import Potential, fourier_potential
 from . import spectral_matrix as sm
 

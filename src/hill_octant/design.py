@@ -21,7 +21,7 @@ sheet, so one fit covers a mirror pair and no seed is reflected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -476,22 +476,25 @@ def construct_model_potential(N: int, kappa: float, d: int, tolerance: float = 1
         raise SignUnreachable(
             f"shooting sheet signs {signs.tolist()} disagree with bound-state targets"
         )
-    bs = _matrix_band_structure(p, N, mb_mu, edges, mu, nu)
+    lam0, glo, ghi, nbe = edges
+    # normalize to lambda_0 = 0: a constant added to v moves every level by it
+    shift = -min(lam0, float(glo[0]))
+    p_norm = add_constant(p, shift)
+    bs_norm = _matrix_band_structure(
+        p_norm, N, mb_mu, (lam0 + shift, glo + shift, ghi + shift, nbe + shift), mu + shift, nu + shift
+    )
 
-    lengths = bs.gap_lengths
-    if np.max(np.abs(lengths - gamma)) > 10 * tolerance * gamma:
+    if np.max(np.abs(bs_norm.gap_lengths - gamma)) > 10 * tolerance * gamma:
         raise PostconditionFail(
-            f"gap lengths {lengths} miss gamma = {gamma} beyond tolerance"
+            f"gap lengths {bs_norm.gap_lengths} miss gamma = {gamma} beyond tolerance"
         )
     # band-sum bound: A_n = lambda_n^- - gamma (n - 1) stays below kappa gamma / 4
-    shift = -bs.lambda0
-    a_n = (bs.gap_lo + shift) - gamma * np.arange(N)
-    a_n_hi = (bs.gap_hi + shift) - gamma * np.arange(1, N + 1)
+    a_n = bs_norm.gap_lo - gamma * np.arange(N)
+    a_n_hi = bs_norm.gap_hi - gamma * np.arange(1, N + 1)
     if np.max(np.abs(np.concatenate((a_n, a_n_hi)))) > 0.25 * kappa * gamma:
         raise PostconditionFail("band accumulation exceeds kappa gamma / 4")
 
-    p_norm = add_constant(p, shift)
-    bs_norm = _shift_band_structure(bs, shift, p_norm)
+    lengths = ghi - glo  # before the shift rounds them
     report.achieved = {
         "gap_lengths": lengths.tolist(),
         "state_positions": ((bs_norm.dirichlet - bs_norm.gap_lo) / lengths).tolist(),
@@ -500,21 +503,6 @@ def construct_model_potential(N: int, kappa: float, d: int, tolerance: float = 1
     }
     report.converged = True
     return p_norm, gamma, bs_norm, report
-
-
-def _shift_band_structure(bs: BandStructure, c: float, p_new: Potential) -> BandStructure:
-    """Spectral data of the potential shifted by a constant: everything moves by c."""
-    return replace(
-        bs,
-        potential=p_new,
-        lambda0=bs.lambda0 + c,
-        gap_lo=bs.gap_lo + c,
-        gap_hi=bs.gap_hi + c,
-        next_band_end=bs.next_band_end + c,
-        dirichlet=bs.dirichlet + c,
-        neumann=bs.neumann + c,
-        states=tuple(replace(s, mu=s.mu + c) for s in bs.states),
-    )
 
 
 def condition_p_potential(delta: float = 0.5, eps: float = 0.05, t: float = 0.02) -> Potential:

@@ -22,8 +22,14 @@ Two evaluation routes:
     A block holds at most LANE_BUDGET lanes, and its exact solution grows
     by at most e^MAX_BLOCK_GROWTH; nothing else caps it.  The potential is
     evaluated by Horner's rule in e^{2 pi i x}.
-  * Piecewise-constant (and constant) potentials: exact per-segment
-    transfer matrices with derivatives by the product rule.
+  * Piecewise-constant (and constant) potentials: the exact transfer
+    matrix [[C, S], [q S, C]] of each constant piece, q = v - lambda, with
+    its lambda-derivative, packed as the Runge-Kutta route packs a step map
+    and composed by the same product.  C and S of every (piece, lambda)
+    come from one vectorized call, and a piece whose solution could grow
+    past e^MAX_BLOCK_GROWTH is cut into equal parts.
+
+Both routes carry the packed 8-row state and renormalize it in one place.
 
 The batch integrator can also count sign changes of phi and theta' along
 [0, 1], which gives Sturm oscillation counts for Dirichlet and Neumann
@@ -161,13 +167,6 @@ class MonodromyData:
         return self.theta_1 * self.phi_prime_1 - self.theta_prime_1 * self.phi_1
 
 
-# the rows of a batch's state, in order
-STATE_ROWS = (
-    "theta_1", "theta_prime_1", "phi_1", "phi_prime_1",
-    "theta_lam", "theta_prime_lam", "phi_lam", "phi_prime_lam",
-)
-
-
 class MonodromyBatch:
     """Structure-of-arrays monodromy data for a vector of energies.
 
@@ -177,19 +176,16 @@ class MonodromyBatch:
     e^{-log_scale}.  Scale-free consumers (Prufer angles, sheet signs,
     ratios like the m_+ residue) use the components directly; absolute
     quantities re-apply the factor and saturate at +-inf when it cannot
-    be represented.
+    be represented.  `state` is the (8, n) array of the components, in the
+    order theta, theta', phi, phi' at x = 1 and then their lambda-derivatives;
+    the named rows are views of it.
     """
 
     def __init__(self, lams, state, phi_zeros=None, theta_zeros=None, log_scale=None):
         self.lams = lams
-        self.theta_1 = state[0]
-        self.theta_prime_1 = state[1]
-        self.phi_1 = state[2]
-        self.phi_prime_1 = state[3]
-        self.theta_lam = state[4]
-        self.theta_prime_lam = state[5]
-        self.phi_lam = state[6]
-        self.phi_prime_lam = state[7]
+        self.state = state
+        (self.theta_1, self.theta_prime_1, self.phi_1, self.phi_prime_1,
+         self.theta_lam, self.theta_prime_lam, self.phi_lam, self.phi_prime_lam) = state
         self.phi_zeros = phi_zeros
         self.theta_zeros = theta_zeros
         self.log_scale = np.zeros(np.atleast_1d(lams).size) if log_scale is None else log_scale
@@ -246,9 +242,8 @@ class MonodromyBatch:
 
     def take(self, idx) -> MonodromyBatch:
         """The entries idx (a slice or index array) as a batch of their own."""
-        state = [getattr(self, name)[idx] for name in STATE_ROWS]
         zeros = [None if z is None else z[idx] for z in (self.phi_zeros, self.theta_zeros)]
-        return MonodromyBatch(self.lams[idx], state, *zeros, self.log_scale[idx])
+        return MonodromyBatch(self.lams[idx], self.state[:, idx], *zeros, self.log_scale[idx])
 
 
 def _initial_state(n: int) -> np.ndarray:
@@ -258,27 +253,10 @@ def _initial_state(n: int) -> np.ndarray:
     return u
 
 
-# --- block-stepped Runge-Kutta route (Fourier potentials) ---------------
-
-_STAGES = _C.size
-_A_MAT = np.zeros((_STAGES, _STAGES))
-for _i, _row in enumerate(_A):
-    _A_MAT[_i, : len(_row)] = _row
-_ERR = np.stack((_E5, _E3))
-
-# (step, lambda) lanes per block
-LANE_BUDGET = 2048
-# a block's exact solution grows at most e^MAX_BLOCK_GROWTH, so states that
-# start below the 1e120 renormalization threshold stay finite inside it
+# a block of RK steps or a transfer piece grows its exact solution at most
+# e^MAX_BLOCK_GROWTH, so states that start below the 1e120 renormalization
+# threshold stay finite inside it
 MAX_BLOCK_GROWTH = 200.0
-
-
-def _rhs_into(out, u, w):
-    """du for the coupled fundamental + variational system, in place."""
-    out[0::2] = u[1::2]
-    np.multiply(w, u[0::2], out=out[1::2])
-    out[5] -= u[0]
-    out[7] -= u[2]
 
 
 def _compose(X2, X1):
@@ -292,6 +270,38 @@ def _compose(X2, X1):
     out = X2[:, None, 0] * X1[0, :, 0:1] + X2[:, None, 1] * X1[0, :, 1:2]
     out[1] += X2[0, None, 0] * X1[1, :, 0:1] + X2[0, None, 1] * X1[1, :, 1:2]
     return out
+
+
+def _renormalize(S, log_scale):
+    """Divide each column of the packed state S (2, 2, 2, n) whose largest
+    entry passes 1e120 by that entry, in place, and add its log to log_scale
+    (deep potentials grow like e^{sqrt(v - lambda)})."""
+    m = np.max(np.abs(S), axis=(0, 1, 2))
+    big = m > 1e120
+    if np.any(big):
+        f = np.where(big, m, 1.0)
+        S /= f
+        log_scale += np.log(f)
+
+
+# --- block-stepped Runge-Kutta route (Fourier potentials) ---------------
+
+_STAGES = _C.size
+_A_MAT = np.zeros((_STAGES, _STAGES))
+for _i, _row in enumerate(_A):
+    _A_MAT[_i, : len(_row)] = _row
+_ERR = np.stack((_E5, _E3))
+
+# (step, lambda) lanes per block
+LANE_BUDGET = 2048
+
+
+def _rhs_into(out, u, w):
+    """du for the coupled fundamental + variational system, in place."""
+    out[0::2] = u[1::2]
+    np.multiply(w, u[0::2], out=out[1::2])
+    out[5] -= u[0]
+    out[7] -= u[2]
 
 
 def _step_maps(p, lams, x, h, steps):
@@ -368,9 +378,7 @@ def _rk_segment(p, lams, u, x0, x1, rtol, atol, trackers, log_scale):
     Each block keeps its steps before the first that fails the error test.
     The controller sets the next step size from the largest error ratio of
     the rejected tail, or of the whole block when every step passes.
-    Columns whose magnitude passes 1e120 are renormalized at the end of a
-    block, with the factor recorded in log_scale (deep potentials grow like
-    e^{sqrt(v - lambda)}).
+    The state is renormalized at the end of each block.
     """
     n = lams.size
     max_steps = max(1, LANE_BUDGET // n)
@@ -396,12 +404,7 @@ def _rk_segment(p, lams, u, x0, x1, rtol, atol, trackers, log_scale):
             if trackers is not None:
                 trackers.update(U[0, 0, 0, :accepted], U[0, 1, 0, :accepted])
             S = U[..., accepted - 1, :].copy()
-            m = np.max(np.abs(S), axis=(0, 1, 2))
-            big = m > 1e120
-            if np.any(big):
-                f = np.where(big, m, 1.0)
-                S /= f
-                log_scale += np.log(f)
+            _renormalize(S, log_scale)
         # past the first failure a state may have overflowed: its nan ratio
         # is left out (the first failure is finite)
         r = float(np.nanmax(ratio[accepted:] if accepted < steps else ratio))
@@ -446,14 +449,14 @@ class _SignTrackers:
 # --- exact transfer-matrix route (piecewise-constant potentials) ----------
 
 
-def _cs_functions(q, length):
-    """C, S, dC/dq, dS/dq for y'' = q y over an interval of given length.
+def _cs_functions(q, L):
+    """C, S, dC/dq, dS/dq for y'' = q y over intervals of lengths L.
 
     C and S are the cos/cosh- and sin/sinh-type entries of the transfer
-    matrix [[C, S], [q S, C]]; formulas are branch-uniform in q.
+    matrix [[C, S], [q S, C]]; formulas are branch-uniform in q.  L
+    broadcasts against q.
     """
-    q = np.asarray(q, dtype=float)
-    L = length
+    L = np.broadcast_to(L, q.shape)
     out_c = np.empty_like(q)
     out_s = np.empty_like(q)
     pos = q > 0
@@ -461,15 +464,15 @@ def _cs_functions(q, length):
     zer = ~(pos | neg)
     if np.any(pos):
         s = np.sqrt(q[pos])
-        out_c[pos] = np.cosh(s * L)
-        out_s[pos] = np.sinh(s * L) / s
+        out_c[pos] = np.cosh(s * L[pos])
+        out_s[pos] = np.sinh(s * L[pos]) / s
     if np.any(neg):
         w = np.sqrt(-q[neg])
-        out_c[neg] = np.cos(w * L)
-        out_s[neg] = np.sin(w * L) / w
+        out_c[neg] = np.cos(w * L[neg])
+        out_s[neg] = np.sin(w * L[neg]) / w
     if np.any(zer):
         out_c[zer] = 1.0
-        out_s[zer] = L
+        out_s[zer] = L[zer]
     dc = 0.5 * L * out_s
     with np.errstate(divide="ignore", invalid="ignore"):
         ds = np.where(zer, L**3 / 6.0, (L * out_c - out_s) / (2.0 * np.where(zer, 1.0, q)))
@@ -477,84 +480,36 @@ def _cs_functions(q, length):
 
 
 def _transfer_route(p, lams, count_zeros):
-    """Exact monodromy for piecewise-constant potentials."""
-    lams = np.asarray(lams, dtype=float)
+    """Exact monodromy for piecewise-constant potentials.
+
+    Each constant piece is the packed map [[T, 0], [dT/dlambda, T]] with
+    T = [[C, S], [q S, C]], q = v - lambda, and dT/dlambda = -dT/dq.  The
+    pieces compose from the identity state, renormalizing after each.
+    """
     n = lams.size
-    segments = p.piecewise or ()
-    if not segments:
-        pieces = [(0.0, 1.0, p.constant)]
-    else:
-        # shift moves the sampling window; cut [0,1] at the shifted breakpoints
-        t = p.shift
-        cuts = sorted({(s.lo - t) % 1.0 for s in segments} | {0.0, 1.0})
-        if cuts[-1] < 1.0:
-            cuts.append(1.0)
-        pieces = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            if hi - lo < 1e-15:
-                continue
-            pieces.append((lo, hi, p.evaluate(0.5 * (lo + hi))))
-
-    M = np.zeros((2, 2, n))
-    M[0, 0] = 1.0
-    M[1, 1] = 1.0
-    D = np.zeros((2, 2, n))
+    # shift moves the sampling window; cut [0, 1] at the shifted breakpoints
+    cuts = np.array(sorted({(s.lo - p.shift) % 1.0 for s in p.piecewise} | {0.0, 1.0}))
+    lo, hi = cuts[:-1], cuts[1:]
+    keep = hi - lo >= 1e-15
+    lo, hi = lo[keep], hi[keep]
+    v = p.evaluate(0.5 * (lo + hi))
+    # long forbidden stretches overflow cosh: cut them into equal parts
+    growth = np.sqrt(np.maximum(v - np.min(lams), 0.0)) * (hi - lo)
+    parts = np.maximum(1, np.ceil(growth / MAX_BLOCK_GROWTH)).astype(int)
+    L = np.repeat((hi - lo) / parts, parts)
+    q = np.repeat(v, parts)[:, None] - lams
+    C, S, dC, dS = _cs_functions(q, L[:, None])
+    maps = np.stack((C, q * S, S, C, -dC, -(S + q * dS), -dS, -dC), axis=1)
+    U = _initial_state(n).reshape(2, 2, 2, n)
     log_scale = np.zeros(n)
-    phi_count = np.zeros(n, dtype=int) if count_zeros else None
-    thp_count = np.zeros(n, dtype=int) if count_zeros else None
-
-    for lo, hi, v in pieces:
-        # long forbidden stretches overflow cosh; split so each sub-piece
-        # grows at most e^200 and renormalize in between
-        q_max = float(np.max(v - lams))
-        growth = math.sqrt(max(q_max, 0.0)) * (hi - lo)
-        parts = max(1, int(math.ceil(growth / 200.0)))
-        sub = np.linspace(lo, hi, parts + 1)
-        for a_pt, b_pt in zip(sub, sub[1:]):
-            L = b_pt - a_pt
-            q = v - lams
-            C, S, dC, dS = _cs_functions(q, L)
-            qS = q * S
-            dqS = S + q * dS
-            # T = [[C, S], [qS, C]]; dT/dlam = -dT/dq
-            M00, M01, M10, M11 = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
-            D00, D01, D10, D11 = D[0, 0], D[0, 1], D[1, 0], D[1, 1]
-            nM = np.empty_like(M)
-            nM[0, 0] = C * M00 + S * M10
-            nM[0, 1] = C * M01 + S * M11
-            nM[1, 0] = qS * M00 + C * M10
-            nM[1, 1] = qS * M01 + C * M11
-            nD = np.empty_like(D)
-            nD[0, 0] = C * D00 + S * D10 - (dC * M00 + dS * M10)
-            nD[0, 1] = C * D01 + S * D11 - (dC * M01 + dS * M11)
-            nD[1, 0] = qS * D00 + C * D10 - (dqS * M00 + dC * M10)
-            nD[1, 1] = qS * D01 + C * D11 - (dqS * M01 + dC * M11)
-            if count_zeros:
-                _count_piece_zeros(q, L, M, nM, phi_count, thp_count)
-            M, D = nM, nD
-            m_abs = np.maximum(np.max(np.abs(M), axis=(0, 1)), np.max(np.abs(D), axis=(0, 1)))
-            big = m_abs > 1e120
-            if np.any(big):
-                f = np.where(big, m_abs, 1.0)
-                M = M / f
-                D = D / f
-                log_scale += np.log(f)
-
-    return _pack_state(M, D), phi_count, thp_count, log_scale
-
-
-def _pack_state(M, D):
-    # columns of M are (theta, theta') and (phi, phi')
-    state = np.empty((8, M.shape[2]))
-    state[0] = M[0, 0]
-    state[1] = M[1, 0]
-    state[2] = M[0, 1]
-    state[3] = M[1, 1]
-    state[4] = D[0, 0]
-    state[5] = D[1, 0]
-    state[6] = D[0, 1]
-    state[7] = D[1, 1]
-    return state
+    counts = (np.zeros(n, dtype=int), np.zeros(n, dtype=int)) if count_zeros else (None, None)
+    for X, q_piece, L_piece in zip(maps.reshape(-1, 2, 2, 2, n), q, L):
+        U_end = _compose(X, U)
+        if count_zeros:
+            _count_piece_zeros(q_piece, L_piece, U, U_end, *counts)
+        U = U_end
+        _renormalize(U, log_scale)
+    return U.reshape(8, n), *counts, log_scale
 
 
 def _half_turns(y, yp):
@@ -562,16 +517,16 @@ def _half_turns(y, yp):
     return np.where(y > 0, 0, np.where(y < 0, -1, np.where(yp > 0, 0, 1)))
 
 
-def _count_piece_zeros(q, L, M, M_end, phi_count, theta_count):
+def _count_piece_zeros(q, L, U, U_end, phi_count, theta_count):
     """Add the zeros of phi and theta in one constant piece (start, end].
 
-    M and M_end hold the states at both ends.  The count follows their signs,
-    so a zero that rounding puts a hair past a piece end is counted once, in
-    the piece that reaches it.
+    U and U_end are the packed states at both ends.  The count follows their
+    signs, so a zero that rounding puts a hair past a piece end is counted
+    once, in the piece that reaches it.
     """
     osc = q < 0
     for col, cnt in ((1, phi_count), (0, theta_count)):
-        y0, yp0, y1, yp1 = M[0, col], M[1, col], M_end[0, col], M_end[1, col]
+        (y0, yp0), (y1, yp1) = U[0, col], U_end[0, col]
         if np.any(osc):
             # y = R sin(w xi + delta): zeros where the phase crosses k pi.  The
             # phase turns by w L; its whole turns come from the angles, the

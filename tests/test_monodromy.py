@@ -226,6 +226,32 @@ def test_zero_counts_match_transfer_and_rk(mathieu):
     assert list(rk.theta_zeros) == list(tr.theta_zeros)
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.15])
+@pytest.mark.parametrize("a, v, lam", [(0.5, 1e6, -1e6), (0.3, 4e6, -3e6)])
+def test_barriers_far_below_the_spectrum_split_and_renormalize(a, v, lam, shift):
+    # q_i = v_i - lambda > 0 on both pieces, so F = C1 C2 + (q1 + q2) S1 S2 / 2
+    # with C_i = cosh x_i, S_i = sinh x_i / sqrt(q_i), x_i = sqrt(q_i) L_i:
+    # log F = x1 + x2 - log 4 + log(1 + (q1 + q2) / (2 sqrt(q1 q2))) up to
+    # e^(-2 x_i).  Each piece grows past e^MAX_BLOCK_GROWTH (the second case's
+    # first piece past the float64 range), so it is split, and the state is
+    # renormalized on the way
+    p = piecewise_potential([(0.0, a, v), (a, 1.0, 0.0)], shift=shift)
+    mb = mo.integrate_batch(p, [lam], count_zeros=True)
+    q1, q2 = v - lam, -lam
+    x1, x2 = math.sqrt(q1) * a, math.sqrt(q2) * (1.0 - a)
+    assert min(x1, x2) > mo.MAX_BLOCK_GROWTH
+    log_F = x1 + x2 - math.log(4.0) + math.log1p((q1 + q2) / (2.0 * math.sqrt(q1 * q2)))
+    F_scaled = 0.5 * (mb.phi_prime_1[0] + mb.theta_1[0])
+    assert mb.log_scale[0] > 2 * math.log(1e120)
+    assert mb.log_scale[0] + math.log(F_scaled) == pytest.approx(log_F, rel=1e-12)
+    # y'' = q y with q > 0 everywhere: theta and phi have no zeros
+    assert mb.phi_zeros[0] == mb.theta_zeros[0] == 0
+    # the Wronskian 1 is stored as e^(-2 log_scale), zero against its terms
+    theta_phi_p = mb.theta_1[0] * mb.phi_prime_1[0]
+    w = theta_phi_p - mb.theta_prime_1[0] * mb.phi_1[0]
+    assert abs(w - math.exp(-2.0 * mb.log_scale[0])) <= 1e-14 * abs(theta_phi_p)
+
+
 def test_branch_magnitude_equals_a_at_dirichlet_point(bound_state_potential, bound_state_bands):
     # phi(1, mu) = 0 forces a^2 = F^2 - 1 = b^2 through the Wronskian identity
     s = bound_state_bands.state(1)
