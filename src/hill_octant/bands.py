@@ -73,7 +73,6 @@ EDGE_MERGE_REL = 1e-9
 VIRTUAL_EDGE_REL = 1e-7
 VIRTUAL_A_TOL = 1e-9
 MAX_NEWTON = 60
-_SEED_GALERKIN = 128  # smallest Galerkin basis of the Dirichlet and Neumann seeds
 
 
 @dataclass(frozen=True)
@@ -183,16 +182,13 @@ def _angles(p, lams):
 
 
 def _initial_guesses(p: Potential, n_need: int):
-    """Cheap eigenvalue guesses to seed the shooting solver.
+    """Eigenvalue guesses to seed the shooting solver.
 
-    A seed only has to land close enough to its root for the phase Newton
-    to stop after one step, so the Galerkin bases are sized by the turning
-    index alone, with a floor of _SEED_GALERKIN functions, and not by the
-    larger default floor of `spectral_matrix`.
+    For a Fourier potential, the Galerkin eigenvalues: on the shallow
+    potentials they land inside the phase Newton's stop.
     """
     if p.fourier:
-        dim = max(_SEED_GALERKIN, sm._turning_index(p, n_need + 1, math.pi))
-        return sm.galerkin_dirichlet(p, n_need, dim=dim), sm.galerkin_neumann(p, n_need + 1, dim=dim)
+        return sm.galerkin_dirichlet(p, n_need), sm.galerkin_neumann(p, n_need + 1)
     mean = p.constant
     if p.piecewise:
         mean += sum(s.value * (s.hi - s.lo) for s in p.piecewise)

@@ -12,7 +12,7 @@ as validations.
 factors.  It takes e_1 once, from the first factor's lowest bound state
 moved down by its gap index - 1, and uses it for the separating margin,
 the position checks and the separation bound alike.  Matrix-route factor
-spectra (`fast_factor_spectrum`) read their sheets off the sine-Galerkin
+spectra (`fast_factor_spectrum`) read their sheets off the Legendre-Galerkin
 Dirichlet eigenvectors (`spectral_matrix.dirichlet_sheets`) and integrate
 nothing; the shooting band structure keeps `bands.sheet_signs`, so each
 route checks the other.
@@ -20,8 +20,8 @@ route checks the other.
 `perturb_and_recount` tests the paper's stability claim: the counts in the
 separating intervals survive v_j -> v_j + eps w_j with eps <= kappa^3 and
 sup|w_j| <= 1.  Its "after" spectra are not fresh eigensolves.  They are
-Rayleigh-Ritz values of the truncated perturbed Hill and sine-Galerkin
-matrices on the unperturbed eigenvectors (`spectral_matrix.ritz_enclosures`),
+Rayleigh-Ritz values of the truncated perturbed Hill blocks and Dirichlet
+pencil on the unperturbed eigenvectors (`spectral_matrix.ritz_enclosures`),
 each with a Kato-Temple enclosure, and a factor or a count that the
 enclosures cannot settle falls back to a full solve.  The enclosures are
 for the truncated matrices; they do not cover the truncation tail.
@@ -343,7 +343,7 @@ class _Eigenbasis:
 
     hill: dict  # Hill block offset -> (lowest N + 1 eigenvalues, real vectors as columns)
     mu: np.ndarray  # Dirichlet points mu_1 .. mu_(N+1)
-    Y: np.ndarray  # their sine-Galerkin eigenvectors (columns)
+    Y: np.ndarray  # their M-orthonormal Legendre-Galerkin eigenvectors (columns)
 
 
 def _normalized(edges, mu, signs, N, gamma) -> NormalizedSpectrum1D:
@@ -362,14 +362,13 @@ def _normalized(edges, mu, signs, N, gamma) -> NormalizedSpectrum1D:
 
 
 def _solve_factor(p: Potential, N: int, gamma: float):
-    """(spectrum, eigenbasis) of one factor: both Hill blocks and one sine-Galerkin solve.
+    """(spectrum, eigenbasis) of one factor: both Hill blocks and one Dirichlet solve.
 
-    The Galerkin solve keeps mu_(N+1) as well, at the basis size for N
-    points, so that a Ritz step on these vectors has a computed neighbour
-    above mu_N.
+    The Dirichlet solve keeps mu_(N+1) as well, so that a Ritz step on
+    these vectors has a computed neighbour above mu_N.
     """
     *edges, _, hill = sm._hill_edges(p, N, None)
-    mu, Y = sm.galerkin_dirichlet_vectors(p, N + 1, dim=sm._galerkin_dim(p, N))
+    mu, Y = sm.galerkin_dirichlet_vectors(p, N + 1)
     spectrum = _normalized(edges, mu, sm.dirichlet_sheets(Y[:, :N]), N, gamma)
     return spectrum, _Eigenbasis(hill, mu, Y)
 
@@ -394,25 +393,34 @@ def _ritz_factor(basis: _Eigenbasis, q: Potential, spread: float, N: int, gamma:
     """The factor spectrum of q from the eigenvectors of a nearby factor, or None.
 
     q differs from the solved factor by a potential of sup norm at most
-    `spread`.  The Hill blocks and the sine-Galerkin matrix of q are built
-    at the solved factor's basis sizes, and `spectral_matrix.ritz_enclosures`
-    projects each onto the solved vectors.  Returns (spectrum, radius),
-    where every Dirichlet point lies within radius (normalized by gamma) of
-    its Ritz value, or None where two enclosures in one block overlap (a
-    nearly closed gap) or a sheet is uncertain: |psi'(0)| - |psi'(1)| of a
-    Ritz vector must exceed twice the error its angle bound allows in each
-    wall derivative.
+    `spread`.  The Hill blocks and the Dirichlet pencil (A, M) of q are
+    built at the solved factor's basis sizes, and `ritz_enclosures`
+    projects each onto the solved vectors: the pencil in its standard form
+    L^-1 A L^-T (L L^T = M), of norm at most 2 / lambda_min(M) + sup|v|.
+    Returns (spectrum, radius), where every Dirichlet point lies within
+    radius (normalized by gamma) of its Ritz value, or None where two
+    enclosures in one block overlap (a nearly closed gap) or a sheet is
+    uncertain: |psi'(0)| - |psi'(1)| of a Ritz vector must exceed twice the
+    error its angle bound allows in each wall derivative.
     """
     Y = basis.Y
-    H = sm._sine_matrix(q, N, Y.shape[0])
-    HY = H @ Y
-    # ||H|| <= its largest absolute row sum; H is not needed after H Y
-    mu, V, mu_radius, angle = sm.ritz_enclosures(HY, Y, basis.mu, spread, np.abs(H, out=H).sum(axis=1).max())
+    A, M = sm._galerkin_pencil(q, Y.shape[0])
+    A += q.constant * M
+    L = sla.cholesky(M, lower=True)
+    # M couples k and k + 2 only: two tridiagonal blocks, one per parity of k
+    m_min = min(sla.eigvalsh_tridiagonal(np.diag(M)[i::2], np.diag(M, 2)[i::2], select="i",
+                                         select_range=(0, 0))[0] for i in (0, 1))
+    HX = sla.solve_triangular(L, A @ Y, lower=True)  # on X = L^T Y, orthonormal as Y is M-orthonormal
+    mu, V, mu_radius, angle = sm.ritz_enclosures(HX, L.T @ Y, basis.mu, spread, 2.0 / m_min + q.sup_norm_bound)
     if _enclosures_overlap(mu, mu_radius):
         return None
-    # ||v - u|| <= sqrt(2) sin(angle) for unit v, u, and |m . (v - u)| <= ||m|| ||v - u||
-    d0, d1 = sm._wall_derivatives(V[:, :N])
-    readout = math.sqrt(2.0) * float(np.linalg.norm(np.arange(1, Y.shape[0] + 1))) * angle[:N]
+    ritz_Y = sla.solve_triangular(L, V[:, :N], lower=True, trans="T")
+    # ||v - u|| <= sqrt(2) sin(angle) for unit v, u, and r . y = (L^-1 r) . x
+    # moves by at most ||L^-1 r|| ||v - u||: one norm for both walls, as M
+    # does not couple the odd k, where their r differ in sign, to the even k
+    d0, d1 = sm._wall_derivatives(ritz_Y)
+    r = sla.solve_triangular(L, sm._wall_functionals(Y.shape[0])[1], lower=True)
+    readout = math.sqrt(2.0) * float(np.linalg.norm(r)) * angle[:N]
     if not np.all(np.abs(d0 - d1) > 2.0 * readout):
         return None
     const, a, b = sm._mode_arrays(q)
@@ -427,7 +435,7 @@ def _ritz_factor(basis: _Eigenbasis, q: Potential, spread: float, N: int, gamma:
         if _enclosures_overlap(theta, radius):
             return None
         thetas[offset] = theta
-    spectrum = _normalized(sm._block_edges(thetas, N), mu, sm.dirichlet_sheets(V[:, :N]), N, gamma)
+    spectrum = _normalized(sm._block_edges(thetas, N), mu, sm.dirichlet_sheets(ritz_Y), N, gamma)
     return spectrum, float(mu_radius[:N].max()) / gamma
 
 
@@ -456,7 +464,7 @@ def perturb_and_recount(
     Each distinct v_j is solved once through the matrix route, as in
     `fast_factor_spectrum`, and its eigenvectors are kept.  The "after"
     values of v_j + eps w_j are Ritz values of its truncated Hill blocks and
-    sine-Galerkin matrix on those vectors, at the same basis sizes, and its
+    Dirichlet pencil on those vectors, at the same basis sizes, and its
     sheets are read off the Ritz vectors.  Each Ritz value carries a
     Kato-Temple radius, whose gap comes from the unperturbed neighbours less
     eps sup|w_j| (Weyl).  A perturbed factor is solved in full

@@ -146,22 +146,21 @@ def _potential_from_coeffs(cos_coeffs, sin_coeffs=None):
     return fourier_potential(terms)
 
 
-def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, dim=None, start=None):
+def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, start=None):
     """Gap lengths, Dirichlet offsets mu_n - lambda_n^- and their gradients.
 
-    Returns (lengths, offsets, d_lengths, d_offsets, solved, vectors) for
+    Returns (lengths, offsets, d_lengths, d_offsets, solved, blocks) for
     gaps 1..N, where solved = (lambda0, gap_lo, gap_hi, next_band_end, mu)
     are the eigenvalues behind them (mu None without `positions`).  Row n
     of a gradient holds the derivatives in the coefficients of
     cos(2 pi k x), then of sin(2 pi k x), k = 1..M: each edge and Dirichlet
     point is a simple eigenvalue, so its derivative comes from its Hill or
-    sine-Galerkin eigenvector.  Without `positions` the offsets are None and
-    no Galerkin matrix is solved.  vectors = (Hill blocks, sine vectors or
-    None) are the eigenvectors of this call; passed back as `start` for a
-    nearby potential at the same `modes` and `dim`, they seed its solves.
+    Dirichlet eigenvector.  Without `positions` the offsets are None and
+    no Galerkin pencil is solved.  `blocks` are the Hill eigenpairs of this
+    call; passed back as `start` for a nearby potential at the same
+    `modes`, they seed its Hill solves.
     """
-    hill_start, sine_start = (None, None) if start is None else start
-    lam0, lo, hi, nbe, info, blocks = sm.hill_edges_and_vectors(p, N, modes=modes, start=hill_start)
+    lam0, lo, hi, nbe, info, blocks = sm.hill_edges_and_vectors(p, N, modes=modes, start=start)
 
     def edge_gradients(edge):
         return np.array([np.concatenate(sm.exp_vector_gradient(info[(edge, n)][1], M))
@@ -170,10 +169,10 @@ def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, dim=N
     d_lo = edge_gradients("lo")
     d_len = edge_gradients("hi") - d_lo
     if not positions:
-        return hi - lo, None, d_len, None, (lam0, lo, hi, nbe, None), (blocks, None)
-    mu, Y = sm.galerkin_dirichlet_vectors(p, N, dim=dim, start=sine_start)
-    d_mu = np.array([np.concatenate(sm.sine_vector_gradient(y, M)) for y in Y.T])
-    return hi - lo, mu - lo, d_len, d_mu - d_lo, (lam0, lo, hi, nbe, mu), (blocks, Y)
+        return hi - lo, None, d_len, None, (lam0, lo, hi, nbe, None), blocks
+    mu, Y = sm.galerkin_dirichlet_vectors(p, N)
+    d_mu = np.hstack(sm.dirichlet_vector_gradient(Y, M))
+    return hi - lo, mu - lo, d_len, d_mu - d_lo, (lam0, lo, hi, nbe, mu), blocks
 
 
 # --- public operations -------------------------------------------------------
@@ -294,19 +293,18 @@ class _DeepFitter:
     positions, the mode amplitudes are pure shape knobs.  The forward map's
     gradients in the untranslated coefficients reach z by the chain rule.
     `solved` holds the last z evaluated and the forward map's eigenvalues
-    there, and `vectors` the eigenvectors of the last evaluation, which
-    start the solves of the next: each iterate is a small step from the last.
+    there, and `blocks` the last evaluation's Hill eigenpairs, which start
+    the next one's Hill solves: each iterate is a small step from the last.
     """
 
-    def __init__(self, n_gaps, gamma, modes_M, hill_modes, galerkin_dim):
+    def __init__(self, n_gaps, gamma, modes_M, hill_modes):
         self.N = n_gaps
         self.gamma = gamma
         self.M = modes_M
         self.hill_modes = hill_modes
-        self.gdim = galerkin_dim
         self.goal = np.full(n_gaps, gamma)
         self.solved = None
-        self.vectors = None
+        self.blocks = None
 
     def build(self, z):
         M = self.M
@@ -317,8 +315,8 @@ class _DeepFitter:
     def residual_jac(self, z, f_target):
         M = self.M
         p = self.build(z)
-        lengths, pos, d_len, d_pos, solved, self.vectors = _forward_map(
-            p, self.N, M, modes=self.hill_modes, dim=self.gdim, start=self.vectors
+        lengths, pos, d_len, d_pos, solved, self.blocks = _forward_map(
+            p, self.N, M, modes=self.hill_modes, start=self.blocks
         )
         self.solved = (z.copy(), solved)
         fr = pos / lengths
@@ -356,7 +354,7 @@ class _DeepFitter:
 def _deep_design(N, gamma, frac, tolerance, report):
     """Equal gaps of length gamma with states at the given fraction.
 
-    Returns (potential, fitter, solved): solved = (lambda0, gap_lo, gap_hi,
+    Returns (potential, solved): solved = (lambda0, gap_lo, gap_hi,
     next_band_end, mu) of the potential, from the fit's last forward map.
     """
     # 1) cos-only gap lengths from the harmonic single-well seed
@@ -370,8 +368,7 @@ def _deep_design(N, gamma, frac, tolerance, report):
     M = max(48, 24 * N)
     sup = p_len.sup_norm_bound
     hill_modes = int(1.2 * math.sqrt(4.0 * sup) / (2.0 * math.pi)) + 40 + M
-    gdim = int(1.2 * math.sqrt(4.0 * sup) / math.pi) + 60 + M
-    fit = _DeepFitter(N, gamma, M, hill_modes, gdim)
+    fit = _DeepFitter(N, gamma, M, hill_modes)
 
     # 2) translation seed.  Translation moves only mu: the band edges are
     # those of p_len itself.  For t <= xmin, v(x + t) has its minimum just
@@ -389,9 +386,7 @@ def _deep_design(N, gamma, frac, tolerance, report):
 
     def cost_and_slope(t, _):
         z[-1] = t[0]
-        start = None if fit.vectors is None else fit.vectors[1]
-        mu, Y = sm.galerkin_dirichlet_vectors(fit.build(z), N, dim=gdim, start=start)
-        fit.vectors = (None, Y)  # each Newton step starts from the last, and the fit from the final one
+        mu, Y = sm.galerkin_dirichlet_vectors(fit.build(z), N)
         fr = (mu - glo) / (ghi - glo)
         d_fr = sm.dirichlet_translation_slopes(Y) / (ghi - glo)
         # _logit clips fr to [1e-12, 1 - 1e-12]: flat outside, so no slope there
@@ -407,7 +402,7 @@ def _deep_design(N, gamma, frac, tolerance, report):
     report.iterations += iters
     z_solved, solved = fit.solved
     assert np.array_equal(z_solved, z)  # the Gauss-Newton ends on an evaluated point
-    return fit.build(z), fit, solved
+    return fit.build(z), solved
 
 
 def _matrix_band_structure(p: Potential, N: int, mb_mu, edges, mu, nu) -> BandStructure:
@@ -461,9 +456,9 @@ def construct_model_potential(N: int, kappa: float, d: int, tolerance: float = 1
         targets={"N": N, "kappa": kappa, "d": d, "gamma": gamma, "frac": frac}
     )
 
-    p, fit, (*edges, mu) = _deep_design(N, gamma, frac, tolerance, report)
+    p, (*edges, mu) = _deep_design(N, gamma, frac, tolerance, report)
     # shooting cross-checks: Dirichlet anchors and sheet signs
-    nu = sm.galerkin_neumann(p, N + 1, dim=fit.gdim)
+    nu = sm.galerkin_neumann(p, N + 1)
     mb_mu = integrate_batch(p, mu, count_zeros=True)
     signs = sheet_signs(mb_mu)
     expected = np.arange(1, N + 1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -159,11 +160,18 @@ def constant_potential(c: float) -> Potential:
     return Potential(constant=c)
 
 
+def _mode_index(k) -> int:
+    """k as an int where it is an integral number: int() alone turns 1.5 and true into mode 1."""
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, numbers.Real) or not float(k).is_integer():
+        raise SpecFormatError(f"fourier mode index must be a positive integer, got {k!r}")
+    return int(k)
+
+
 def fourier_potential(terms, constant: float = 0.0, shift: float = 0.0) -> Potential:
     """terms: iterable of (k, cos_coeff, sin_coeff)."""
     return Potential(
         constant=constant,
-        fourier=tuple(FourierTerm(int(k), float(a), float(b)) for k, a, b in terms),
+        fourier=tuple(FourierTerm(_mode_index(k), float(a), float(b)) for k, a, b in terms),
         shift=shift,
     )
 

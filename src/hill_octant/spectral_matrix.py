@@ -1,11 +1,10 @@
 """Matrix eigensolvers for the same spectral data the shooting route computes.
 
 These are an independent route: truncated Fourier (Hill) matrices for the
-periodic / anti-periodic eigenvalues (band edges), and sine / cosine
-Galerkin matrices on [0, 1] for the Dirichlet / Neumann spectra.  The
-designer iterates against this fast forward map; the shooting route in
-``bands`` stays the authoritative public implementation, and tests compare
-the two.
+periodic / anti-periodic eigenvalues (band edges), and Legendre-Galerkin
+pencils on [0, 1] for the Dirichlet / Neumann spectra.  The designer
+iterates against this fast forward map; the shooting route in ``bands``
+stays the authoritative public implementation, and tests compare the two.
 
 Basis sizes auto-scale with the potential so that deep-well designs (whose
 low eigenvalues involve Fourier modes up to the classical turning index)
@@ -14,37 +13,32 @@ real trigonometric basis 1, sqrt(2) cos 2 pi q x, sqrt(2) sin 2 pi q x
 (`_hill_band`), so it is real symmetric and banded, and no eigensolve uses
 complex arithmetic; the edge eigenvectors are handed out over exponential
 wavenumbers.  Only the lowest few eigenpairs are wanted, and the block
-dimension picks the solver.  A block of dimension up to BAND_SOLVER_DIM (the
-shallow potentials: 67 for the 3-mode test corpus at 6 gaps) goes to
-LAPACK's band eigensolver, which is faster there and rounds the low
-eigenvalues far below eps ||H||, as the 1e-12 stop of the edge Newton in
-`bands` needs; dense `eigh` would not.  A larger block (the deep wells) is
-shifted just below the spectrum, by a lower bound from the minimum of the
-potential, so that it is positive definite; one banded LU factor applies
-(H - sigma)^-1, and block Lanczos on that inverse finds the lowest
-eigenpairs first: the spectral transformation of Ericsson and Ruhe (Math.
-Comp. 35, 1980) with the block iteration of Golub and Underwood (1977).
-The Galerkin matrices are dense Toeplitz plus (or minus) Hankel matrices of
-the cosine moments of v.  Up to GALERKIN_LANCZOS_DIM (the shallow
-potentials' bases) they go to `scipy.linalg.eigh`; a larger one (the deep
-wells) is shifted below its spectrum by the same bound, factored by dense
-Cholesky, and solved by the same Lanczos loop (`_galerkin_solve`).  A fit
-passes each iterate's eigenvectors to the next solve as `start`, where
-they begin the Lanczos basis: each result stays a function of the
-arguments of its call.  The Dirichlet eigenvectors also carry the sheet of each Dirichlet point
-(`dirichlet_sheets`), so a matrix-route factor spectrum needs no integrator
-pass; the shooting rule `bands.sheet_signs` stays the independent check.
-The same wall read-out gives the slope of each Dirichlet point under
-translation (`dirichlet_translation_slopes`), which the deep design solves
-along.  For a matrix close to one already solved, `ritz_enclosures`
-projects it onto the known eigenvectors (Rayleigh-Ritz) and bounds the
-error of each Ritz value (Kato-Temple), with no new eigensolve.
+dimension picks the solver: LAPACK's band eigensolver up to
+BAND_SOLVER_DIM (`_hill_banded`), shift-invert block Lanczos above it, in
+the deep wells (`_hill_lanczos`).  A fit passes each iterate's Hill
+eigenvectors to the next solve as `start`, where they begin the Lanczos
+basis: each result stays a function of the arguments of its call.
+
+The Dirichlet and Neumann spectra come from Shen's Legendre bases, whose
+coefficients decay exponentially (a sine or cosine basis converges only
+algebraically, through the kinks of the odd and even extensions).  One
+dense shift-inverted `eigh` of the pencil solves every size
+(`_galerkin_solve`).  The Dirichlet eigenvectors carry exact wall
+derivatives, which give the sheet of each Dirichlet point
+(`dirichlet_sheets`), so a matrix-route factor spectrum needs no
+integrator pass (`bands.sheet_signs` stays the independent check), and
+its slope under translation (`dirichlet_translation_slopes`), which the
+deep design solves along.  For a matrix close to one already solved,
+`ritz_enclosures` projects it onto the known eigenvectors (Rayleigh-Ritz)
+and bounds the error of each Ritz value (Kato-Temple), with no new
+eigensolve.
 
 Only Fourier-form potentials are supported here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -62,13 +56,12 @@ __all__ = [
     "hill_edges_and_vectors",
     "galerkin_dirichlet_vectors",
     "exp_vector_gradient",
-    "sine_vector_gradient",
+    "dirichlet_vector_gradient",
     "ritz_enclosures",
 ]
 
-DEFAULT_GALERKIN = 256
 BAND_SOLVER_DIM = 160  # Hill blocks up to this dimension go to LAPACK's band solver, larger ones to Lanczos
-GALERKIN_LANCZOS_DIM = 300  # Galerkin matrices up to this dimension go to eigh, larger ones to Lanczos
+GALERKIN_TAIL = 1e-6  # most the last coefficients of a default-size Galerkin eigenvector hold, relative
 LANCZOS_BLOCK = 2  # Hill eigenvalues have multiplicity at most 2
 LANCZOS_TOL = 1e-12  # Ritz residual bound, relative to the largest Ritz value
 RITZ_EVERY = 4  # Rayleigh-Ritz checks come RITZ_EVERY LANCZOS_BLOCK basis vectors apart
@@ -77,26 +70,17 @@ SYMBOL_GRID = 4096  # points on which the minimum of the Toeplitz symbol is samp
 RITZ_ROUNDING = 16  # rounding allowance of a Ritz value or residual, in units of eps ||H||
 
 
-def _turning_index(p: Potential, count: int, spacing: float) -> int:
-    """Smallest basis index safely past the classical turning point.
+def _turning_index(p: Potential, count: int) -> int:
+    """Smallest Hill mode index safely past the classical turning point.
 
-    Index k has wavenumber `spacing` k: pi m for the sine and cosine
-    bases, 2 pi q for a Hill block.  Both hold one basis function per pi
-    of wavenumber (a Hill block has a cos-sin pair per mode), so the margin
-    of 8 (count + 2) functions past the turning wavenumber is
-    8 (count + 2) pi / spacing indices: 4 (count + 2) Hill modes.
-
-    The turning wavenumber counts |constant| through `p.sup_norm_bound`,
-    though a constant shift leaves every eigenvector unchanged.  It stays
-    in, as margin the Galerkin bases need: on the normalized (2, 0.1, 3)
-    design (constant 2.0e5) the sizes without it (Hill K 157, Galerkin 314,
-    against 208 and 416) keep the Hill edges within 4e-12 of a 900-mode
-    reference, but raise the error of mu_1 (about 296) against an
-    1800-function sine basis from 1.1e-7 to 7.7e-7.
+    The margin is 4 (count + 2) modes, 8 (count + 2) basis functions.  The
+    turning wavenumber leaves out the constant, which moves no eigenvector:
+    on the normalized (2, 0.1, 3) design (constant 2.0e5) K is 157 rather
+    than 208, with edges within 3.2e-12 relative of 900 modes.
     """
-    sup = p.sup_norm_bound
-    k_turn = math.sqrt(max(2.0 * sup, 1.0)) / spacing
-    return int(1.3 * k_turn) + round(8 * (count + 2) * math.pi / spacing)
+    sup = p.sup_norm_bound - abs(p.constant)
+    k_turn = math.sqrt(max(2.0 * sup, 1.0)) / (2.0 * math.pi)
+    return int(1.3 * k_turn) + 4 * (count + 2)
 
 
 def _orthonormal_block(V, Q, rng):
@@ -150,8 +134,8 @@ def _symbol_bounds(a, b):
     its symbol f(x) = sum_j vhat_j e^{2 pi i j x} (vhat the exponential
     coefficients of modes -kmax..kmax), so it is bounded below by min f;
     f is v less its constant, so the same bound holds for the potential
-    part of the sine and cosine Galerkin matrices, compressions of
-    multiplication by v to functions on [0, 1].  min f is sampled on
+    part of the Dirichlet and Neumann pencils, whose Rayleigh quotients
+    are averages of f over psi^2 on [0, 1].  min f is sampled on
     SYMBOL_GRID points by one FFT; the grid point nearest the minimizer
     lies within h/2, where f exceeds its minimum by at most
     h^2/8 max|f''| <= h^2/8 sum (2 pi j)^2 |vhat_j|.  Returns (sum |vhat|,
@@ -169,11 +153,12 @@ def _symbol_bounds(a, b):
 
 
 def _shift(symbol, kinetic, constant):
-    """A shift sigma at least 1 below every eigenvalue of a Hill block or Galerkin matrix.
+    """A shift sigma at least 1 below every eigenvalue of a Hill block or Galerkin pencil.
 
     `symbol` is `_symbol_bounds` of the potential, and `kinetic` a lower
     bound of -d^2 on the basis: the least squared wavenumber, 0 or pi^2 for
-    the Hill blocks, pi^2 for the sine basis and 0 for the cosine basis.
+    the Hill blocks, pi^2 (Friedrichs) for the Dirichlet basis and 0 for the
+    Neumann one.
     The potential part is at least the constant plus the sampled min f less
     its slack; the Gershgorin shift constant - sum|vhat| - 1 is the floor.
     """
@@ -437,7 +422,7 @@ def _hill_edges(p: Potential, n_gaps: int, modes: int | None, start=None, vector
     """
     const, a, b = _mode_arrays(p)
     if modes is None:
-        modes = _turning_index(p, n_gaps, 2.0 * math.pi)
+        modes = _turning_index(p, n_gaps)
     if 2 * modes < n_gaps + 1:  # the anti-periodic block has dimension 2 modes
         raise ValueError(f"modes={modes} is too few for {n_gaps} gaps: need at least {(n_gaps + 2) // 2}")
     K = modes
@@ -488,107 +473,122 @@ def hill_edges_and_vectors(p: Potential, n_gaps: int, modes: int | None = None, 
     return _hill_edges(p, n_gaps, modes, start)
 
 
-def _cosine_moments(p: Potential, jmax: int) -> np.ndarray:
-    """C[j] = integral_0^1 v(x) cos(pi j x) dx for j = 0..jmax."""
-    const, ks, a, b = p.effective_fourier()
-    C = np.zeros(jmax + 1)
-    C[0] = const
-    fits = 2 * ks <= jmax
-    np.add.at(C, 2 * ks[fits], 0.5 * a[fits])
-    j = np.arange(1, jmax + 1, 2)  # sin(2 pi k x) against cos(pi j x): odd j only
-    C[j] += b @ ((4.0 / np.pi) * ks[:, None] / (4.0 * ks[:, None] ** 2 - j**2))
-    return C
+@functools.lru_cache(maxsize=32)
+def _legendre_table(nodes: int, degree: int):
+    """Gauss-Legendre nodes t and weights w on [-1, 1], and L_k(t) for k = 0..degree < nodes.
 
-
-def _galerkin_dim(p: Potential, count: int) -> int:
-    """Default size of the sine and cosine bases for the lowest `count` eigenvalues."""
-    return max(DEFAULT_GALERKIN, _turning_index(p, count, math.pi))
-
-
-def _sine_matrix(p: Potential, count: int, dim: int | None) -> np.ndarray:
-    """The Dirichlet operator in the sine basis sqrt(2) sin(pi m x), m = 1..dim."""
-    if dim is None:
-        dim = _galerkin_dim(p, count)
-    C = _cosine_moments(p, 2 * dim)
-    # <m| v |m'> = C[|m - m'|] - C[m + m']: Toeplitz minus Hankel, subtracted
-    # in place so that only two dim x dim arrays are ever alive
-    H = sla.toeplitz(C[:dim])
-    H -= sla.hankel(C[2 : dim + 2], C[dim + 1 : 2 * dim + 1])
-    H[np.diag_indices(dim)] += (np.pi * np.arange(1, dim + 1)) ** 2
-    return H
-
-
-def _galerkin_solve(H: np.ndarray, p: Potential, count: int, kinetic: float, vectors=True, start=None):
-    """Lowest `count` eigenpairs of the sine or cosine Galerkin matrix H of p.
-
-    Returns (values ascending, vectors as columns or None).  `kinetic` is
-    pi^2 for the sine basis and 0 for the cosine basis (`_shift`).  A
-    matrix of dimension up to GALERKIN_LANCZOS_DIM goes to
-    `scipy.linalg.eigh` (values only without `vectors`), as the shallow
-    potentials' seed bases (at most 256) always have.  A larger one is
-    shifted to H - sigma >= 1 by `_shift`, factored by dense Cholesky in
-    place (H is symmetric and C-ordered, so H.T is the same matrix in
-    Fortran order and LAPACK needs no copy; H is overwritten), and solved
-    by `_lanczos`, from the columns of `start` when given.  A Cholesky that
-    fails (a shift not below the spectrum) raises `NoConvergence`.
-
-    Measured cold on the sine matrices of the (2, 0.1, 3) design (2 cores,
-    one BLAS thread, the build included), `eigh` against Lanczos: 1.49
-    against 1.62 ms at 256, 2.34 against 2.06 ms at 320, 5.5 against
-    3.8 ms at 472 and 168 against 38 ms at 1443.  On a 3-mode corpus
-    potential Lanczos already wins at 256 (1.27 against 1.47 ms), but eigh
-    keeps the shallow seeds as they were.
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence (Golub and Welsch, Math. Comp. 23, 1969): O(n^2), where
+    numpy's `leggauss` is O(n^3).  The recurrence fills the table and runs
+    on to L_n for the weights 2 / ((1 - t^2) L_n'^2); the moments int L_i L_j
+    come out exact to a few eps.  Its loop is about half of a shallow solve
+    and depends on the sizes alone, so the last 32 tables are kept, read-only.
     """
-    dim = H.shape[0]
-    if dim <= GALERKIN_LANCZOS_DIM:
-        if vectors:
-            return sla.eigh(H, subset_by_index=(0, count - 1))
-        return sla.eigh(H, eigvals_only=True, subset_by_index=(0, count - 1)), None
+    k = np.arange(1.0, nodes)
+    t = sla.eigvalsh_tridiagonal(np.zeros(nodes), k / np.sqrt(4.0 * k * k - 1.0),
+                                 lapack_driver="sterf", check_finite=False)
+    table = np.empty((degree + 1, nodes))
+    prev, cur = np.ones(nodes), t
+    table[0], table[1] = prev, cur
+    for j in range(1, nodes):
+        prev, cur = cur, ((2 * j + 1) * t * cur - j * prev) / (j + 1)
+        if j < degree:
+            table[j + 1] = cur
+    slope = nodes * (t * cur - prev) / (t * t - 1.0)
+    out = t, 2.0 / ((1.0 - t * t) * slope * slope), table
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+def _shen_basis(dim: int, kmax: int, neumann: bool):
+    """Shen's basis at Gauss-Legendre nodes: (Phi, x, w, s, c).
+
+    Basis function k = 0..dim-1 is s_k (L_k(t) - c_k L_(k+2)(t)) on
+    t = 2x - 1 (Shen, SIAM J. Sci. Comput. 15, 1994): s_k = 1 / sqrt(4k + 6)
+    and c_k = 1 vanish at both ends (Dirichlet), s_k = 1 and c_k = k (k + 1)
+    / ((k + 2)(k + 3)) have zero slope there (Neumann).  Phi[k, i] is
+    function k at node x_i in [0, 1], where the weights w sum to 1.  The
+    nodes integrate two basis functions times modes up to kmax exactly but
+    for the Legendre series of cos(pi kmax t) past degree pi kmax + 32.
+    """
+    nodes = dim + 2 + 16 + math.ceil(math.pi * kmax / 2.0)
+    t, w, L = _legendre_table(nodes, dim + 1)
+    k = np.arange(dim)
+    s = np.ones(dim) if neumann else 1.0 / np.sqrt(4.0 * k + 6.0)
+    c = k * (k + 1) / ((k + 2.0) * (k + 3.0)) if neumann else np.ones(dim)
+    Phi = s[:, None] * (L[:dim] - c[:, None] * L[2:])
+    return Phi, 0.5 * (t + 1.0), 0.5 * w, s, c
+
+
+def _galerkin_pencil(p: Potential, dim: int, neumann: bool = False):
+    """The Dirichlet or Neumann pencil (A, M) of -d^2 + v - p.constant on [0, 1].
+
+    In the basis of `_shen_basis` the stiffness is diagonal, 2 s_k^2 c_k
+    (4k + 6): 2I for Dirichlet.  M couples k with k and k +- 2 only, from
+    int_0^1 L_i L_j dx = delta_ij / (2i + 1).  A adds Phi diag(w v) Phi^T,
+    with v from `p.evaluate` at the nodes, less the constant.
+    """
+    const, a, _ = _mode_arrays(p)
+    Phi, x, w, s, c = _shen_basis(dim, a.size - 1, neumann)
+    k = np.arange(dim)
+    A = (Phi * (w * (p.evaluate(x) - const))) @ Phi.T
+    A[k, k] += 2.0 * s * s * c * (4.0 * k + 6.0)
+    M = np.zeros((dim, dim))
+    M[k, k] = s * s * (1.0 / (2.0 * k + 1.0) + c * c / (2.0 * k + 5.0))
+    M[k[:-2], k[2:]] = M[k[2:], k[:-2]] = -s[:-2] * s[2:] * c[:-2] / (2.0 * k[:-2] + 5.0)
+    return A, M
+
+
+def _galerkin_solve(p: Potential, count: int, dim: int | None, neumann: bool = False):
+    """Lowest `count` eigenpairs of the Dirichlet or Neumann pencil of p.
+
+    Returns (values ascending, M-orthonormal coefficient vectors as
+    columns).  Below sigma from `_shift` A - sigma M is positive definite,
+    and one dense `eigh` solves M y = theta (A - sigma M) y for its largest
+    theta: lambda = sigma + 1 / theta.  This form stays well conditioned,
+    where eigh(A, M) loses digits as the top of the pencil grows like
+    dim^4.  A shift not below the spectrum raises `NoConvergence`.
+
+    An explicit `dim` is solved as given.  The default size, 16 + 2 count +
+    6 (sum |a_k| + |b_k|)^(1/4), leaves out the constant, which moves no
+    eigenvector, and is checked after the solve: where the last 8
+    coefficients of a vector exceed GALERKIN_TAIL of its largest one (the
+    eigenvalue error is about the square of that ratio), the basis grows
+    by half and is solved again.
+    """
     const, a, b = _mode_arrays(p)
-    sigma = _shift(_symbol_bounds(a, b), kinetic, const)
-    H[np.diag_indices(dim)] -= sigma
-    chol, info = sla.lapack.dpotrf(H.T, lower=1, overwrite_a=1)
-    if info != 0:
-        raise NoConvergence(
-            f"Galerkin matrix of dimension {dim}: H - sigma is not positive definite "
-            f"(Cholesky stopped at column {info}) for sigma = {sigma:.6g}"
-        )
-    potrs = sla.lapack.dpotrs
-    theta, X = _lanczos(lambda Q: potrs(chol, Q, lower=1)[0], dim, count, start)
-    return sigma + 1.0 / theta, X
+    sigma = _shift(_symbol_bounds(a, b), 0.0 if neumann else np.pi**2, 0.0)
+    sized = dim is None
+    if sized:
+        dim = 16 + 2 * count + int(6.0 * (p.sup_norm_bound - abs(const)) ** 0.25)
+    while True:
+        A, M = _galerkin_pencil(p, dim, neumann)
+        A -= sigma * M
+        try:
+            theta, Y = sla.eigh(M, A, subset_by_index=(dim - count, dim - 1), overwrite_b=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"Galerkin pencil of dimension {dim}: A - sigma M is not positive "
+                                f"definite for sigma = {sigma:.6g} ({exc})") from None
+        theta, Y = theta[::-1], Y[:, ::-1] / np.sqrt(theta[::-1])  # y^T M y = theta y^T (A - sigma M) y = theta
+        if not sized or np.all(np.abs(Y[-8:]).max(axis=0) <= GALERKIN_TAIL * np.abs(Y).max(axis=0)):
+            return const + sigma + 1.0 / theta, Y
+        dim = int(1.5 * dim)
 
 
 def galerkin_dirichlet(p: Potential, count: int, dim: int | None = None) -> np.ndarray:
-    """First `count` Dirichlet eigenvalues on [0, 1] via a sine basis."""
-    return _galerkin_solve(_sine_matrix(p, count, dim), p, count, np.pi**2, vectors=False)[0]
+    """First `count` Dirichlet eigenvalues on [0, 1] via a Legendre-Galerkin basis."""
+    return _galerkin_solve(p, count, dim)[0]
 
 
-def galerkin_dirichlet_vectors(p: Potential, count: int, dim: int | None = None, start=None):
-    """(mu, Y): Dirichlet eigenvalues and eigenvectors in the sine basis.
-
-    `start`, the Y of an earlier call at the same `dim` (a nearby
-    potential: the last iterate of a fit), seeds the eigensolve.
-    """
-    return _galerkin_solve(_sine_matrix(p, count, dim), p, count, np.pi**2, start=start)
-
-
-def _cosine_matrix(p: Potential, count: int, dim: int | None) -> np.ndarray:
-    """The Neumann operator in the cosine basis 1, sqrt(2) cos(pi m x), m = 1..dim-1."""
-    if dim is None:
-        dim = _galerkin_dim(p, count)
-    C = _cosine_moments(p, 2 * dim)
-    # <m| v |m'> = C[|m - m'|] + C[m + m'], with 1/sqrt(2) for the constant
-    H = sla.toeplitz(C[:dim])
-    H += sla.hankel(C[:dim], C[dim - 1 : 2 * dim - 1])
-    H[0, :] /= np.sqrt(2.0)
-    H[:, 0] /= np.sqrt(2.0)
-    H[np.diag_indices(dim)] += (np.pi * np.arange(dim)) ** 2
-    return H
+def galerkin_dirichlet_vectors(p: Potential, count: int, dim: int | None = None):
+    """(mu, Y): Dirichlet eigenvalues and their M-orthonormal coefficient vectors (columns)."""
+    return _galerkin_solve(p, count, dim)
 
 
 def galerkin_neumann(p: Potential, count: int, dim: int | None = None) -> np.ndarray:
-    """First `count` Neumann eigenvalues nu_0.. on [0, 1] via a cosine basis."""
-    return _galerkin_solve(_cosine_matrix(p, count, dim), p, count, 0.0, vectors=False)[0]
+    """First `count` Neumann eigenvalues nu_0.. on [0, 1] via a Legendre-Galerkin basis."""
+    return _galerkin_solve(p, count, dim, neumann=True)[0]
 
 
 # --- Rayleigh-Ritz on known eigenvectors ---------------------------------------
@@ -618,16 +618,13 @@ def ritz_enclosures(HX: np.ndarray, X: np.ndarray, values: np.ndarray, spread: f
     so it gets the Weinstein radius r_i (an eigenvalue lies within it) and
     no angle.  Where r_i >= delta_i both are infinite.
 
-    `values` and X come from `_lanczos` where the unperturbed matrix is
-    large (the Hill blocks of a deep well, Galerkin matrices above
-    GALERKIN_LANCZOS_DIM), not from a dense solver.  The same rounding
-    allowance covers them: the error of a value is quadratic in the
-    residual r at which Lanczos stopped, r^2 / gap, and that residual is
-    small.  On the normalized (2, 0.1, 3) and (3, 0.05, 2) designs (sine
-    bases of 416 and 1443) r is at most 260 eps ||H|| and r^2 / gap at
-    most 5e-14 eps ||H||, and the values lie within 0.96 eps ||H|| of
-    `scipy.linalg.eigh`'s: the rounding of any solver, well inside
-    RITZ_ROUNDING.
+    `values` and X come from a dense `eigh` (the Dirichlet pencil, in
+    standard form) or, for a deep well's Hill block, from `_lanczos`, whose
+    values err by r^2 / gap in the residual r at its stop.  On the Hill
+    blocks of the normalized (2, 0.1, 3) and (3, 0.05, 2) designs (315 and
+    1075) r is at most 38 eps ||H|| and r^2 / gap 5e-10 eps ||H||, and the
+    values lie within 0.51 eps ||H|| of `scipy.linalg.eigh`'s: the rounding
+    of any solver, well inside RITZ_ROUNDING.
     """
     rounding = RITZ_ROUNDING * np.finfo(float).eps * norm
     G = X.T @ HX
@@ -655,51 +652,41 @@ def exp_vector_gradient(u: np.ndarray, max_mode: int):
     cos(2 pi k x) is Re sum_j conj(u_{j+k}) u_j, and Im of the same
     correlation for sin(2 pi k x); the derivative in the constant is 1.
     """
-    dim = u.size
-    da = np.empty(max_mode)
-    db = np.empty(max_mode)
-    for k in range(1, max_mode + 1):
-        corr = np.vdot(u[k:], u[: dim - k])
-        da[k - 1] = corr.real
-        db[k - 1] = corr.imag
-    return da, db
+    corr = np.array([np.vdot(u[k:], u[: u.size - k]) for k in range(1, max_mode + 1)])
+    return corr.real, corr.imag
 
 
-def sine_vector_gradient(y: np.ndarray, max_mode: int):
-    """d mu / d (cos_k, sin_k) for a sine-Galerkin eigenvector.
+def dirichlet_vector_gradient(Y: np.ndarray, max_mode: int):
+    """d mu / d (cos_k, sin_k), k = 1..max_mode, for Dirichlet eigenvectors (columns of Y).
 
-    mu = y^T H y with H[m, m'] = C[|m - m'|] - C[m + m'] (`_sine_matrix`),
-    so d mu / d C[j] = w[j] = 2 rho(j) - sigma(j) for j >= 1, from the
-    autocorrelation rho(delta) = sum_m y_m y_{m+delta} and the convolution
-    sigma(s) = sum_{m+m'=s} y_m y_{m'} of the coefficient vector (indices m
-    start at 1).  cos(2 pi k x) adds 1/2 to C[2k], and sin(2 pi k x) adds
-    (4k/pi) / (4k^2 - j^2) to every odd C[j] (`_cosine_moments`): one
-    product with that max_mode x (odd j) kernel gives every sine derivative.
+    Hellmann-Feynman: int_0^1 cos(2 pi k x) psi^2 and int_0^1 sin(2 pi k x)
+    psi^2 for psi normalized in L^2 (y^T M y = 1), as one product at the
+    nodes of `_shen_basis`.  Returns (da, db), each (columns of Y, max_mode).
     """
-    dim = y.size
-    rho = np.correlate(y, y, mode="full")[dim - 1 :]  # rho[delta], delta=0..dim-1
-    jmax = 2 * dim
-    w = np.zeros(jmax + 1)
-    w[:dim] += 2.0 * rho
-    w[2 : 2 * dim + 1] -= np.convolve(y, y)  # index i -> s = i + 2
-    k = np.arange(1, max_mode + 1)
-    da = np.where(2 * k <= jmax, 0.5 * w[np.minimum(2 * k, jmax)], 0.0)
-    j = np.arange(1, jmax + 1, 2)
-    kernel = (4.0 * k[:, None] / np.pi) / (4.0 * k[:, None] ** 2 - j**2)
-    return da, kernel @ w[1::2]
+    Phi, x, w, _, _ = _shen_basis(Y.shape[0], max_mode, neumann=False)
+    weighted = w * (Y.T @ Phi) ** 2
+    phase = (2.0 * np.pi * x)[:, None] * np.arange(1, max_mode + 1)
+    return weighted @ np.cos(phase), weighted @ np.sin(phase)
+
+
+def _wall_functionals(dim: int):
+    """(r0, r1) with psi'(0) = r0 . y and psi'(1) = r1 . y in the Dirichlet basis of `_shen_basis`.
+
+    (L_k - L_(k+2))' is (-1)^k (2k + 3) at t = -1 and -(2k + 3) at t = 1,
+    and d/dx = 2 d/dt: exact sums, with no basis tail to truncate.
+    """
+    r = np.sqrt(4.0 * np.arange(dim) + 6.0)
+    return r * (-1.0) ** np.arange(dim), -r
 
 
 def _wall_derivatives(Y: np.ndarray):
-    """|psi'(0)| and |psi'(1)| / (sqrt(2) pi) of psi = sum_m y_m sqrt(2) sin(pi m x), per column of Y.
-
-    psi'(0) = sqrt(2) pi sum_m m y_m and psi'(1) = sqrt(2) pi sum_m m (-1)^m y_m.
-    """
-    m = np.arange(1, Y.shape[0] + 1)
-    return np.abs(m @ Y), np.abs((m * (-1.0) ** m) @ Y)
+    """|psi'(0)| and |psi'(1)| of the Dirichlet eigenfunction of each column of Y."""
+    r0, r1 = _wall_functionals(Y.shape[0])
+    return np.abs(r0 @ Y), np.abs(r1 @ Y)
 
 
 def dirichlet_translation_slopes(Y: np.ndarray) -> np.ndarray:
-    """d mu_n / dt under v(x) -> v(x + t), from the sine-Galerkin eigenvectors (columns of Y).
+    """d mu_n / dt under v(x) -> v(x + t), from the Dirichlet eigenvectors (columns of Y).
 
     Hellmann-Feynman gives d mu / dt = int v'(x + t) psi^2, and one
     integration by parts with psi'' = (v - mu) psi turns that into
@@ -707,18 +694,22 @@ def dirichlet_translation_slopes(Y: np.ndarray) -> np.ndarray:
     (|psi'(0)| - |psi'(1)|)(|psi'(0)| + |psi'(1)|), its sign is exact.
     """
     d0, d1 = _wall_derivatives(Y)
-    return 2.0 * np.pi**2 * (d0 - d1) * (d0 + d1)
+    return (d0 - d1) * (d0 + d1)
 
 
 def dirichlet_sheets(Y: np.ndarray) -> np.ndarray:
-    """Sheets of mu_1 .. mu_N from their sine-Galerkin eigenvectors (columns of Y).
+    """Sheets of mu_1 .. mu_N from their Dirichlet eigenvectors (columns of Y).
 
     With phi = psi / psi'(0) the Wronskian at mu_n gives theta(1) phi'(1) = 1,
     so a(mu_n) = (phi'(1)^2 - 1) / (2 phi'(1)), and phi'(1) has sign (-1)^n
     (Sturm: n - 1 interior zeros).  So a(mu_n) has the bound sign (-1)^(n+1)
     exactly when |psi'(1)| < |psi'(0)|, that is, exactly when mu_n rises as
     the potential is translated (`dirichlet_translation_slopes` > 0): +1
-    there, -1 otherwise (a tie is -1, as for `bands.sheet_signs` at
-    a_sign = 0).
+    there, -1 otherwise.  A tie is -1, as for `bands.sheet_signs` at
+    a_sign = 0: a Dirichlet point on a band edge (mu_1 of an even
+    potential), where rounding leaves |psi'(0)| and |psi'(1)| up to 30 eps
+    of their sum apart (2.5e-7 for the closest state of the seed-777
+    corpus), so a difference up to 1e-10 of their sum is a tie.
     """
-    return np.where(dirichlet_translation_slopes(Y) > 0, 1, -1)
+    d0, d1 = _wall_derivatives(Y)
+    return np.where(d0 - d1 > 1e-10 * (d0 + d1), 1, -1)

@@ -67,7 +67,7 @@ def test_deep_jacobian_matches_central_difference(deep_n1):
     # translated coordinates z = [A_1..A_M, B_2..B_M, t] of the finished design
     p, gamma = deep_n1[:2]
     M = len(p.fourier)
-    fit = dz._DeepFitter(1, gamma, M, hill_modes=160, galerkin_dim=250)
+    fit = dz._DeepFitter(1, gamma, M, hill_modes=160)
     z = np.concatenate(([t.cos for t in p.fourier], [t.sin for t in p.fourier[1:]], [p.shift]))
     f_target = np.array([0.125])
     _, J = fit.residual_jac(z, f_target)
@@ -332,24 +332,20 @@ def test_criterion_5_translation_solves(criterion5_design):
 
 
 def test_deep_fit_starts_each_solve_from_the_last(monkeypatch):
-    # the translation Newton and the Gauss-Newton hand each solve's vectors
-    # to the next: only the first Dirichlet solve and the position fit's
-    # first Hill solve start cold (the gap-length fit's Hill bases vary)
-    starts = {"hill_edges_and_vectors": [], "galerkin_dirichlet_vectors": []}
+    # the Gauss-Newton hands each Hill solve's blocks to the next: only the
+    # position fit's first Hill solve starts cold (the gap-length fit's Hill
+    # bases vary).  The Dirichlet solves are dense and take no start.
+    seen = []
+    solve = sm.hill_edges_and_vectors
 
-    def recorded(name, fn):
-        def wrapper(*args, **kwargs):
-            if name == "galerkin_dirichlet_vectors" or kwargs.get("modes") is not None:
-                starts[name].append(kwargs.get("start") is not None)
-            return fn(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        if kwargs.get("modes") is not None:
+            seen.append(kwargs.get("start") is not None)
+        return solve(*args, **kwargs)
 
-        return wrapper
-
-    for name in starts:
-        monkeypatch.setattr(sm, name, recorded(name, getattr(sm, name)))
+    monkeypatch.setattr(sm, "hill_edges_and_vectors", recorded)
     dz.construct_model_potential(2, 0.1, 3)
-    for seen in starts.values():
-        assert len(seen) > 2 and not seen[0] and all(seen[1:])
+    assert len(seen) > 2 and not seen[0] and all(seen[1:])
 
 
 def test_wrong_shooting_sheets_raise_sign_unreachable(monkeypatch):

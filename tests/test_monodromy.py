@@ -383,7 +383,9 @@ def test_deep_cross_check_pass_takes_few_blocks(deep_n2_d3, monkeypatch):
     blocks = _counted_blocks(monkeypatch)
     mb = mo.integrate_batch(p, bs.dirichlet, count_zeros=True)
     assert len(blocks) <= 10
-    assert mb.phi_zeros.tolist() == [1, 2]
+    # at mu_n itself phi(1) = 0 up to rounding: n - 1 or n zeros, as the
+    # design's own cross-check allows
+    assert np.all((mb.phi_zeros == [1, 2]) | (mb.phi_zeros == [0, 1]))
     assert mb.a_sign.tolist() == [1.0, -1.0]
 
 

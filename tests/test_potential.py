@@ -137,6 +137,14 @@ def test_spec_rejects_unknown_and_conflicting_fields(tmp_path):
         load_spec(bad)
 
 
+@pytest.mark.parametrize("k", [1.5, True, "2", math.inf])
+def test_spec_rejects_a_mode_index_that_is_not_an_integer(k):
+    # int() would have loaded 1.5 and true as mode 1 and "2" as mode 2
+    with pytest.raises(SpecFormatError, match="positive integer"):
+        from_spec_dict({"fourier": [{"k": k, "cos": 1.0}]})
+    assert from_spec_dict({"fourier": [{"k": 2.0, "cos": 1.0}]}).fourier[0].k == 2
+
+
 def test_effective_fourier_absorbs_shift():
     p = fourier_potential([(1, 2.0, -1.0), (3, 0.5, 0.25)], constant=0.2, shift=0.41)
     const, ks, a, b = p.effective_fourier()

@@ -137,7 +137,14 @@ def test_every_block_is_solved_in_real_arithmetic(monkeypatch):
 
 
 def gathered_galerkin_matrices(p, dim):
-    """Sine and cosine Galerkin matrices by a loop over modes and index gathers."""
+    """Sine and cosine Galerkin matrices by a loop over modes and index gathers.
+
+    In the bases sqrt(2) sin(pi m x), m = 1..dim, and 1, sqrt(2) cos(pi m x),
+    m = 1..dim-1, the potential parts are C[|m - m'|] -+ C[m + m'] from the
+    cosine moments C[j] = int_0^1 v cos(pi j x): an independent dense
+    reference, which converges only algebraically, and whose eigh rounds by
+    eps ||H|| with ||H|| near (pi dim)^2.
+    """
     const, ks, a, b = p.effective_fourier()
     j = np.arange(2 * dim + 1)
     C = np.zeros(2 * dim + 1)
@@ -158,16 +165,18 @@ def gathered_galerkin_matrices(p, dim):
     return C, sine, cosine
 
 
-@pytest.mark.parametrize("name", ["asym", "translated"])
-def test_galerkin_matrices_match_the_gathered_reference(name, monkeypatch):
-    # the moments' sine sum runs as one product, in another order: a few
-    # ulps of the largest term; the Toeplitz / Hankel assembly moves no bits
-    p, dim = POTENTIALS[name], 96
-    C, sine, cosine = gathered_galerkin_matrices(p, dim)
-    assert np.max(np.abs(sm._cosine_moments(p, 2 * dim) - C)) <= 8 * np.finfo(float).eps * np.max(np.abs(C))
-    monkeypatch.setattr(sm, "_cosine_moments", lambda *_: C)
-    assert np.array_equal(sm._sine_matrix(p, 1, dim), sine)
-    assert np.array_equal(sm._cosine_matrix(p, 1, dim), cosine)
+@pytest.mark.parametrize("name", ["asym", "translated", "deep"])
+def test_galerkin_matrices_match_the_gathered_reference(name, deep_n2_d3):
+    # the Legendre pencils at their default sizes against dense sine and
+    # cosine matrices of 1024 (1800 on the deep design) functions: within
+    # 16 eps ||H|| of that reference, the rounding of its own eigh
+    p, dim = (POTENTIALS[name], 1024) if name != "deep" else (deep_n2_d3[0][0], 1800)
+    _, sine, cosine = gathered_galerkin_matrices(p, dim)
+    bound = 16 * np.finfo(float).eps * ((np.pi * dim) ** 2 + 2.0 * p.sup_norm_bound)
+    want_mu = sla.eigh(sine, eigvals_only=True, subset_by_index=(0, 4))
+    want_nu = sla.eigh(cosine, eigvals_only=True, subset_by_index=(0, 5))
+    assert np.all(np.abs(sm.galerkin_dirichlet(p, 5) - want_mu) <= bound)
+    assert np.all(np.abs(sm.galerkin_neumann(p, 6) - want_nu) <= bound)
 
 
 def test_exp_vector_gradient_matches_finite_difference():
@@ -189,47 +198,21 @@ def test_exp_vector_gradient_matches_finite_difference():
         assert np.allclose([db[k - 1] for _, db in grads], fd_sin, rtol=0, atol=1e-6)
 
 
-def test_sine_vector_gradient_matches_finite_difference():
+def test_dirichlet_vector_gradient_matches_finite_difference():
     terms = [(1, 2.0, 1.5), (2, -1.0, 0.7), (3, 0.0, 0.0)]
-    dim, h = 96, 1e-4
-    _, Y = sm.galerkin_dirichlet_vectors(fourier_potential(terms), 3, dim=dim)
-    grads = [sm.sine_vector_gradient(y, 3) for y in Y.T]
+    h = 1e-4
+    _, Y = sm.galerkin_dirichlet_vectors(fourier_potential(terms), 3)
+    da, db = sm.dirichlet_vector_gradient(Y, 3)
 
     def mu(k, da, db):
         bumped = [(kk, a + da * (kk == k), b + db * (kk == k)) for kk, a, b in terms]
-        return sm.galerkin_dirichlet(fourier_potential(bumped), 3, dim=dim)
+        return sm.galerkin_dirichlet(fourier_potential(bumped), 3, dim=Y.shape[0])
 
     for k in (1, 2, 3):
         fd_cos = (mu(k, h, 0.0) - mu(k, -h, 0.0)) / (2 * h)
         fd_sin = (mu(k, 0.0, h) - mu(k, 0.0, -h)) / (2 * h)
-        assert np.allclose([da[k - 1] for da, _ in grads], fd_cos, rtol=0, atol=1e-6)
-        assert np.allclose([db[k - 1] for _, db in grads], fd_sin, rtol=0, atol=1e-6)
-
-
-def sine_gradient_by_loop(y, max_mode):
-    """The per-k loop that `sine_vector_gradient` replaced, and a bound on the rounding of each sine sum."""
-    dim = y.size
-    rho = np.correlate(y, y, mode="full")[dim - 1 :]
-    w = np.zeros(2 * dim + 1)
-    w[:dim] += 2.0 * rho
-    w[2:] -= np.convolve(y, y)
-    j = np.arange(1, 2 * dim, 2)
-    da, db, bound = np.empty(max_mode), np.empty(max_mode), np.empty(max_mode)
-    for k in range(1, max_mode + 1):
-        da[k - 1] = w[2 * k] / 2.0
-        terms = (4.0 * k / np.pi) / (4.0 * k**2 - j**2) * w[j]
-        db[k - 1], bound[k - 1] = np.sum(terms), j.size * np.finfo(float).eps * np.sum(np.abs(terms))
-    return da, db, bound
-
-
-def test_sine_vector_gradient_matches_the_loop(deep_n2_d3):
-    # the same cos derivatives to the bit; the sine sums in another order
-    _, Y = sm.galerkin_dirichlet_vectors(deep_n2_d3[0][0], 2, dim=472)
-    for y in Y.T:
-        da, db = sm.sine_vector_gradient(y, 48)
-        want_da, want_db, bound = sine_gradient_by_loop(y, 48)
-        assert np.array_equal(da, want_da)
-        assert np.all(np.abs(db - want_db) <= bound)
+        assert np.allclose(da[:, k - 1], fd_cos, rtol=0, atol=1e-6)
+        assert np.allclose(db[:, k - 1], fd_sin, rtol=0, atol=1e-6)
 
 
 def test_repeated_calls_are_bit_identical():
@@ -300,9 +283,8 @@ def sheets_by_both_routes(p, N):
     """Eigenvector sheets, shooting sheets at the same mu, and
     log10(|psi'(1)| / |psi'(0)|) per state."""
     mu, Y = sm.galerkin_dirichlet_vectors(p, N)
-    m = np.arange(1, Y.shape[0] + 1)
-    log_ratio = np.log10(np.abs((m * (-1.0) ** m) @ Y) / np.abs(m @ Y))
-    return sm.dirichlet_sheets(Y), bands.sheet_signs(mo.integrate_batch(p, mu)), log_ratio
+    d0, d1 = sm._wall_derivatives(Y)
+    return sm.dirichlet_sheets(Y), bands.sheet_signs(mo.integrate_batch(p, mu)), np.log10(d1 / d0)
 
 
 def test_dirichlet_sheets_match_shooting_on_shallow_potentials(asym_potential):
@@ -354,11 +336,121 @@ def test_ritz_enclosures_hold_for_a_perturbed_matrix():
     assert np.all(np.isinf(radius[:2])) and np.all(np.isinf(angle[:2]))
 
 
-# --- shift-invert Lanczos on the Galerkin matrices ---------------------------
+# --- the Legendre-Galerkin pencils: sizes, conditioning, failures --------------
+
+CORPUS_POTENTIAL = random_corpus(1, seed=777)[0]
+
+
+def tail_ratio(Y):
+    """Largest of each vector's last 8 coefficients, relative to its largest one."""
+    return np.abs(Y[-8:]).max(axis=0) / np.abs(Y).max(axis=0)
+
+
+def solves_at_default_sizes(p, count, monkeypatch):
+    """Dirichlet and Neumann vectors at the default sizes, and the dimensions of every pencil built."""
+    dims, build = [], sm._galerkin_pencil
+
+    def recorded(q, dim, *args):
+        dims.append(dim)
+        return build(q, dim, *args)
+
+    monkeypatch.setattr(sm, "_galerkin_pencil", recorded)
+    Y = sm._galerkin_solve(p, count, None)[1]
+    Z = sm._galerkin_solve(p, count + 1, None, neumann=True)[1]
+    return Y, Z, dims
+
+
+TAIL_CASES = {
+    "corpus N=6": (random_corpus(100, seed=777), 6),
+    "corpus N=12": (random_corpus(100, seed=777), 12),
+    "asym": ([POTENTIALS["asym"]], 5),
+    "mathieu": ([fourier_potential([(1, 2.0, 0.0)])], 10),
+    "amplitude 40": (random_corpus(4, seed=31, amplitude=40.0), 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES) + ["bound state", "design (2, 0.1, 3)", "design (3, 0.05, 2)"])
+def test_default_sizes_meet_the_tail_bar(case, bound_state_potential, deep_n2_d3, criterion5_design, monkeypatch):
+    # the first size the rule picks is the last: one pencil per solve, and
+    # every returned vector's tail below GALERKIN_TAIL
+    potentials, count = TAIL_CASES.get(case, (None, None))
+    if case == "bound state":
+        potentials, count = [bound_state_potential], 2
+    elif case.startswith("design"):
+        (p, _, bs, _), *_ = deep_n2_d3 if "(2" in case else criterion5_design
+        potentials, count = [p], bs.n_gaps
+    for p in potentials:
+        Y, Z, dims = solves_at_default_sizes(p, count, monkeypatch)
+        assert dims == [Y.shape[0], Z.shape[0]]
+        assert np.all(tail_ratio(Y) <= sm.GALERKIN_TAIL) and np.all(tail_ratio(Z) <= sm.GALERKIN_TAIL)
+
+
+def test_basis_grows_by_half_until_the_tail_meets_the_bar(monkeypatch):
+    # under a stricter bar the asym solve grows its basis 1.5x at a time,
+    # and ends where the bar holds, at the same eigenvalues
+    p = POTENTIALS["asym"]
+    want_mu, want_nu = sm.galerkin_dirichlet(p, 5), sm.galerkin_neumann(p, 6)
+    monkeypatch.setattr(sm, "GALERKIN_TAIL", 1e-15)
+    Y, Z, dims = solves_at_default_sizes(p, 5, monkeypatch)
+    mu_dims, nu_dims = dims[: dims.index(Y.shape[0]) + 1], dims[dims.index(Y.shape[0]) + 1 :]
+    for grown in (mu_dims, nu_dims):
+        assert len(grown) >= 2 and grown[1:] == [int(1.5 * d) for d in grown[:-1]]
+    assert np.all(tail_ratio(Y) <= 1e-15) and np.all(tail_ratio(Z) <= 1e-15)
+    assert np.allclose(sm.galerkin_dirichlet(p, 5), want_mu, rtol=1e-13, atol=0)
+    assert np.allclose(sm.galerkin_neumann(p, 6), want_nu, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", ["corpus", "deep"])
+def test_large_bases_keep_the_digits_of_the_default_size(name, kind, deep_n2_d3):
+    # an explicit dim is solved as given, and the shift-inverted form stays
+    # well conditioned as it grows: a generalized eigh(A, M) lost 6e-7 at
+    # 500 on the deep design, where the top of the pencil is near 1e10
+    p = CORPUS_POTENTIAL if name == "corpus" else deep_n2_d3[0][0]
+    solve = sm.galerkin_dirichlet if kind == "dirichlet" else sm.galerkin_neumann
+    want = solve(p, 4)
+    for dim in (320, 600):
+        got = solve(p, 4, dim=dim)
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("dim", [320, 472, 1443])
+@pytest.mark.parametrize("name", ["corpus", "deep"])
+def test_galerkin_lanczos_matches_eigh(name, dim, kind, deep_n2_d3):
+    # the dense eigh of the pencil against shift-invert Lanczos (`_lanczos`,
+    # the Hill blocks' solver) on its standard form H = L^-1 A L^-T, L L^T = M:
+    # (H - sigma)^-1 = L^T (A - sigma M)^-1 L.  The values agree within 64 eps
+    # (|lambda| + sup|v|), though ||H|| reaches 4e11 at 1443 (1.1e-11 apart
+    # at most seen, on the deep design at 320), and the vectors span the
+    # same lines
+    p = CORPUS_POTENTIAL if name == "corpus" else deep_n2_d3[0][0]
+    neumann = kind == "neumann"
+    values, Y = sm._galerkin_solve(p, 3, dim, neumann)
+    A, M = sm._galerkin_pencil(p, dim, neumann)
+    const, a, b = sm._mode_arrays(p)
+    sigma = sm._shift(sm._symbol_bounds(a, b), 0.0 if neumann else np.pi**2, 0.0)
+    L = np.linalg.cholesky(M)
+    factor = sla.cho_factor(A - sigma * M, lower=True)
+    theta, X = sm._lanczos(lambda Q: L.T @ sla.cho_solve(factor, L @ Q), dim, 3)
+    bound = 64 * np.finfo(float).eps * (np.abs(values) + p.sup_norm_bound)
+    assert np.all(np.abs(const + sigma + 1.0 / theta - values) <= bound)
+    overlap = np.abs(np.sum(sla.solve_triangular(L, X, lower=True, trans="T") * (M @ Y), axis=0))
+    assert np.allclose(overlap, 1.0, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+def test_indefinite_shift_raises_no_convergence(kind, monkeypatch):
+    # a shift above the lowest eigenvalue: A - sigma M has no Cholesky factor
+    monkeypatch.setattr(sm, "_shift", lambda *args: 1e4)
+    solve = sm.galerkin_dirichlet if kind == "dirichlet" else sm.galerkin_neumann
+    with pytest.raises(NoConvergence, match="not positive definite"):
+        solve(CORPUS_POTENTIAL, 3)
+
+
+# --- shift-invert Lanczos on the Hill blocks: warm starts ----------------------
 
 EIGH_TOL = 4  # Lanczos values against eigh, in units of eps ||H||; 1.04 seen at most
-GALERKIN_BUILDS = {"dirichlet": (sm._sine_matrix, np.pi**2), "neumann": (sm._cosine_matrix, 0.0)}
-CORPUS_POTENTIAL = random_corpus(1, seed=777)[0]
 
 
 @pytest.fixture
@@ -374,51 +466,26 @@ def lanczos_steps(monkeypatch):
     return widths
 
 
-def galerkin_against_eigh(p, kind, dim, count=3, start=None):
-    """(Lanczos values, vectors, eigh values, H, ||H||) of a Galerkin matrix above the eigh threshold."""
-    build, kinetic = GALERKIN_BUILDS[kind]
-    H = build(p, count, dim)
-    assert dim > sm.GALERKIN_LANCZOS_DIM
-    want = sla.eigh(H, eigvals_only=True, subset_by_index=(0, count - 1))
-    values, X = sm._galerkin_solve(H.copy(), p, count, kinetic, start=start)
-    return values, X, want, H, np.abs(H).sum(axis=1).max()  # ||H|| <= its largest absolute row sum
-
-
-def assert_close_to_eigh(values, X, want, H, norm):
-    # values within EIGH_TOL eps ||H|| of eigh, absolute: eigh rounds by as
-    # much.  The stop is relative to the top theta, so the last pair's true
-    # residual is the loosest: at most 712 eps ||H|| = 1.6e-13 ||H|| seen
-    # (the corpus potential's third Dirichlet pair at 320), against a bound
-    # of LANCZOS_TOL ||H||
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(values - want) <= EIGH_TOL * eps * norm)
-    assert np.allclose(X.T @ X, np.eye(X.shape[1]), rtol=0, atol=1e-13)
-    assert np.all(np.linalg.norm(H @ X - X * values, axis=0) <= sm.LANCZOS_TOL * norm)
-
-
-@pytest.mark.parametrize("kind", sorted(GALERKIN_BUILDS))
-@pytest.mark.parametrize("dim", [320, 472, 1443])
-@pytest.mark.parametrize("name", ["corpus", "deep"])
-def test_galerkin_lanczos_matches_eigh(name, dim, kind, deep_n2_d3):
-    p = CORPUS_POTENTIAL if name == "corpus" else deep_n2_d3[0][0]
-    assert_close_to_eigh(*galerkin_against_eigh(p, kind, dim))
+def hill_case(name, deep_n2_d3):
+    """(potential, modes) whose Hill blocks go to Lanczos once BAND_SOLVER_DIM is 0."""
+    return (CORPUS_POTENTIAL, MODES) if name == "corpus" else (deep_n2_d3[0][0], 270)
 
 
 @pytest.mark.parametrize("name", ["corpus", "deep"])
-def test_warm_start_takes_fewer_steps(name, deep_n2_d3, lanczos_steps):
-    # the vectors of the potential translated by 1e-3, a step of a fit
-    p, dim = (CORPUS_POTENTIAL if name == "corpus" else deep_n2_d3[0][0]), 472
-    _, near = sm.galerkin_dirichlet_vectors(translate(p, 1e-3), 3, dim=dim)
+def test_warm_start_takes_fewer_steps(name, deep_n2_d3, lanczos_steps, monkeypatch):
+    # the blocks of the potential translated by 1e-3, a step of a fit
+    p, modes = hill_case(name, deep_n2_d3)
+    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
+    near = sm.hill_edges_and_vectors(translate(p, 1e-3), 2, modes=modes)[5]
     lanczos_steps.clear()
-    cold = galerkin_against_eigh(p, "dirichlet", dim)
+    cold = sm.hill_edges_and_vectors(p, 2, modes=modes)
     cold_steps = len(lanczos_steps)
     lanczos_steps.clear()
-    warm = galerkin_against_eigh(p, "dirichlet", dim, start=near)
+    warm = sm.hill_edges_and_vectors(p, 2, modes=modes, start=near)
     assert len(lanczos_steps) < cold_steps
-    assert_close_to_eigh(*warm)
-    assert np.all(np.abs(warm[0] - cold[0]) <= 2 * EIGH_TOL * np.finfo(float).eps * cold[4])
+    assert_same_pairs(p, modes, cold, warm)
     lanczos_steps.clear()
-    assert_close_to_eigh(*galerkin_against_eigh(p, "dirichlet", dim, start=cold[1]))
+    assert_same_pairs(p, modes, cold, sm.hill_edges_and_vectors(p, 2, modes=modes, start=cold[5]))
     assert len(lanczos_steps) <= 2  # from the converged vectors: one step, then the check
 
 
@@ -455,7 +522,7 @@ def test_full_basis_returns_its_pairs_at_the_rounding_floor(asym_potential, lanc
     lanczos_steps.clear()
     warm = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes, start=start)
     assert max(lanczos_steps) + 5 + sm.LANCZOS_BLOCK >= 2 * modes + 1  # the last step filled the basis
-    assert_matches_band_solver(asym_potential, modes, reference, warm)
+    assert_same_pairs(asym_potential, modes, reference, warm)
 
 
 def test_warm_start_stops_before_the_full_basis(asym_potential, lanczos_steps, monkeypatch):
@@ -470,10 +537,10 @@ def test_warm_start_stops_before_the_full_basis(asym_potential, lanczos_steps, m
     lanczos_steps.clear()
     warm = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes, start=start)
     assert max(lanczos_steps) + 5 + sm.LANCZOS_BLOCK < 2 * modes + 1
-    assert_matches_band_solver(asym_potential, modes, reference, warm)
+    assert_same_pairs(asym_potential, modes, reference, warm)
 
 
-def assert_matches_band_solver(p, modes, reference, warm):
+def assert_same_pairs(p, modes, reference, warm):
     norm = (2.0 * np.pi * modes) ** 2 + p.sup_norm_bound
     for a, b in zip(reference[:4], warm[:4]):
         assert np.all(np.abs(a - b) <= EIGH_TOL * np.finfo(float).eps * norm)
@@ -498,43 +565,30 @@ def test_block_near_the_basis_comes_back_orthonormal(offset, spread):
 
 
 @pytest.mark.parametrize("name", ["corpus", "deep"])
-def test_stale_or_permuted_start_still_finds_the_lowest(name, deep_n2_d3, lanczos_steps):
+def test_stale_or_permuted_start_still_finds_the_lowest(name, deep_n2_d3, lanczos_steps, monkeypatch):
     # the seeded random columns reach a wanted vector that the start lacks,
     # in no more steps than a cold solve takes
-    p, other = CORPUS_POTENTIAL, deep_n2_d3[0][0]
-    if name == "deep":
-        p, other = other, p
-    dim = 472
-    _, Y4 = sm.galerkin_dirichlet_vectors(p, 4, dim=dim)
-    _, stale = sm.galerkin_dirichlet_vectors(other, 3, dim=dim)
+    p, modes = hill_case(name, deep_n2_d3)
+    other = deep_n2_d3[0][0] if name == "corpus" else CORPUS_POTENTIAL
+    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
+    blocks = sm.hill_edges_and_vectors(p, 3, modes=modes)[5]
+    stale = sm.hill_edges_and_vectors(other, 2, modes=modes)[5]
     lanczos_steps.clear()
-    galerkin_against_eigh(p, "dirichlet", dim)
+    cold = sm.hill_edges_and_vectors(p, 2, modes=modes)
     cold_steps = len(lanczos_steps)
-    for start in (Y4[:, 1:], Y4[:, 2::-1], stale):  # the lowest left out, reversed, another potential's
+    # the lowest left out, reversed, another potential's
+    for pick in (lambda X: X[:, 1:], lambda X: X[:, 2::-1]):
+        start = {offset: (values, pick(X)) for offset, (values, X) in blocks.items()}
         lanczos_steps.clear()
-        assert_close_to_eigh(*galerkin_against_eigh(p, "dirichlet", dim, start=start))
+        assert_same_pairs(p, modes, cold, sm.hill_edges_and_vectors(p, 2, modes=modes, start=start))
         assert len(lanczos_steps) <= cold_steps
+    lanczos_steps.clear()
+    assert_same_pairs(p, modes, cold, sm.hill_edges_and_vectors(p, 2, modes=modes, start=stale))
+    assert len(lanczos_steps) <= cold_steps
 
 
-def test_start_of_another_dimension_is_rejected():
-    _, Y = sm.galerkin_dirichlet_vectors(CORPUS_POTENTIAL, 3, dim=400)
+def test_start_of_another_dimension_is_rejected(monkeypatch):
+    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
+    blocks = sm.hill_edges_and_vectors(CORPUS_POTENTIAL, 2, modes=20)[5]
     with pytest.raises(ValueError, match="dimension"):
-        sm.galerkin_dirichlet_vectors(CORPUS_POTENTIAL, 3, dim=472, start=Y)
-
-
-@pytest.mark.parametrize("kind", sorted(GALERKIN_BUILDS))
-def test_indefinite_shift_raises_no_convergence(kind, monkeypatch):
-    # a shift above the lowest eigenvalue: H - sigma has no Cholesky factor
-    monkeypatch.setattr(sm, "_shift", lambda *args: 1e4)
-    with pytest.raises(NoConvergence, match="not positive definite"):
-        galerkin_against_eigh(CORPUS_POTENTIAL, kind, 472)
-
-
-def test_small_galerkin_matrices_stay_on_eigh():
-    # below the threshold the values are eigh's own, bit for bit
-    p, dim = CORPUS_POTENTIAL, sm.GALERKIN_LANCZOS_DIM
-    H = sm._sine_matrix(p, 3, dim)
-    assert np.array_equal(sm.galerkin_dirichlet(p, 3, dim=dim), sla.eigh(H, eigvals_only=True, subset_by_index=(0, 2)))
-    mu, Y = sm.galerkin_dirichlet_vectors(p, 3, dim=dim)
-    want_mu, want_Y = sla.eigh(H, subset_by_index=(0, 2))
-    assert np.array_equal(mu, want_mu) and np.array_equal(Y, want_Y)
+        sm.hill_edges_and_vectors(CORPUS_POTENTIAL, 2, modes=MODES, start=blocks)
