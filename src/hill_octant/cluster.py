@@ -395,33 +395,18 @@ def _ritz_factor(basis: _Eigenbasis, q: Potential, spread: float, N: int, gamma:
     q differs from the solved factor by a potential of sup norm at most
     `spread`.  The Hill blocks and the Dirichlet pencil (A, M) of q are
     built at the solved factor's basis sizes, and `ritz_enclosures`
-    projects each onto the solved vectors: the pencil in its standard form
-    L^-1 A L^-T (L L^T = M), of norm at most 2 / lambda_min(M) + sup|v|.
-    Returns (spectrum, radius), where every Dirichlet point lies within
-    radius (normalized by gamma) of its Ritz value, or None where two
-    enclosures in one block overlap (a nearly closed gap) or a sheet is
-    uncertain: |psi'(0)| - |psi'(1)| of a Ritz vector must exceed twice the
-    error its angle bound allows in each wall derivative.
+    projects each onto the solved vectors (`spectral_matrix._dirichlet_ritz`
+    for the pencil).  Returns (spectrum, radius), where every Dirichlet
+    point lies within radius (normalized by gamma) of its Ritz value, or
+    None where two enclosures in one block overlap (a nearly closed gap) or
+    a sheet is uncertain: |psi'(0)| - |psi'(1)| of a Ritz vector must
+    exceed twice the error its angle bound allows in each wall derivative.
     """
-    Y = basis.Y
-    A, M = sm._galerkin_pencil(q, Y.shape[0])
-    A += q.constant * M
-    L = sla.cholesky(M, lower=True)
-    # M couples k and k + 2 only: two tridiagonal blocks, one per parity of k
-    m_min = min(sla.eigvalsh_tridiagonal(np.diag(M)[i::2], np.diag(M, 2)[i::2], select="i",
-                                         select_range=(0, 0))[0] for i in (0, 1))
-    HX = sla.solve_triangular(L, A @ Y, lower=True)  # on X = L^T Y, orthonormal as Y is M-orthonormal
-    mu, V, mu_radius, angle = sm.ritz_enclosures(HX, L.T @ Y, basis.mu, spread, 2.0 / m_min + q.sup_norm_bound)
+    mu, ritz_Y, mu_radius, readout = sm._dirichlet_ritz(q, basis.Y, basis.mu, spread)
     if _enclosures_overlap(mu, mu_radius):
         return None
-    ritz_Y = sla.solve_triangular(L, V[:, :N], lower=True, trans="T")
-    # ||v - u|| <= sqrt(2) sin(angle) for unit v, u, and r . y = (L^-1 r) . x
-    # moves by at most ||L^-1 r|| ||v - u||: one norm for both walls, as M
-    # does not couple the odd k, where their r differ in sign, to the even k
-    d0, d1 = sm._wall_derivatives(ritz_Y)
-    r = sla.solve_triangular(L, sm._wall_functionals(Y.shape[0])[1], lower=True)
-    readout = math.sqrt(2.0) * float(np.linalg.norm(r)) * angle[:N]
-    if not np.all(np.abs(d0 - d1) > 2.0 * readout):
+    d0, d1 = sm._wall_derivatives(ritz_Y[:, :N])
+    if not np.all(np.abs(d0 - d1) > 2.0 * readout[:N]):
         return None
     const, a, b = sm._mode_arrays(q)
     thetas = {}
@@ -435,7 +420,7 @@ def _ritz_factor(basis: _Eigenbasis, q: Potential, spread: float, N: int, gamma:
         if _enclosures_overlap(theta, radius):
             return None
         thetas[offset] = theta
-    spectrum = _normalized(sm._block_edges(thetas, N), mu, sm.dirichlet_sheets(ritz_Y), N, gamma)
+    spectrum = _normalized(sm._block_edges(thetas, N), mu, sm.dirichlet_sheets(ritz_Y[:, :N]), N, gamma)
     return spectrum, float(mu_radius[:N].max()) / gamma
 
 

@@ -19,19 +19,16 @@ the deep wells (`_hill_lanczos`).  A fit passes each iterate's Hill
 eigenvectors to the next solve as `start`, where they begin the Lanczos
 basis: each result stays a function of the arguments of its call.
 
-The Dirichlet and Neumann spectra come from Shen's Legendre bases, whose
-coefficients decay exponentially (a sine or cosine basis converges only
-algebraically, through the kinks of the odd and even extensions).  One
-dense shift-inverted `eigh` of the pencil solves every size
-(`_galerkin_solve`).  The Dirichlet eigenvectors carry exact wall
-derivatives, which give the sheet of each Dirichlet point
-(`dirichlet_sheets`), so a matrix-route factor spectrum needs no
-integrator pass (`bands.sheet_signs` stays the independent check), and
-its slope under translation (`dirichlet_translation_slopes`), which the
-deep design solves along.  For a matrix close to one already solved,
-`ritz_enclosures` projects it onto the known eigenvectors (Rayleigh-Ritz)
-and bounds the error of each Ritz value (Kato-Temple), with no new
-eigensolve.
+The Dirichlet and Neumann spectra come from one dense shift-inverted
+`eigh` of a pencil in Shen's Legendre bases (`_galerkin_solve`), whose
+coefficients decay exponentially, where sine and cosine bases converge
+only algebraically.  The Dirichlet eigenvectors carry exact wall
+derivatives: the sheet of each Dirichlet point (`dirichlet_sheets`), so a
+matrix-route factor spectrum integrates nothing, and its slope under
+translation (`dirichlet_translation_slopes`), along which the deep design
+solves.  For a matrix close to one already solved, `ritz_enclosures`
+projects it onto the known eigenvectors (Rayleigh-Ritz) and bounds each
+Ritz value's error (Kato-Temple), with no new eigensolve.
 
 Only Fourier-form potentials are supported here.
 """
@@ -67,7 +64,7 @@ LANCZOS_TOL = 1e-12  # Ritz residual bound, relative to the largest Ritz value
 RITZ_EVERY = 4  # Rayleigh-Ritz checks come RITZ_EVERY LANCZOS_BLOCK basis vectors apart
 QR_GROWTH = 512.0  # most a Lanczos block's QR may amplify the rounding left along the basis
 SYMBOL_GRID = 4096  # points on which the minimum of the Toeplitz symbol is sampled
-RITZ_ROUNDING = 16  # rounding allowance of a Ritz value or residual, in units of eps ||H||
+RITZ_ROUNDING = 16  # rounding allowance of a Ritz value or residual, in units of eps times its scale
 
 
 def _turning_index(p: Potential, count: int) -> int:
@@ -482,7 +479,7 @@ def _legendre_table(nodes: int, degree: int):
     numpy's `leggauss` is O(n^3).  The recurrence fills the table and runs
     on to L_n for the weights 2 / ((1 - t^2) L_n'^2); the moments int L_i L_j
     come out exact to a few eps.  Its loop is about half of a shallow solve
-    and depends on the sizes alone, so the last 32 tables are kept, read-only.
+    and depends on the sizes alone: the last 32 of up to 2^17 entries are kept.
     """
     k = np.arange(1.0, nodes)
     t = sla.eigvalsh_tridiagonal(np.zeros(nodes), k / np.sqrt(4.0 * k * k - 1.0),
@@ -513,7 +510,7 @@ def _shen_basis(dim: int, kmax: int, neumann: bool):
     for the Legendre series of cos(pi kmax t) past degree pi kmax + 32.
     """
     nodes = dim + 2 + 16 + math.ceil(math.pi * kmax / 2.0)
-    t, w, L = _legendre_table(nodes, dim + 1)
+    t, w, L = (_legendre_table if nodes * (dim + 2) <= 1 << 17 else _legendre_table.__wrapped__)(nodes, dim + 1)
     k = np.arange(dim)
     s = np.ones(dim) if neumann else 1.0 / np.sqrt(4.0 * k + 6.0)
     c = k * (k + 1) / ((k + 2.0) * (k + 3.0)) if neumann else np.ones(dim)
@@ -544,18 +541,15 @@ def _galerkin_solve(p: Potential, count: int, dim: int | None, neumann: bool = F
     """Lowest `count` eigenpairs of the Dirichlet or Neumann pencil of p.
 
     Returns (values ascending, M-orthonormal coefficient vectors as
-    columns).  Below sigma from `_shift` A - sigma M is positive definite,
-    and one dense `eigh` solves M y = theta (A - sigma M) y for its largest
-    theta: lambda = sigma + 1 / theta.  This form stays well conditioned,
-    where eigh(A, M) loses digits as the top of the pencil grows like
-    dim^4.  A shift not below the spectrum raises `NoConvergence`.
-
-    An explicit `dim` is solved as given.  The default size, 16 + 2 count +
-    6 (sum |a_k| + |b_k|)^(1/4), leaves out the constant, which moves no
-    eigenvector, and is checked after the solve: where the last 8
-    coefficients of a vector exceed GALERKIN_TAIL of its largest one (the
-    eigenvalue error is about the square of that ratio), the basis grows
-    by half and is solved again.
+    columns).  One dense `eigh` solves M y = theta (A - sigma M) y, sigma
+    from `_shift`, for its largest theta: lambda = sigma + 1 / theta.  This
+    form stays well conditioned, where eigh(A, M) loses digits as the top of
+    the pencil grows like dim^4.  A shift not below the spectrum raises
+    `NoConvergence`.  An explicit `dim` is solved as given.  The default
+    size 16 + 2 count + 6 (sum |a_k| + |b_k|)^(1/4) leaves out the constant
+    and is checked after the solve: where the last 8 coefficients of a
+    vector exceed GALERKIN_TAIL of its largest one (the eigenvalue error is
+    about the square of that ratio), the basis grows by half.
     """
     const, a, b = _mode_arrays(p)
     sigma = _shift(_symbol_bounds(a, b), 0.0 if neumann else np.pi**2, 0.0)
@@ -599,11 +593,13 @@ def ritz_enclosures(HX: np.ndarray, X: np.ndarray, values: np.ndarray, spread: f
 
     X holds orthonormal eigenvectors of a symmetric H0 for its lowest
     eigenvalues `values` (ascending), HX = H X, and H is symmetric of the
-    same size with ||H - H0|| <= spread and ||H|| <= norm.  Returns
-    (theta, V, radius, angle): the Ritz values theta ascending, the Ritz
-    vectors V (columns), a radius such that eigenvalue i of H lies within
-    radius[i] of theta[i], and angle[i] >= sin of the angle between V[:, i]
-    and eigenvector i of H.
+    same size with ||H - H0|| <= spread.  `norm` scales the rounding of the
+    products H x: ||H|| for a Hill block, and for the Dirichlet pencil the
+    size of its products on the vectors themselves (`_dirichlet_ritz`).
+    Returns (theta, V, radius, angle): the Ritz values theta ascending, the
+    Ritz vectors V (columns), a radius such that eigenvalue i of H lies
+    within radius[i] of theta[i], and angle[i] >= sin of the angle between
+    V[:, i] and eigenvector i of H.
 
     Each residual norm r_i = ||H v_i - theta_i v_i|| is raised by a
     rounding allowance of RITZ_ROUNDING eps norm.  By Weyl, eigenvalue
@@ -618,13 +614,10 @@ def ritz_enclosures(HX: np.ndarray, X: np.ndarray, values: np.ndarray, spread: f
     so it gets the Weinstein radius r_i (an eigenvalue lies within it) and
     no angle.  Where r_i >= delta_i both are infinite.
 
-    `values` and X come from a dense `eigh` (the Dirichlet pencil, in
-    standard form) or, for a deep well's Hill block, from `_lanczos`, whose
-    values err by r^2 / gap in the residual r at its stop.  On the Hill
-    blocks of the normalized (2, 0.1, 3) and (3, 0.05, 2) designs (315 and
-    1075) r is at most 38 eps ||H|| and r^2 / gap 5e-10 eps ||H||, and the
-    values lie within 0.51 eps ||H|| of `scipy.linalg.eigh`'s: the rounding
-    of any solver, well inside RITZ_ROUNDING.
+    `values` and X come from a dense `eigh` (the Dirichlet pencil) or, for
+    a deep well's Hill block, from `_lanczos`: on the Hill blocks of the
+    (2, 0.1, 3) and (3, 0.05, 2) designs (315 and 1075) its values lie
+    within 0.51 eps ||H|| of `scipy.linalg.eigh`'s, well inside RITZ_ROUNDING.
     """
     rounding = RITZ_ROUNDING * np.finfo(float).eps * norm
     G = X.T @ HX
@@ -640,6 +633,28 @@ def ritz_enclosures(HX: np.ndarray, X: np.ndarray, values: np.ndarray, spread: f
     radius = np.where(separated, r * r / safe, np.inf)
     angle[-1], radius[-1] = np.inf, r[-1]
     return theta, V, radius + rounding, angle
+
+
+def _dirichlet_ritz(q: Potential, Y: np.ndarray, mu: np.ndarray, spread: float):
+    """`ritz_enclosures` for q's Dirichlet pencil on the eigenpairs (mu, Y) of a potential within spread.
+
+    The step runs on the standard form L^-1 A L^-T (L L^T = M), HX = L^-1 A Y
+    on X = L^T Y.  Its norm grows like dim^4 (6.2e8 on (3, 0.05, 2)), but Y's
+    coefficients decay, so the rounding scale is the largest |y|^T |A| |y|
+    (1.0e8).  Returns (theta, Ritz vectors, radius, readout), readout the
+    most |psi'(0)| or |psi'(1)| of each may be off.
+    """
+    A, M = _galerkin_pencil(q, Y.shape[0])
+    A += q.constant * M
+    L = sla.cholesky(M, lower=True)
+    norm = float(np.max(np.sum(np.abs(Y) * (np.abs(A) @ np.abs(Y)), axis=0)))
+    HX = sla.solve_triangular(L, A @ Y, lower=True)
+    theta, V, radius, angle = ritz_enclosures(HX, L.T @ Y, mu, spread, norm)
+    # r . y = (L^-1 r) . x moves by at most ||L^-1 r|| sqrt(2) sin(angle); one norm
+    # serves both walls, as M does not couple odd k (where they differ) to even k
+    r = sla.solve_triangular(L, _wall_functionals(Y.shape[0])[1], lower=True)
+    ritz_Y = sla.solve_triangular(L, V, lower=True, trans="T")
+    return theta, ritz_Y, radius, math.sqrt(2.0) * float(np.linalg.norm(r)) * angle
 
 
 # --- eigenvector read-outs: design Jacobians and sheets ----------------------

@@ -226,6 +226,18 @@ def test_repeated_calls_are_bit_identical():
         assert np.array_equal(first[4][key][1], second[4][key][1])
 
 
+def test_only_small_legendre_tables_are_kept(asym_potential):
+    # a table past 2^17 entries (1 MB) serves its call and is dropped; the
+    # same sizes give the same bits either way
+    sm._legendre_table.cache_clear()
+    big = sm.galerkin_dirichlet(asym_potential, 3, dim=400)
+    assert sm._legendre_table.cache_info().currsize == 0
+    assert np.array_equal(sm.galerkin_dirichlet(asym_potential, 3, dim=400), big)
+    small = sm.galerkin_dirichlet(asym_potential, 3)
+    assert sm._legendre_table.cache_info().currsize == 1
+    assert np.array_equal(sm.galerkin_dirichlet(asym_potential, 3), small)
+
+
 def test_values_only_edges_match_the_vector_solve_bit_for_bit():
     # the band solver's values-only path bisects the same tridiagonal
     # matrix; the edge seeds of `bands` cannot move by a bit
