@@ -151,6 +151,19 @@ def sheet_signs(mb: mo.MonodromyBatch) -> np.ndarray:
     return np.where(mb.a_sign * (-1.0) ** (n + 1) > 0, 1, -1)
 
 
+def _virtual(mb: mo.MonodromyBatch, edge_dist, gap_len) -> np.ndarray:
+    """Whether each Dirichlet point of a batch at mu_1 .. mu_N is virtual: |a(mu)| ~ 0.
+
+    |a| <= VIRTUAL_A_TOL max(1, |F|), or |a| <= 1e-6 max(1, |F|) within
+    VIRTUAL_EDGE_REL of the gap length from an edge.  It reads the stored
+    components, where the 1 is e^(-log_scale), so it holds where a and F
+    overflow (deep wells).
+    """
+    a = 0.5 * np.abs(mb.phi_prime_1 - mb.theta_1)
+    floor = np.maximum(np.exp(-mb.log_scale), 0.5 * np.abs(mb.phi_prime_1 + mb.theta_1))
+    return (a <= VIRTUAL_A_TOL * floor) | ((edge_dist < VIRTUAL_EDGE_REL * gap_len) & (a <= 1e-6 * floor))
+
+
 # --- Prufer angles ---------------------------------------------------------
 
 
@@ -442,6 +455,7 @@ def band_structure(p: Potential, N: int) -> BandStructure:
     next_band_end = max(next_band_end, gap_hi[N - 1])
 
     sheets = sheet_signs(mb_mu)
+    virtual = _virtual(mb_mu.take(slice(N)), np.minimum(mu[:N] - gap_lo, gap_hi - mu[:N]), gap_hi - gap_lo)
     residue = mb_mu.residue.tolist()
     states = []
     for n in range(1, N + 1):
@@ -454,14 +468,7 @@ def band_structure(p: Potential, N: int) -> BandStructure:
             sign = 0
             mu_n = gap_lo[i]
         else:
-            edge_dist = min(mu_n - gap_lo[i], gap_hi[i] - mu_n)
-            # |a(mu)| = sqrt(F^2 - 1) at the Dirichlet point measures the
-            # sheet distance; it is well-conditioned even for tiny gaps
-            virtual = abs(a_n) <= VIRTUAL_A_TOL * max(1.0, abs(F_n)) or (
-                edge_dist < VIRTUAL_EDGE_REL * (gap_hi[i] - gap_lo[i])
-                and abs(a_n) <= 1e-6 * max(1.0, abs(F_n))
-            )
-            sign = 0 if virtual else int(sheets[i])
+            sign = 0 if virtual[i] else int(sheets[i])
         states.append(
             GapState(n, mu_n, sign, bool(closed_flags[i]), a_n, F_n, phl_n, residue[i], routes[i])
         )

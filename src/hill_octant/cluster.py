@@ -413,8 +413,8 @@ def _ritz_factor(basis: _Eigenbasis, q: Potential, spread: float, N: int, gamma:
     for offset, (values, X) in basis.hill.items():
         dim = X.shape[0]
         band, bw, _ = sm._hill_band(a, b, offset, dim // 2, const)
-        # the band sits in LAPACK's general band layout with bw zero rows on top
-        HX = np.column_stack([sla.blas.dgbmv(dim, dim, bw, 2 * bw, 1.0, band, x) for x in X.T])
+        # H is symmetric: its lower band starts at the diagonal, row 2 bw
+        HX = np.column_stack([sla.blas.dsbmv(bw, 1.0, band[2 * bw :], x, lower=1) for x in X.T])
         norm = np.abs(band, out=band).sum(axis=0).max()  # largest absolute column sum
         theta, _, radius, _ = sm.ritz_enclosures(HX, X, values, spread, norm)
         if _enclosures_overlap(theta, radius):

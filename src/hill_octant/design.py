@@ -146,21 +146,19 @@ def _potential_from_coeffs(cos_coeffs, sin_coeffs=None):
     return fourier_potential(terms)
 
 
-def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, start=None):
+def _forward_map(p: Potential, N: int, M: int, positions=True):
     """Gap lengths, Dirichlet offsets mu_n - lambda_n^- and their gradients.
 
-    Returns (lengths, offsets, d_lengths, d_offsets, solved, blocks) for
-    gaps 1..N, where solved = (lambda0, gap_lo, gap_hi, next_band_end, mu)
-    are the eigenvalues behind them (mu None without `positions`).  Row n
-    of a gradient holds the derivatives in the coefficients of
-    cos(2 pi k x), then of sin(2 pi k x), k = 1..M: each edge and Dirichlet
-    point is a simple eigenvalue, so its derivative comes from its Hill or
-    Dirichlet eigenvector.  Without `positions` the offsets are None and
-    no Galerkin pencil is solved.  `blocks` are the Hill eigenpairs of this
-    call; passed back as `start` for a nearby potential at the same
-    `modes`, they seed its Hill solves.
+    Returns (lengths, offsets, d_lengths, d_offsets, solved) for gaps
+    1..N, where solved = (lambda0, gap_lo, gap_hi, next_band_end, mu) are
+    the eigenvalues behind them (mu None without `positions`).  Row n of a
+    gradient holds the derivatives in the coefficients of cos(2 pi k x),
+    then of sin(2 pi k x), k = 1..M: each edge and Dirichlet point is a
+    simple eigenvalue, so its derivative comes from its Hill or Dirichlet
+    eigenvector.  Without `positions` the offsets are None and no Galerkin
+    pencil is solved.
     """
-    lam0, lo, hi, nbe, info, blocks = sm.hill_edges_and_vectors(p, N, modes=modes, start=start)
+    lam0, lo, hi, nbe, info, _ = sm.hill_edges_and_vectors(p, N)
 
     def edge_gradients(edge):
         return np.array([np.concatenate(sm.exp_vector_gradient(info[(edge, n)][1], M))
@@ -169,10 +167,10 @@ def _forward_map(p: Potential, N: int, M: int, positions=True, modes=None, start
     d_lo = edge_gradients("lo")
     d_len = edge_gradients("hi") - d_lo
     if not positions:
-        return hi - lo, None, d_len, None, (lam0, lo, hi, nbe, None), blocks
+        return hi - lo, None, d_len, None, (lam0, lo, hi, nbe, None)
     mu, Y = sm.galerkin_dirichlet_vectors(p, N)
     d_mu = np.hstack(sm.dirichlet_vector_gradient(Y, M))
-    return hi - lo, mu - lo, d_len, d_mu - d_lo, (lam0, lo, hi, nbe, mu), blocks
+    return hi - lo, mu - lo, d_len, d_mu - d_lo, (lam0, lo, hi, nbe, mu)
 
 
 # --- public operations -------------------------------------------------------
@@ -205,7 +203,7 @@ def design_gap_lengths(target: DesignTarget, report: DesignReport | None = None)
     x0 = _length_seed(goal, M)
 
     def residual_jac(x):
-        lengths, _, d_len, _, _, _ = _forward_map(_potential_from_coeffs(x), N, M, positions=False)
+        lengths, _, d_len, _, _ = _forward_map(_potential_from_coeffs(x), N, M, positions=False)
         return (lengths - goal) / scale, d_len[:, :M] / scale
 
     x, rn, its = _gauss_newton(residual_jac, x0, target.tolerance)
@@ -240,7 +238,7 @@ def place_states(p0: Potential, target: DesignTarget, report: DesignReport | Non
 
     def residual_jac(x):
         p = _potential_from_coeffs(x[:M], x[M:])
-        lengths, pos, d_len, d_pos, _, _ = _forward_map(p, N, M)
+        lengths, pos, d_len, d_pos, _ = _forward_map(p, N, M)
         r = np.concatenate((lengths - goal_len, pos - fracs * goal_len))
         return r / scale, np.vstack((d_len, d_pos)) / scale
 
@@ -292,19 +290,15 @@ class _DeepFitter:
     translation t carries the dominant correlated direction of the state
     positions, the mode amplitudes are pure shape knobs.  The forward map's
     gradients in the untranslated coefficients reach z by the chain rule.
-    `solved` holds the last z evaluated and the forward map's eigenvalues
-    there, and `blocks` the last evaluation's Hill eigenpairs, which start
-    the next one's Hill solves: each iterate is a small step from the last.
+    `solved` holds the last z evaluated and the forward map's eigenvalues.
     """
 
-    def __init__(self, n_gaps, gamma, modes_M, hill_modes):
+    def __init__(self, n_gaps, gamma, modes_M):
         self.N = n_gaps
         self.gamma = gamma
         self.M = modes_M
-        self.hill_modes = hill_modes
         self.goal = np.full(n_gaps, gamma)
         self.solved = None
-        self.blocks = None
 
     def build(self, z):
         M = self.M
@@ -315,9 +309,7 @@ class _DeepFitter:
     def residual_jac(self, z, f_target):
         M = self.M
         p = self.build(z)
-        lengths, pos, d_len, d_pos, solved, self.blocks = _forward_map(
-            p, self.N, M, modes=self.hill_modes, start=self.blocks
-        )
+        lengths, pos, d_len, d_pos, solved = _forward_map(p, self.N, M)
         self.solved = (z.copy(), solved)
         fr = pos / lengths
 
@@ -365,10 +357,7 @@ def _deep_design(N, gamma, frac, tolerance, report):
     )
     x_len = np.array([t.cos for t in p_len.fourier])
 
-    M = max(48, 24 * N)
-    sup = p_len.sup_norm_bound
-    hill_modes = int(1.2 * math.sqrt(4.0 * sup) / (2.0 * math.pi)) + 40 + M
-    fit = _DeepFitter(N, gamma, M, hill_modes)
+    fit = _DeepFitter(N, gamma, max(48, 24 * N))
 
     # 2) translation seed.  Translation moves only mu: the band edges are
     # those of p_len itself.  For t <= xmin, v(x + t) has its minimum just
@@ -380,9 +369,9 @@ def _deep_design(N, gamma, frac, tolerance, report):
     v2 = (p_len.evaluate(xmin + 1e-4) - 2.0 * p_len.evaluate(xmin) + p_len.evaluate(xmin - 1e-4)) / 1e-8
     ell = max(v2, 1.0) ** -0.25
     f_goal = np.full(N, frac)
-    z = np.zeros(2 * M)
+    z = np.zeros(2 * fit.M)
     z[:N] = x_len
-    _, glo, ghi, _ = sm.hill_band_edges(fit.build(z), N, modes=hill_modes)
+    _, glo, ghi, _ = sm.hill_band_edges(fit.build(z), N)
 
     def cost_and_slope(t, _):
         z[-1] = t[0]

@@ -6,18 +6,17 @@ pencils on [0, 1] for the Dirichlet / Neumann spectra.  The designer
 iterates against this fast forward map; the shooting route in ``bands``
 stays the authoritative public implementation, and tests compare the two.
 
-Basis sizes auto-scale with the potential so that deep-well designs (whose
-low eigenvalues involve Fourier modes up to the classical turning index)
-stay resolved.  Each Hill block is the Galerkin matrix of -d^2 + v in the
-real trigonometric basis 1, sqrt(2) cos 2 pi q x, sqrt(2) sin 2 pi q x
-(`_hill_band`), so it is real symmetric and banded, and no eigensolve uses
-complex arithmetic; the edge eigenvectors are handed out over exponential
-wavenumbers.  Only the lowest few eigenpairs are wanted, and the block
+Both routes size their bases by one rule (`_sized_solve`): a default size
+that grows with the potential, checked on every eigenvector a solve
+returns, and grown by half where a vector's tail exceeds TAIL_BAR.  An
+explicit size is solved as given.  Each Hill block is the Galerkin
+matrix of -d^2 + v in the real trigonometric basis 1, sqrt(2) cos 2 pi q x,
+sqrt(2) sin 2 pi q x (`_hill_band`), so it is real symmetric and banded,
+and no eigensolve uses complex arithmetic; the edge eigenvectors are
+handed out over exponential wavenumbers.  Only the lowest few eigenpairs are wanted, and the block
 dimension picks the solver: LAPACK's band eigensolver up to
 BAND_SOLVER_DIM (`_hill_banded`), shift-invert block Lanczos above it, in
-the deep wells (`_hill_lanczos`).  A fit passes each iterate's Hill
-eigenvectors to the next solve as `start`, where they begin the Lanczos
-basis: each result stays a function of the arguments of its call.
+the deep wells (`_hill_lanczos`).
 
 The Dirichlet and Neumann spectra come from one dense shift-inverted
 `eigh` of a pencil in Shen's Legendre bases (`_galerkin_solve`), whose
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 BAND_SOLVER_DIM = 160  # Hill blocks up to this dimension go to LAPACK's band solver, larger ones to Lanczos
-GALERKIN_TAIL = 1e-6  # most the last coefficients of a default-size Galerkin eigenvector hold, relative
+TAIL_BAR = 1e-6  # most the last coefficients of a default-size eigenvector hold, relative to its largest
 LANCZOS_BLOCK = 2  # Hill eigenvalues have multiplicity at most 2
 LANCZOS_TOL = 1e-12  # Ritz residual bound, relative to the largest Ritz value
 RITZ_EVERY = 4  # Rayleigh-Ritz checks come RITZ_EVERY LANCZOS_BLOCK basis vectors apart
@@ -68,27 +67,41 @@ RITZ_ROUNDING = 16  # rounding allowance of a Ritz value or residual, in units o
 
 
 def _turning_index(p: Potential, count: int) -> int:
-    """Smallest Hill mode index safely past the classical turning point.
+    """Default Hill modes: 0.8 of the classical turning index, plus 4 (count + 2).
 
-    The margin is 4 (count + 2) modes, 8 (count + 2) basis functions.  The
-    turning wavenumber leaves out the constant, which moves no eigenvector:
-    on the normalized (2, 0.1, 3) design (constant 2.0e5) K is 157 rather
-    than 208, with edges within 3.2e-12 relative of 900 modes.
+    k_turn = sqrt(2 sup|v|) / 2 pi leaves out the constant, which moves no
+    eigenvector.  The count margin sizes the shallow potentials (K = 32 on
+    the 3-mode corpus at N = 6), the depth term the deep ones: K = 102 on
+    the (2, 0.1, 3) design and 338 on (3, 0.05, 2), with edge eigenvector
+    tails 1.5e-8 and 1.7e-13 and edges within 2e-15 relative of twice the size.
     """
     sup = p.sup_norm_bound - abs(p.constant)
     k_turn = math.sqrt(max(2.0 * sup, 1.0)) / (2.0 * math.pi)
-    return int(1.3 * k_turn) + 4 * (count + 2)
+    return int(0.8 * k_turn) + 4 * (count + 2)
+
+
+def _sized_solve(solve, size: int, rows: int):
+    """The result of `solve(size)`, size grown by half until every vector meets TAIL_BAR.
+
+    `solve` returns (result, vector blocks as columns).  A vector meets the
+    bar when its last `rows` coefficients are at most TAIL_BAR of its
+    largest one; the eigenvalue error is about the square of that ratio.
+    """
+    while True:
+        out, vectors = solve(size)
+        if all(np.all(np.abs(X[-rows:]).max(axis=0) <= TAIL_BAR * np.abs(X).max(axis=0)) for X in vectors):
+            return out
+        size = int(1.5 * size)
 
 
 def _orthonormal_block(V, Q, rng):
     """Q orthonormalized against the orthonormal columns of V, then by QR.
 
     Two passes of block Gram-Schmidt against V, then a QR of the block.  A
-    direction that cancels (the Krylov space became invariant, or a start
-    vector is an eigenvector already in V) is replaced by a random one
-    before the QR is redone: the rest of the block keeps its directions,
-    which a QR with the cancelled column's rounding noise in front would
-    partly project away, and the basis keeps growing.
+    direction that cancels (the Krylov space became invariant) is replaced
+    by a random one before the QR is redone: the rest of the block keeps
+    its directions, which a QR with the cancelled column's rounding noise
+    in front would partly project away, and the basis keeps growing.
 
     The passes leave each column orthogonal to V up to rounding, about eps
     times its norm ||R e_i|| after them.  The QR divides column i by what
@@ -245,18 +258,17 @@ def _hill_band(a, b, offset, K, constant):
     return band, bw, q
 
 
-def _hill_block(a, b, offset, K, constant, n_lowest, symbol, vectors=True, start=None):
+def _hill_block(a, b, offset, K, constant, n_lowest, symbol, vectors=True):
     """Lowest `n_lowest` eigenpairs of the real Hill block `_hill_band`.
 
     Returns (values ascending, real vectors as columns, or None without
     `vectors`).  A block of dimension up to BAND_SOLVER_DIM goes to
     `_hill_banded`, a larger one to `_hill_lanczos`, which needs `symbol`,
-    `_symbol_bounds(a, b)` (None when no block of the call is that large),
-    and starts from the columns of `start` when given.
+    `_symbol_bounds(a, b)`, and always returns vectors.
     """
     if 2 * K + (1 if offset == 0.0 else 0) <= BAND_SOLVER_DIM:
         return _hill_banded(a, b, offset, K, constant, n_lowest, vectors)
-    return _hill_lanczos(a, b, offset, K, constant, n_lowest, symbol, start)
+    return _hill_lanczos(a, b, offset, K, constant, n_lowest, symbol)
 
 
 def _hill_banded(a, b, offset, K, constant, n_lowest, vectors=True):
@@ -284,7 +296,7 @@ def _hill_banded(a, b, offset, K, constant, n_lowest, vectors=True):
     return out if vectors else (out, None)
 
 
-def _hill_lanczos(a, b, offset, K, constant, n_lowest, symbol, start=None):
+def _hill_lanczos(a, b, offset, K, constant, n_lowest, symbol):
     """What `_hill_block` returns, from shift-invert Lanczos (`_lanczos`).
 
     The shift sigma from `_shift` gives H - sigma >= 1, so it is
@@ -303,11 +315,11 @@ def _hill_lanczos(a, b, offset, K, constant, n_lowest, symbol, start=None):
     band[2 * bw] -= sigma
     lu, piv, _ = sla.lapack.dgbtrf(band, bw, bw, overwrite_ab=True)
     gbtrs = sla.lapack.dgbtrs
-    theta, X = _lanczos(lambda Q: gbtrs(lu, bw, bw, Q, piv)[0], q.size, n_lowest, start)
+    theta, X = _lanczos(lambda Q: gbtrs(lu, bw, bw, Q, piv)[0], q.size, n_lowest)
     return sigma + 1.0 / theta, X
 
 
-def _lanczos(solve, dim, k, start=None):
+def _lanczos(solve, dim, k):
     """The largest k eigenpairs of (H - sigma)^-1, for a symmetric H - sigma > 0.
 
     `solve(Q)` returns (H - sigma)^-1 Q for a block of columns Q.  Block
@@ -322,21 +334,14 @@ def _lanczos(solve, dim, k, start=None):
     rounding leaves, which may lie above LANCZOS_TOL.  Only a non-finite
     residual there raises `NoConvergence`.
 
-    The start block is LANCZOS_BLOCK seeded random columns, after the
-    columns of `start` when given (eigenvectors of a nearby matrix, such as
-    the last iterate of a fit): the random columns keep within reach a wanted
-    vector that `start` lacks, say one whose value crossed a neighbour's.
-    Rayleigh-Ritz on V^T (H - sigma)^-1 V runs once the basis holds 2 k
-    vectors, then after every RITZ_EVERY LANCZOS_BLOCK more.  Seeded,
-    repeated calls agree bit for bit.
+    The start block is LANCZOS_BLOCK seeded random columns, so repeated
+    calls agree bit for bit.  Rayleigh-Ritz on V^T (H - sigma)^-1 V runs
+    once the basis holds 2 k vectors, then after every RITZ_EVERY
+    LANCZOS_BLOCK more.
     """
     k = min(k, dim)
     rng = np.random.default_rng(0)
     block = rng.standard_normal((dim, LANCZOS_BLOCK))
-    if start is not None:
-        if start.shape[0] != dim:
-            raise ValueError(f"start vectors of dimension {start.shape[0]} for a matrix of dimension {dim}")
-        block = np.hstack((start, block))
     # Every BLAS/LAPACK call below goes through scipy, so all of them share one
     # OpenBLAS thread pool: numpy's products would use numpy's own pool, and
     # the idle workers of two pools spin for the same cores.
@@ -405,38 +410,38 @@ def _block_edges(values, n_gaps: int):
     return float(values[0.0][0]), lo, hi, float(block(n_gaps + 1)[n_gaps])
 
 
-def _hill_edges(p: Potential, n_gaps: int, modes: int | None, start=None, vectors=True):
+def _hill_edges(p: Potential, n_gaps: int, modes: int | None, vectors=True):
     """What hill_edges_and_vectors returns, from one solve of each Hill block.
 
     The last item maps each block's offset to its lowest n_gaps + 1
     eigenpairs, (values ascending, real vectors as columns), in the basis
     of `_hill_band`; without `vectors` the band solver computes no vectors,
-    so its blocks carry None for them, and `info` is None.  `start`, the
-    last item of an earlier call at the same `modes`, seeds the Lanczos
-    blocks.  Both public entry points call this helper rather than each
-    other, so a wrapper around either name (the perfbench tracer) sees only
-    its own callers.
+    so its blocks carry None for them, and `info` is None.  The default
+    `_turning_index` modes are checked on the last 16 coefficients (8 mode
+    pairs) of every vector returned (`_sized_solve`).  Both public entry
+    points call this helper rather than each other, so a wrapper around
+    either name (the perfbench tracer) sees only its own callers.
     """
     const, a, b = _mode_arrays(p)
-    if modes is None:
-        modes = _turning_index(p, n_gaps)
-    if 2 * modes < n_gaps + 1:  # the anti-periodic block has dimension 2 modes
+    if modes is not None and 2 * modes < n_gaps + 1:  # the anti-periodic block has dimension 2 modes
         raise ValueError(f"modes={modes} is too few for {n_gaps} gaps: need at least {(n_gaps + 2) // 2}")
-    K = modes
-    # one FFT of the symbol serves both blocks, and only Lanczos needs it
-    symbol = _symbol_bounds(a, b) if 2 * K + 1 > BAND_SOLVER_DIM else None
-    blocks = {
-        offset: _hill_block(a, b, offset, K, const, n_gaps + 1, symbol, vectors,
-                            None if start is None else start[offset][1])
-        for offset in (0.0, 0.5)
-    }
+
+    def solve(K):
+        # one FFT of the symbol serves both blocks, and only Lanczos needs it
+        symbol = _symbol_bounds(a, b) if 2 * K + 1 > BAND_SOLVER_DIM else None
+        blocks = {offset: _hill_block(a, b, offset, K, const, n_gaps + 1, symbol, vectors)
+                  for offset in (0.0, 0.5)}
+        return blocks, [X for _, X in blocks.values() if X is not None]
+
+    blocks = solve(modes)[0] if modes is not None else _sized_solve(solve, _turning_index(p, n_gaps), 16)
     lam0, lo, hi, nbe = _block_edges({offset: ev for offset, (ev, _) in blocks.items()}, n_gaps)
     if not vectors:
         return lam0, lo, hi, nbe, None, blocks
 
     def vector(m, index):  # (offset, exponential vector) of eigenpair `index` of m's block
         offset = 0.5 if m % 2 else 0.0
-        return offset, _exponential_vector(blocks[offset][1][:, index], offset, K)
+        X = blocks[offset][1]
+        return offset, _exponential_vector(X[:, index], offset, X.shape[0] // 2)
 
     info = {("lambda0", 0): vector(0, 0), ("next", n_gaps + 1): vector(n_gaps + 1, n_gaps)}
     for m in range(1, n_gaps + 1):
@@ -455,7 +460,7 @@ def hill_band_edges(p: Potential, n_gaps: int, modes: int | None = None):
     return _hill_edges(p, n_gaps, modes, vectors=False)[:4]
 
 
-def hill_edges_and_vectors(p: Potential, n_gaps: int, modes: int | None = None, start=None):
+def hill_edges_and_vectors(p: Potential, n_gaps: int, modes: int | None = None):
     """Band edges as in hill_band_edges, plus the edge eigenvectors.
 
     Returns (lambda0, gap_lo, gap_hi, next_band_end, info, blocks) where
@@ -464,10 +469,9 @@ def hill_edges_and_vectors(p: Potential, n_gaps: int, modes: int | None = None, 
     anti-periodic ones.  Keys: ("lo", n), ("hi", n) for n = 1..n_gaps,
     ("lambda0", 0) and ("next", n_gaps + 1).  blocks[offset] = (values,
     vectors) holds each block's lowest n_gaps + 1 eigenpairs in the real
-    basis.  Passed back as `start` for a nearby potential at the same
-    `modes` (the next iterate of a fit), the blocks seed its Lanczos solves.
+    basis.
     """
-    return _hill_edges(p, n_gaps, modes, start)
+    return _hill_edges(p, n_gaps, modes)
 
 
 @functools.lru_cache(maxsize=32)
@@ -545,18 +549,13 @@ def _galerkin_solve(p: Potential, count: int, dim: int | None, neumann: bool = F
     from `_shift`, for its largest theta: lambda = sigma + 1 / theta.  This
     form stays well conditioned, where eigh(A, M) loses digits as the top of
     the pencil grows like dim^4.  A shift not below the spectrum raises
-    `NoConvergence`.  An explicit `dim` is solved as given.  The default
-    size 16 + 2 count + 6 (sum |a_k| + |b_k|)^(1/4) leaves out the constant
-    and is checked after the solve: where the last 8 coefficients of a
-    vector exceed GALERKIN_TAIL of its largest one (the eigenvalue error is
-    about the square of that ratio), the basis grows by half.
+    `NoConvergence`.  The default size 16 + 2 count + 6 (sum |a_k| +
+    |b_k|)^(1/4) is checked on the last 8 coefficients (`_sized_solve`).
     """
     const, a, b = _mode_arrays(p)
     sigma = _shift(_symbol_bounds(a, b), 0.0 if neumann else np.pi**2, 0.0)
-    sized = dim is None
-    if sized:
-        dim = 16 + 2 * count + int(6.0 * (p.sup_norm_bound - abs(const)) ** 0.25)
-    while True:
+
+    def solve(dim):
         A, M = _galerkin_pencil(p, dim, neumann)
         A -= sigma * M
         try:
@@ -565,9 +564,11 @@ def _galerkin_solve(p: Potential, count: int, dim: int | None, neumann: bool = F
             raise NoConvergence(f"Galerkin pencil of dimension {dim}: A - sigma M is not positive "
                                 f"definite for sigma = {sigma:.6g} ({exc})") from None
         theta, Y = theta[::-1], Y[:, ::-1] / np.sqrt(theta[::-1])  # y^T M y = theta y^T (A - sigma M) y = theta
-        if not sized or np.all(np.abs(Y[-8:]).max(axis=0) <= GALERKIN_TAIL * np.abs(Y).max(axis=0)):
-            return const + sigma + 1.0 / theta, Y
-        dim = int(1.5 * dim)
+        return (const + sigma + 1.0 / theta, Y), [Y]
+
+    if dim is not None:
+        return solve(dim)[0]
+    return _sized_solve(solve, 16 + 2 * count + int(6.0 * (p.sup_norm_bound - abs(const)) ** 0.25), 8)
 
 
 def galerkin_dirichlet(p: Potential, count: int, dim: int | None = None) -> np.ndarray:
@@ -616,8 +617,8 @@ def ritz_enclosures(HX: np.ndarray, X: np.ndarray, values: np.ndarray, spread: f
 
     `values` and X come from a dense `eigh` (the Dirichlet pencil) or, for
     a deep well's Hill block, from `_lanczos`: on the Hill blocks of the
-    (2, 0.1, 3) and (3, 0.05, 2) designs (315 and 1075) its values lie
-    within 0.51 eps ||H|| of `scipy.linalg.eigh`'s, well inside RITZ_ROUNDING.
+    (2, 0.1, 3) and (3, 0.05, 2) designs (205 and 677) its values lie
+    within 0.93 eps ||H|| of `scipy.linalg.eigh`'s, well inside RITZ_ROUNDING.
     """
     rounding = RITZ_ROUNDING * np.finfo(float).eps * norm
     G = X.T @ HX

@@ -62,6 +62,19 @@ def test_mathieu_states_all_virtual(mathieu):
     assert np.allclose(np.sort([bs.dirichlet[0], bs.neumann[1]]), [bs.gap_lo[0], bs.gap_hi[0]])
 
 
+def test_deep_well_states_keep_their_sheet_when_a_and_f_overflow(criterion5_design):
+    # a batch at the (3, 0.05, 2) design's Dirichlet points has log_scale
+    # past 709, where a(mu) and F(mu) read inf; the virtual test runs on the
+    # stored components, so each bound state keeps its sheet rather than 0
+    (p, _, bs, _), *_ = criterion5_design
+    mu = bs.dirichlet
+    mb = mo.integrate_batch(p, mu)
+    assert np.all(mb.log_scale > 709) and np.all(np.isinf(mb.a_value))
+    virtual = bands._virtual(mb, np.minimum(mu - bs.gap_lo, bs.gap_hi - mu), bs.gap_lengths)
+    assert not np.any(virtual)
+    assert list(bands.sheet_signs(mb)) == [1, 1, 1]
+
+
 def test_shooting_edges_match_hill_matrix(asym_potential):
     bs = bands.band_structure(asym_potential, 5)
     lam0, glo, ghi, nbe = sm.hill_band_edges(asym_potential, 5)

@@ -22,6 +22,7 @@ from hill_octant.intervals import Interval, IntervalSet, minkowski_sum
 from hill_octant.potential import fourier_potential, zero_potential
 
 from conftest import separable_perturbations
+from oracles import real_hill_matrix
 
 KAPPA = 0.05
 E1 = 0.125  # designed first normalized eigenvalue, 1/(4d) at d = 2
@@ -262,7 +263,8 @@ def test_fast_factor_spectrum_integrates_nothing(deep_n2_d3, monkeypatch):
     ns = fast_factor_spectrum(p, 2, gamma)
     assert [n for n, _ in ns.eigenvalues] == [1, 2]
     mu = np.array([e for _, e in ns.eigenvalues]) * gamma
-    assert mu == pytest.approx(sm.galerkin_dirichlet(p, 2), rel=1e-12)
+    # the factor solve keeps mu_3 too: the same count-3 pencil, at its size
+    assert mu == pytest.approx(sm.galerkin_dirichlet(p, 3)[:2], rel=1e-12)
 
 
 RITZ_TOL = 4  # Ritz against same-size solves, in units of eps norm; 0.41 seen at most
@@ -334,6 +336,32 @@ def test_ritz_recount_matches_full_solves_on_the_benchmark_design(deep_n2_d3):
     ritz_against_same_size_solves(p, gamma, N, kappa, trials, intervals)
     for ws in trials:
         assert perturb_and_recount([p] * 3, ws, kappa**3, intervals, kappa, gamma, N) == ([1, 3, 3], [1, 3, 3])
+
+
+def test_ritz_recount_on_blocks_shorter_than_three_bandwidths(monkeypatch):
+    # a 10-mode potential at N = 2: Hill blocks of dimensions 51 and 50 at
+    # bandwidth 21, fewer rows than the 3 bw + 1 = 64 that scipy's general
+    # band product demands.  The symmetric band product takes any size, and
+    # its H X matches the dense block of the perturbed potential
+    p = fourier_potential([(k, 15.0 / k, 10.5 / k) for k in range(1, 11)])
+    N, gamma, kappa = 2, 40.0, 0.1
+    _, basis = cluster._solve_factor(p, N, gamma)
+    assert all(X.shape[0] < 3 * 21 + 1 for _, X in basis.hill.values())
+    products, enclosures = [], sm.ritz_enclosures
+
+    def recorded(HX, X, *args):
+        products.append((HX, X))
+        return enclosures(HX, X, *args)
+
+    monkeypatch.setattr(sm, "ritz_enclosures", recorded)
+    for ws in separable_perturbations(11, 2, 2):
+        products.clear()
+        assert perturb_and_recount([p, p], ws, kappa**3, [], kappa, gamma, N) == ([], [])
+        q = _add_potentials(p, ws[1], kappa**3)
+        (HX_per, X_per), (HX_anti, X_anti) = products[-2:]  # q's Hill blocks, periodic first
+        for offset, HX, X in ((0.0, HX_per, X_per), (0.5, HX_anti, X_anti)):
+            H = real_hill_matrix(q, offset, X.shape[0] // 2).real
+            assert np.abs(HX - H @ X).max() <= 1e-13 * np.abs(H @ X).max()
 
 
 def test_recount_solves_each_factor_once_and_integrates_nothing(deep_n2_d3, monkeypatch):

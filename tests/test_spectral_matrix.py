@@ -105,11 +105,12 @@ def test_real_blocks_match_the_rotated_exponential_blocks(name):
 
 
 def test_real_blocks_of_the_deep_design_match_the_oracle(deep_n2_d3):
-    # a Hill solve of the position fit: 270 modes, a potential of 48 modes with sine terms
+    # a Hill solve of the position fit, at the default size (102 modes): a
+    # potential of 48 modes with sine terms
     _, _, _, hill_args = deep_n2_d3
-    p, _, modes = hill_args[-2][:3]
-    assert modes is not None and max(t.k for t in p.fourier) == 48
-    assert_real_blocks_match_the_oracle(p, modes)
+    p, n_gaps, modes = hill_args[-2][:3]
+    assert modes is None and max(t.k for t in p.fourier) == 48
+    assert_real_blocks_match_the_oracle(p, sm._turning_index(p, n_gaps))
 
 
 def lanczos_on_both_blocks(p):
@@ -384,7 +385,7 @@ TAIL_CASES = {
 @pytest.mark.parametrize("case", sorted(TAIL_CASES) + ["bound state", "design (2, 0.1, 3)", "design (3, 0.05, 2)"])
 def test_default_sizes_meet_the_tail_bar(case, bound_state_potential, deep_n2_d3, criterion5_design, monkeypatch):
     # the first size the rule picks is the last: one pencil per solve, and
-    # every returned vector's tail below GALERKIN_TAIL
+    # every returned vector's tail below TAIL_BAR
     potentials, count = TAIL_CASES.get(case, (None, None))
     if case == "bound state":
         potentials, count = [bound_state_potential], 2
@@ -394,7 +395,7 @@ def test_default_sizes_meet_the_tail_bar(case, bound_state_potential, deep_n2_d3
     for p in potentials:
         Y, Z, dims = solves_at_default_sizes(p, count, monkeypatch)
         assert dims == [Y.shape[0], Z.shape[0]]
-        assert np.all(tail_ratio(Y) <= sm.GALERKIN_TAIL) and np.all(tail_ratio(Z) <= sm.GALERKIN_TAIL)
+        assert np.all(tail_ratio(Y) <= sm.TAIL_BAR) and np.all(tail_ratio(Z) <= sm.TAIL_BAR)
 
 
 def test_basis_grows_by_half_until_the_tail_meets_the_bar(monkeypatch):
@@ -402,7 +403,7 @@ def test_basis_grows_by_half_until_the_tail_meets_the_bar(monkeypatch):
     # and ends where the bar holds, at the same eigenvalues
     p = POTENTIALS["asym"]
     want_mu, want_nu = sm.galerkin_dirichlet(p, 5), sm.galerkin_neumann(p, 6)
-    monkeypatch.setattr(sm, "GALERKIN_TAIL", 1e-15)
+    monkeypatch.setattr(sm, "TAIL_BAR", 1e-15)
     Y, Z, dims = solves_at_default_sizes(p, 5, monkeypatch)
     mu_dims, nu_dims = dims[: dims.index(Y.shape[0]) + 1], dims[dims.index(Y.shape[0]) + 1 :]
     for grown in (mu_dims, nu_dims):
@@ -427,31 +428,6 @@ def test_large_bases_keep_the_digits_of_the_default_size(name, kind, deep_n2_d3)
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
-@pytest.mark.parametrize("dim", [320, 472, 1443])
-@pytest.mark.parametrize("name", ["corpus", "deep"])
-def test_galerkin_lanczos_matches_eigh(name, dim, kind, deep_n2_d3):
-    # the dense eigh of the pencil against shift-invert Lanczos (`_lanczos`,
-    # the Hill blocks' solver) on its standard form H = L^-1 A L^-T, L L^T = M:
-    # (H - sigma)^-1 = L^T (A - sigma M)^-1 L.  The values agree within 64 eps
-    # (|lambda| + sup|v|), though ||H|| reaches 4e11 at 1443 (1.1e-11 apart
-    # at most seen, on the deep design at 320), and the vectors span the
-    # same lines
-    p = CORPUS_POTENTIAL if name == "corpus" else deep_n2_d3[0][0]
-    neumann = kind == "neumann"
-    values, Y = sm._galerkin_solve(p, 3, dim, neumann)
-    A, M = sm._galerkin_pencil(p, dim, neumann)
-    const, a, b = sm._mode_arrays(p)
-    sigma = sm._shift(sm._symbol_bounds(a, b), 0.0 if neumann else np.pi**2, 0.0)
-    L = np.linalg.cholesky(M)
-    factor = sla.cho_factor(A - sigma * M, lower=True)
-    theta, X = sm._lanczos(lambda Q: L.T @ sla.cho_solve(factor, L @ Q), dim, 3)
-    bound = 64 * np.finfo(float).eps * (np.abs(values) + p.sup_norm_bound)
-    assert np.all(np.abs(const + sigma + 1.0 / theta - values) <= bound)
-    overlap = np.abs(np.sum(sla.solve_triangular(L, X, lower=True, trans="T") * (M @ Y), axis=0))
-    assert np.allclose(overlap, 1.0, rtol=0, atol=1e-10)
-
-
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 def test_indefinite_shift_raises_no_convergence(kind, monkeypatch):
     # a shift above the lowest eigenvalue: A - sigma M has no Cholesky factor
     monkeypatch.setattr(sm, "_shift", lambda *args: 1e4)
@@ -460,9 +436,87 @@ def test_indefinite_shift_raises_no_convergence(kind, monkeypatch):
         solve(CORPUS_POTENTIAL, 3)
 
 
-# --- shift-invert Lanczos on the Hill blocks: warm starts ----------------------
+# --- the Hill blocks: the size rule and shift-invert Lanczos -------------------
 
-EIGH_TOL = 4  # Lanczos values against eigh, in units of eps ||H||; 1.04 seen at most
+EIGH_TOL = 4  # Lanczos values against eigh, in units of eps ||H||; 0.72 seen at most
+
+
+def default_hill_solve(p, count, monkeypatch):
+    """`_hill_edges` at the default size with vectors, and the K of every block it solved, in order."""
+    Ks, block = [], sm._hill_block
+
+    def recorded(a, b, offset, K, *args):
+        Ks.append(K)
+        return block(a, b, offset, K, *args)
+
+    monkeypatch.setattr(sm, "_hill_block", recorded)
+    out = sm._hill_edges(p, count, None)
+    monkeypatch.setattr(sm, "_hill_block", block)
+    return out, Ks
+
+
+def hill_tail(blocks):
+    """Largest of each vector's last 16 coefficients (8 mode pairs), relative to its largest one."""
+    return np.concatenate([np.abs(X[-16:]).max(axis=0) / np.abs(X).max(axis=0) for _, X in blocks.values()])
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES) + ["bound state", "design (2, 0.1, 3)", "design (3, 0.05, 2)"])
+def test_default_hill_sizes_meet_the_tail_bar(case, bound_state_potential, deep_n2_d3, criterion5_design, monkeypatch):
+    # the first K the rule picks is the last: one solve of each block, every
+    # returned vector's tail below TAIL_BAR, and every edge within 1e-12 of
+    # the top edge from the blocks at twice the size (a normalized design's
+    # lambda_0 is 0 to the rounding of its constant, 2e5)
+    potentials, count = TAIL_CASES.get(case, (None, None))
+    if case == "bound state":
+        potentials, count = [bound_state_potential], 2
+    elif case.startswith("design"):
+        (p, _, bs, _), *_ = deep_n2_d3 if "(2" in case else criterion5_design
+        potentials, count = [p], bs.n_gaps
+    for p in potentials:
+        (*edges, _, blocks), Ks = default_hill_solve(p, count, monkeypatch)
+        assert Ks == [sm._turning_index(p, count)] * 2
+        assert np.all(hill_tail(blocks) <= sm.TAIL_BAR)
+        got, want = (np.hstack(e) for e in (edges, sm.hill_band_edges(p, count, modes=2 * Ks[0])))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+
+def test_hill_basis_grows_by_half_until_the_tail_meets_the_bar(bound_state_potential, monkeypatch):
+    # under a stricter bar the bound-state potential's blocks (tails up to
+    # 3.2e-15 at K = 17) grow 1.5x at a time, and end where the bar holds,
+    # at the same edges
+    p = bound_state_potential
+    want = np.hstack(sm.hill_band_edges(p, 2))
+    monkeypatch.setattr(sm, "TAIL_BAR", 1e-15)
+    (*edges, _, blocks), Ks = default_hill_solve(p, 2, monkeypatch)
+    grown = Ks[::2]
+    assert Ks[1::2] == grown  # both blocks at each size
+    assert len(grown) >= 2 and grown[1:] == [int(1.5 * K) for K in grown[:-1]]
+    assert np.all(hill_tail(blocks) <= 1e-15)
+    assert np.allclose(np.hstack(edges), want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("case", ["design", "design 2x", "corpus"])
+def test_hill_lanczos_matches_eigh_on_large_blocks(case, deep_n2_d3, monkeypatch):
+    # `_lanczos` on the blocks it serves: the (2, 0.1, 3) design at its
+    # default size (dimensions 205 and 204) and at twice that, and a corpus
+    # potential's blocks taken off the band solver.  The values lie within
+    # EIGH_TOL eps ||H|| of a dense eigh of the same block, and the vectors
+    # span the same lines
+    if case == "corpus":
+        monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
+        p, count = CORPUS_POTENTIAL, 6
+    else:
+        p, count = deep_n2_d3[0][0], 2
+    K = sm._turning_index(p, count) * (2 if case == "design 2x" else 1)
+    assert 2 * K > sm.BAND_SOLVER_DIM
+    const, a, b = sm._mode_arrays(p)
+    symbol = sm._symbol_bounds(a, b)
+    for offset in (0.0, 0.5):
+        values, X = sm._hill_block(a, b, offset, K, const, count + 1, symbol)
+        H = banded_to_dense(*sm._hill_band(a, b, offset, K, const)[:2])
+        want, V = sla.eigh(H, subset_by_index=(0, count))
+        assert np.all(np.abs(values - want) <= EIGH_TOL * np.finfo(float).eps * np.linalg.norm(H, 2))
+        assert np.allclose(np.abs(np.sum(X * V, axis=0)), 1.0, rtol=0, atol=1e-10)
 
 
 @pytest.fixture
@@ -478,86 +532,43 @@ def lanczos_steps(monkeypatch):
     return widths
 
 
-def hill_case(name, deep_n2_d3):
-    """(potential, modes) whose Hill blocks go to Lanczos once BAND_SOLVER_DIM is 0."""
-    return (CORPUS_POTENTIAL, MODES) if name == "corpus" else (deep_n2_d3[0][0], 270)
-
-
-@pytest.mark.parametrize("name", ["corpus", "deep"])
-def test_warm_start_takes_fewer_steps(name, deep_n2_d3, lanczos_steps, monkeypatch):
-    # the blocks of the potential translated by 1e-3, a step of a fit
-    p, modes = hill_case(name, deep_n2_d3)
-    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
-    near = sm.hill_edges_and_vectors(translate(p, 1e-3), 2, modes=modes)[5]
-    lanczos_steps.clear()
-    cold = sm.hill_edges_and_vectors(p, 2, modes=modes)
-    cold_steps = len(lanczos_steps)
-    lanczos_steps.clear()
-    warm = sm.hill_edges_and_vectors(p, 2, modes=modes, start=near)
-    assert len(lanczos_steps) < cold_steps
-    assert_same_pairs(p, modes, cold, warm)
-    lanczos_steps.clear()
-    assert_same_pairs(p, modes, cold, sm.hill_edges_and_vectors(p, 2, modes=modes, start=cold[5]))
-    assert len(lanczos_steps) <= 2  # from the converged vectors: one step, then the check
-
-
-def test_hill_warm_start_matches_the_cold_solve(deep_n2_d3, lanczos_steps):
-    # the deep design's blocks (270 modes, both above BAND_SOLVER_DIM),
-    # started from those of the design plus a 1e-5 relative change
-    p, modes = deep_n2_d3[0][0], 270
-    near = _add_potentials(p, fourier_potential([(1, 1.0, 0.5), (2, -0.5, 0.3)]), 1.0)
-    blocks = sm.hill_edges_and_vectors(near, 2, modes=modes)[5]
-    lanczos_steps.clear()
-    cold = sm.hill_edges_and_vectors(p, 2, modes=modes)
-    cold_steps = len(lanczos_steps)
-    lanczos_steps.clear()
-    warm = sm.hill_edges_and_vectors(p, 2, modes=modes, start=blocks)
-    assert len(lanczos_steps) < cold_steps
-    norm = (2.0 * np.pi * modes) ** 2 + p.sup_norm_bound  # ||H|| <= the top diagonal plus sup|v|
-    for a, b in zip(cold[:4], warm[:4]):
-        assert np.all(np.abs(a - b) <= EIGH_TOL * np.finfo(float).eps * norm)
-    for key, (offset, u) in cold[4].items():
-        assert abs(np.vdot(warm[4][key][1], u)) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_full_basis_returns_its_pairs_at_the_rounding_floor(asym_potential, lanczos_steps, monkeypatch):
-    # asym at 24 modes: a periodic block of dimension 49, started from the
-    # blocks of the potential translated by 1e-3 (5 vectors, then 2 random
-    # ones).  Under a stop that no residual meets, Lanczos fills the basis;
-    # there the Ritz pairs are exact but for rounding, so they are returned,
-    # not refused.
+    # asym at 24 modes: a periodic block of dimension 49.  Under a stop that
+    # no residual meets, Lanczos fills the basis; there the Ritz pairs are
+    # exact but for rounding, so they are returned, not refused.
     modes = 24
     reference = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes)  # the band solver
     monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
-    start = sm.hill_edges_and_vectors(translate(asym_potential, 1e-3), 4, modes=modes)[5]
     monkeypatch.setattr(sm, "LANCZOS_TOL", 0.0)
     lanczos_steps.clear()
-    warm = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes, start=start)
-    assert max(lanczos_steps) + 5 + sm.LANCZOS_BLOCK >= 2 * modes + 1  # the last step filled the basis
-    assert_same_pairs(asym_potential, modes, reference, warm)
+    full = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes)
+    assert max(lanczos_steps) + sm.LANCZOS_BLOCK >= 2 * modes + 1  # the last step filled the basis
+    assert_same_pairs(asym_potential, modes, reference, full)
 
 
-def test_warm_start_stops_before_the_full_basis(asym_potential, lanczos_steps, monkeypatch):
-    # the same start at the LANCZOS_TOL stop.  When the block's own QR
-    # amplified the rounding along the basis, the basis lost orthogonality
-    # to 7e-11 and the residual stayed above the stop up to the full basis;
-    # the third pass keeps it orthogonal, and the stop is met at 28 of 49
-    modes = 24
-    reference = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes)
-    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
-    start = sm.hill_edges_and_vectors(translate(asym_potential, 1e-3), 4, modes=modes)[5]
-    lanczos_steps.clear()
-    warm = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes, start=start)
-    assert max(lanczos_steps) + 5 + sm.LANCZOS_BLOCK < 2 * modes + 1
-    assert_same_pairs(asym_potential, modes, reference, warm)
+def test_third_pass_stops_before_the_full_basis(lanczos_steps):
+    # an inverse with three isolated top values over a cluster 1e-8 below
+    # them, from the cold start.  Once the top vectors converge, the new
+    # block's two columns are nearly parallel outside the basis, and its QR
+    # amplifies the rounding along the basis.  Without the third pass the
+    # basis lost orthogonality and the residual stayed above the stop up to
+    # the full basis of 60; with it the stop is met at 12
+    dim = 60
+    theta = np.concatenate(([1.0, 0.5, 0.25], 1e-8 * (1.0 + np.arange(dim - 3) / dim)))
+    U = np.linalg.qr(np.random.default_rng(dim).standard_normal((dim, dim)))[0]
+    A = (U * theta) @ U.T
+    got, X = sm._lanczos(lambda Q: A @ Q, dim, 2)
+    assert max(lanczos_steps) + sm.LANCZOS_BLOCK < dim
+    assert np.all(np.abs(got - theta[:2]) <= EIGH_TOL * np.finfo(float).eps)
+    assert np.allclose(np.abs(np.sum(X * U[:, :2], axis=0)), 1.0, rtol=0, atol=1e-12)
 
 
-def assert_same_pairs(p, modes, reference, warm):
+def assert_same_pairs(p, modes, reference, other):
     norm = (2.0 * np.pi * modes) ** 2 + p.sup_norm_bound
-    for a, b in zip(reference[:4], warm[:4]):
+    for a, b in zip(reference[:4], other[:4]):
         assert np.all(np.abs(a - b) <= EIGH_TOL * np.finfo(float).eps * norm)
     for key, (offset, u) in reference[4].items():
-        assert abs(np.vdot(warm[4][key][1], u)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(other[4][key][1], u)) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("offset, spread", [(1e-9, 1.0), (1e-3, 1e-4)])
@@ -574,33 +585,3 @@ def test_block_near_the_basis_comes_back_orthonormal(offset, spread):
     out = sm._orthonormal_block(V, Q, np.random.default_rng(0))
     assert np.abs(V.T @ out).max() <= 1e-14
     assert np.abs(out.T @ out - np.eye(3)).max() <= 1e-14
-
-
-@pytest.mark.parametrize("name", ["corpus", "deep"])
-def test_stale_or_permuted_start_still_finds_the_lowest(name, deep_n2_d3, lanczos_steps, monkeypatch):
-    # the seeded random columns reach a wanted vector that the start lacks,
-    # in no more steps than a cold solve takes
-    p, modes = hill_case(name, deep_n2_d3)
-    other = deep_n2_d3[0][0] if name == "corpus" else CORPUS_POTENTIAL
-    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
-    blocks = sm.hill_edges_and_vectors(p, 3, modes=modes)[5]
-    stale = sm.hill_edges_and_vectors(other, 2, modes=modes)[5]
-    lanczos_steps.clear()
-    cold = sm.hill_edges_and_vectors(p, 2, modes=modes)
-    cold_steps = len(lanczos_steps)
-    # the lowest left out, reversed, another potential's
-    for pick in (lambda X: X[:, 1:], lambda X: X[:, 2::-1]):
-        start = {offset: (values, pick(X)) for offset, (values, X) in blocks.items()}
-        lanczos_steps.clear()
-        assert_same_pairs(p, modes, cold, sm.hill_edges_and_vectors(p, 2, modes=modes, start=start))
-        assert len(lanczos_steps) <= cold_steps
-    lanczos_steps.clear()
-    assert_same_pairs(p, modes, cold, sm.hill_edges_and_vectors(p, 2, modes=modes, start=stale))
-    assert len(lanczos_steps) <= cold_steps
-
-
-def test_start_of_another_dimension_is_rejected(monkeypatch):
-    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
-    blocks = sm.hill_edges_and_vectors(CORPUS_POTENTIAL, 2, modes=20)[5]
-    with pytest.raises(ValueError, match="dimension"):
-        sm.hill_edges_and_vectors(CORPUS_POTENTIAL, 2, modes=MODES, start=blocks)
