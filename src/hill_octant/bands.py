@@ -85,6 +85,7 @@ class GapState:
     closed: bool
     a_value: float
     discriminant: float
+    log_abs_discriminant: float  # log|F|, finite where a, F and phi_lam saturate at +-inf
     phi_lam: float
     residue: float  # 2 a / phi_lam at mu, scale-free: the residue of m_+ when bound
     certified_by: str  # "shooting" or "hull"; "matrix" only from design._matrix_band_structure
@@ -463,6 +464,7 @@ def band_structure(p: Potential, N: int) -> BandStructure:
         mu_n = float(mu[i])
         a_n = float(mb_mu.a_value[i])
         F_n = float(mb_mu.discriminant[i])
+        log_F_n = float(mb_mu.log_abs_discriminant[i])
         phl_n = float(mb_mu.phi_lam[i])
         if closed_flags[i]:
             sign = 0
@@ -470,7 +472,7 @@ def band_structure(p: Potential, N: int) -> BandStructure:
         else:
             sign = 0 if virtual[i] else int(sheets[i])
         states.append(
-            GapState(n, mu_n, sign, bool(closed_flags[i]), a_n, F_n, phl_n, residue[i], routes[i])
+            GapState(n, mu_n, sign, bool(closed_flags[i]), a_n, F_n, log_F_n, phl_n, residue[i], routes[i])
         )
 
     return BandStructure(

@@ -98,6 +98,16 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
+def _write_discriminant(out: Path, p, grid) -> None:
+    """discriminant.csv over the grid; log|F| stays finite where F reads +-inf."""
+    mb = integrate_batch(p, grid)
+    _write_csv(
+        out / "discriminant.csv",
+        ["lambda", "discriminant", "a", "phi1", "log_abs_discriminant"],
+        zip(grid, mb.discriminant, mb.a_value, mb.phi_1, mb.log_abs_discriminant),
+    )
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -132,12 +142,7 @@ def cmd_bands(args) -> int:
     lo = bs.lambda0 - 1.0
     hi = bs.next_band_end + 1.0
     grid = np.linspace(lo, hi, int(_opt(args, cfg, "sweep_points", 800)))
-    mb = integrate_batch(p, grid)
-    _write_csv(
-        out / "discriminant.csv",
-        ["lambda", "discriminant", "a", "phi1"],
-        zip(grid, mb.discriminant, mb.a_value, mb.phi_1),
-    )
+    _write_discriminant(out, p, grid)
     return EXIT_OK
 
 
@@ -151,12 +156,7 @@ def cmd_discriminant_sweep(args) -> int:
         raise SpecFormatError("need hi > lo and count >= 2")
     out = _out_dir(args, cfg)
     grid = np.linspace(lo, hi, count)
-    mb = integrate_batch(p, grid)
-    _write_csv(
-        out / "discriminant.csv",
-        ["lambda", "discriminant", "a", "phi1"],
-        zip(grid, mb.discriminant, mb.a_value, mb.phi_1),
-    )
+    _write_discriminant(out, p, grid)
     return EXIT_OK
 
 

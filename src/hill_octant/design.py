@@ -398,16 +398,17 @@ def _matrix_band_structure(p: Potential, N: int, mb_mu, edges, mu, nu) -> BandSt
     """BandStructure assembled from the matrix route plus shooting signs.
 
     Used in the deep regime where the discriminant trace is beyond float64;
-    a/F/phi_lam saturate at +-inf with the correct signs, and the residue
-    2a/phi_lam, formed from the scaled components, stays finite.  `edges`
-    is (lambda0, gap_lo, gap_hi, next_band_end).
+    a/F/phi_lam saturate at +-inf with the correct signs, and log|F| and
+    the residue 2a/phi_lam, formed from the scaled components, stay finite.
+    `edges` is (lambda0, gap_lo, gap_hi, next_band_end).
     """
     lam0, glo, ghi, nbe = edges
     signs = sheet_signs(mb_mu)
     residue = mb_mu.residue.tolist()
+    log_F = mb_mu.log_abs_discriminant.tolist()
     states = tuple(
         GapState(n, float(mu[n - 1]), int(signs[n - 1]), False,
-                 math.inf * mb_mu.a_sign[n - 1], math.inf, math.inf, residue[n - 1], "matrix")
+                 math.inf * mb_mu.a_sign[n - 1], math.inf, log_F[n - 1], math.inf, residue[n - 1], "matrix")
         for n in range(1, N + 1)
     )
     return BandStructure(

@@ -7,31 +7,33 @@ function F = (phi'(1) + theta(1))/2, the auxiliary a = (phi'(1) -
 theta(1))/2, the gap branch b and the Weyl function m_+.
 
 Two evaluation routes:
-  * Fourier-form potentials: the explicit Runge-Kutta pair 8(5,3) of
-    Dormand and Prince (Hairer, Norsett and Wanner, Solving ODEs I, sec.
-    II.10; the DOP853 code) on the coupled 8-dimensional system, per-step
-    tolerance 1e-12 relative / 1e-13 absolute.  Steps go in blocks of equal
-    trial steps: the system is linear, so each step is a map that one
-    vectorized pass computes for every (step, lambda) lane of the block,
-    prefix products give the state at every node, and each step then meets
-    DOP853's error test, its 5th-order estimate damped by the 3rd-order
-    one.  A block keeps the steps before its first failure, and the next
-    block's step comes from the worst error ratio of the rejected tail.
-    The first trial step is 0.065 / sqrt(sup|v| + sqrt(sum (2 pi k)^2 |c_k|)
-    + max|lambda| / 2): it resolves the wavelength and the curvature of v.
-    A block holds at most LANE_BUDGET lanes, and its exact solution grows
-    by at most e^MAX_BLOCK_GROWTH; nothing else caps it.  The potential is
-    evaluated by Horner's rule in e^{2 pi i x}.
+  * Fourier-form potentials: Gauss-Legendre collocation on pieces of
+    [0, 1], NODES = 20 Gauss nodes per piece (the 20-stage Gauss method,
+    order 40 at piece ends: Hairer, Norsett and Wanner, Solving ODEs I,
+    sec. II.7).  The system is linear, so a piece is a map: one 20 x 20
+    solve per (piece, lambda) lane gives the basis theta, phi at the nodes
+    and the piece's end values, and a second solve with the same matrix
+    their lambda-derivatives.  Pieces go in blocks of equal length, whose
+    maps one vectorized pass computes; prefix products give the state at
+    every piece end.  A piece passes when the last two Legendre
+    coefficients of its basis are at most 0.1 sqrt(rtol) of the largest
+    (the end error is about the square of that), the rule the matrix
+    route's eigenvectors meet; a block keeps the pieces before its first
+    failure, and the next block's length comes from the worst tail with
+    exponent 1/20.  The first pieces are 5 / sqrt(sup|v| + max|lambda| + 1)
+    long.  A block holds at most LANE_BUDGET lanes, and its exact solution
+    grows by at most e^MAX_BLOCK_GROWTH.  The potential is evaluated by
+    Horner's rule in e^{2 pi i x}.
   * Piecewise-constant (and constant) potentials: the exact transfer
     matrix [[C, S], [q S, C]] of each constant piece, q = v - lambda, with
-    its lambda-derivative, packed as the Runge-Kutta route packs a step map
-    and composed by the same product.  C and S of every (piece, lambda)
+    its lambda-derivative, packed as a collocation piece's map is and
+    composed by the same product.  C and S of every (piece, lambda)
     come from one vectorized call, and a piece whose solution could grow
     past e^MAX_BLOCK_GROWTH is cut into equal parts.
 
 Both routes carry the packed 8-row state and renormalize it in one place.
 
-The batch integrator can also count sign changes of phi and theta' along
+The batch integrator can also count the zeros of phi and theta along
 [0, 1], which gives Sturm oscillation counts for Dirichlet and Neumann
 eigenvalue bracketing.
 """
@@ -42,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import NonFiniteInput, OutsideGap, PoleAt, StepUnderflow
 from .potential import Potential
@@ -58,78 +61,19 @@ __all__ = [
 ]
 
 RTOL = 1e-12
-ATOL = 1e-13
 
-# Dormand and Prince's explicit 8(5,3) pair, with the coefficients of the
-# DOP853 code of Hairer, Norsett and Wanner (Solving Ordinary Differential
-# Equations I, 2nd ed., Springer 1993, sec. II.10).  Twelve stages, the
-# last at x + h.  The 8th-order weights _B advance the step; the weights
-# _E5 and _E3 give its embedded 5th- and 3rd-order error estimates.
-_C = np.array([
-    0.0,
-    0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510,
-    0.281649658092772603273242802490,
-    0.333333333333333333333333333333,
-    0.25,
-    0.307692307692307692307692307692,
-    0.651282051282051282051282051282,
-    0.6,
-    0.857142857142857142857142857142,
-    1.0,
-])
-_A = [
-    [],
-    [5.26001519587677318785587544488e-2],
-    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
-    [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2],
-    [2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
-     9.24834003261792003115737966543e-1],
-    [3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
-     1.25467687566822425016691814123e-1],
-    [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
-     6.02165389804559606850219397283e-2, -1.7578125e-2],
-    [3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
-     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-     8.27378916381402288758473766002e-3],
-    [6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
-     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1],
-    [4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
-     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-     -2.03312017085086261358222928593e-2],
-    [-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
-     1.09143734899672957818500254654, -8.14978701074692612513997267357,
-     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-     2.49360555267965238987089396762, -3.0467644718982195003823669022],
-    [2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
-     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-     6.43392746015763530355970484046e-1],
-]
-_B = np.array([
-    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
-    4.45031289275240888144113950566, 1.89151789931450038304281599044,
-    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
-    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
-    4.47106157277725905176885569043e-2,
-])
-_E5 = np.array([
-    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
-    -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
-    0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
-    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
-    -0.2235530786388629525884427845e-1,
-])
-# _B minus the weights of the 3rd-order solution
-_E3 = _B - np.array([
-    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
-])
-_ORDER_EXP = 1.0 / 8.0
+# Gauss-Legendre collocation nodes per piece: a piece is the NODES-stage
+# Gauss method, order 2 NODES at its end
+NODES = 20
+_T, _G = legendre.leggauss(NODES)
+# Legendre coefficients of the interpolant through NODES node values: _LEG @ values
+_LEG = (legendre.legvander(_T, NODES - 1) * _G[:, None]).T * (np.arange(NODES) + 0.5)[:, None]
+# node values of int_{-1}^t (t - s) f(s) ds, f the interpolant through node values
+_J2 = legendre.legvander(_T, NODES + 1) @ legendre.legint(_LEG, m=2, lbnd=-1)
+# weights of int_{-1}^1 (1 - s) f(s) ds and of int_{-1}^1 f(s) ds at the nodes
+_END = np.stack((_G * (1.0 - _T), _G))
+# a tail this small is rounding noise: shorter pieces cannot make it smaller
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -199,6 +143,12 @@ class MonodromyBatch:
         return self._rescale(0.5 * (self.phi_prime_1 + self.theta_1))
 
     @property
+    def log_abs_discriminant(self):
+        """log|F| from the stored components plus log_scale: finite where F reads +-inf."""
+        with np.errstate(divide="ignore"):
+            return self.log_scale + np.log(0.5 * np.abs(self.phi_prime_1 + self.theta_1))
+
+    @property
     def a_value(self):
         return self._rescale(0.5 * (self.phi_prime_1 - self.theta_1))
 
@@ -253,9 +203,9 @@ def _initial_state(n: int) -> np.ndarray:
     return u
 
 
-# a block of RK steps or a transfer piece grows its exact solution at most
-# e^MAX_BLOCK_GROWTH, so states that start below the 1e120 renormalization
-# threshold stay finite inside it
+# a block of collocation pieces or a transfer piece grows its exact solution
+# at most e^MAX_BLOCK_GROWTH, so states that start below the 1e120
+# renormalization threshold stay finite inside it
 MAX_BLOCK_GROWTH = 200.0
 
 
@@ -284,144 +234,128 @@ def _renormalize(S, log_scale):
         log_scale += np.log(f)
 
 
-# --- block-stepped Runge-Kutta route (Fourier potentials) ---------------
+# --- Gauss-Legendre collocation route (Fourier potentials) ----------------
 
-_STAGES = _C.size
-_A_MAT = np.zeros((_STAGES, _STAGES))
-for _i, _row in enumerate(_A):
-    _A_MAT[_i, : len(_row)] = _row
-_ERR = np.stack((_E5, _E3))
-
-# (step, lambda) lanes per block
-LANE_BUDGET = 2048
+# (piece, lambda) lanes per block; each lane solves one NODES x NODES system
+LANE_BUDGET = 512
 
 
-def _rhs_into(out, u, w):
-    """du for the coupled fundamental + variational system, in place."""
-    out[0::2] = u[1::2]
-    np.multiply(w, u[0::2], out=out[1::2])
-    out[5] -= u[0]
-    out[7] -= u[2]
+def _piece_maps(p, lams, x, h, pieces):
+    """Maps, node bases and tails of `pieces` equal collocation pieces of length h from x.
 
+    On a piece [a, a + h], with x = a + h (1 + t) / 2 and w = v - lambda,
+    the solution with given y(a), y'(a) satisfies
 
-def _step_maps(p, lams, x, h, steps):
-    """Step and error maps of `steps` equal RK steps of size h from x.
+        y(t) = y(a) + y'(a) h (1 + t) / 2 + (h/2)^2 int_{-1}^t (t - s) w y ds.
 
-    The system is linear, so one step is a map of the form [[P, 0], [Q, P]],
-    and the RK step applied to the identity state (theta = 1, phi' = 1,
-    derivatives 0) gives its packed 8 rows.  Every (step, lambda) lane is
-    evaluated at once.  Returns the step maps, a (2, 2, 2, steps, n) array,
-    and the two error maps (5th- then 3rd-order estimate) stacked in front
-    of the same shape.
+    Collocation at the Gauss nodes makes this the system
+    (I - (h/2)^2 J2 W) Y = R of one (piece, lambda) lane, W = diag(w); its
+    two right-hand sides (1 for theta, h (1 + t) / 2 for phi) give the
+    piece's basis at the nodes.  The end values are quadratures of w Y, and
+    the lambda-derivative of the basis solves the same system with the
+    right-hand side -(h/2)^2 J2 Y (w_lambda = -1).
+
+    Returns the packed maps [[T, 0], [dT/dlambda, T]] of every lane as a
+    (2, 2, 2, pieces, n) array, the bases as a (pieces, n, NODES, 2) array,
+    and each piece's tail: the last two Legendre coefficients of a basis
+    over its largest one, the worst over the piece's lanes.
     """
-    n = lams.size
-    lanes = steps * n
-    xs = x + h * np.arange(steps)
-    vs = p.evaluate(np.add.outer(xs, _C * h))  # (steps, stages)
-    k = np.empty((_STAGES, 8, lanes))
-    kf = k.reshape(_STAGES, 8 * lanes)
-    u0 = _initial_state(lanes)
-    for i in range(_STAGES):
-        w = (vs[:, i, None] - lams).ravel()
-        ui = u0 + ((h * _A_MAT[i, :i]) @ kf[:i]).reshape(8, lanes) if i else u0
-        _rhs_into(k[i], ui, w)
-    R = u0 + ((h * _B) @ kf).reshape(8, lanes)
-    E = (h * _ERR) @ kf
-    return R.reshape(2, 2, 2, steps, n), E.reshape(2, 2, 2, 2, steps, n)
+    c = 0.25 * h * h
+    xs = x + h * (np.arange(pieces)[:, None] + 0.5 * (1.0 + _T))
+    w = p.evaluate(xs)[:, None, :] - lams[:, None]  # (pieces, n, NODES)
+    M = np.multiply(_J2, w[..., None, :])
+    M *= -c
+    diag = np.arange(NODES)
+    M[..., diag, diag] += 1.0
+    R = np.stack((np.ones(NODES), 0.5 * h * (1.0 + _T)), axis=1)
+    Y = np.linalg.solve(M, np.broadcast_to(R, w.shape + (2,)))
+    Y_lam = np.linalg.solve(M, -c * (_J2 @ Y))
+    quad = _END * np.array([[c], [0.5 * h]])
+    ends = np.stack((quad @ (w[..., None] * Y), quad @ (w[..., None] * Y_lam - Y)))
+    maps = ends.transpose(0, 4, 3, 1, 2)  # [T or dT/dlambda, column, row, piece, lambda]
+    maps[0] += np.array([[1.0, 0.0], [h, 1.0]])[..., None, None]
+    coef = np.abs(_LEG @ Y)
+    tail = np.max(coef[..., -2:, :], axis=-2) / np.max(coef, axis=-2)
+    return maps, Y, np.max(tail, axis=(1, 2))
 
 
-def _error_ratio(r5, r3):
-    """DOP853's error |e5| / sqrt(1 + 0.01 (e3/e5)^2), from the two embedded
-    estimates over their tolerance, in a form that squares nothing: the
-    squared ratios overflow in deep wells."""
-    return r5 * (r5 / np.maximum(np.hypot(r5, 0.1 * r3), 1e-300))
+def _advance(S, maps, Y, trackers):
+    """The state at the end of the pieces `maps` from the state S.
 
-
-def _block_trial(p, lams, S, x, h, steps, rtol, atol):
-    """Node states u_1 .. u_steps of `steps` equal trial steps of size h from
-    the state S at x, and the error ratio of each step (at most 1 passes).
-
-    Prefix products (doubling) of the step maps give the state at every
-    node.  The embedded errors of step k are E_k u_{k-1} against
-    atol + rtol max(|u_{k-1}|, |u_k|), as for one step at a time.
+    Prefix products (doubling) of the maps give the state at every piece
+    end.  With trackers, the node values of theta and phi, each piece's
+    basis Y times the state at its start, and the piece-end values count
+    their zeros.
     """
-    R, E = _step_maps(p, lams, x, h, steps)
     d = 1
-    while d < steps:  # R_k <- R_k ... R_1
-        R[..., d:, :] = _compose(R[..., d:, :], R[..., :-d, :])
+    while d < maps.shape[-2]:  # T_k <- T_k ... T_1
+        maps[..., d:, :] = _compose(maps[..., d:, :], maps[..., :-d, :])
         d *= 2
-    U = _compose(R, S[..., None, :])
-    prev = np.concatenate((S[..., None, :], U[..., :-1, :]), axis=-2)
-    tol = atol + rtol * np.maximum(np.abs(prev), np.abs(U))
-    r5, r3 = (np.abs(_compose(Ek, prev)) / tol for Ek in E)
-    return U, np.max(_error_ratio(r5, r3), axis=(0, 1, 2, 4))
+    U = _compose(maps, S[..., None, :])
+    if trackers is not None:
+        start = np.concatenate((S[..., None, :], U[..., :-1, :]), axis=-2)[0, ..., None]
+        nodes = start[:, 0] * Y[..., 0] + start[:, 1] * Y[..., 1]  # (column, piece, lambda, node)
+        values = np.concatenate((nodes, U[0, :, 0, ..., None]), axis=-1).transpose(0, 1, 3, 2)
+        theta, phi = values.reshape(2, -1, S.shape[-1])
+        trackers.update(theta, phi)
+    return U[..., -1, :].copy()
 
 
-def _first_step(p, lams):
-    """The first trial step of a pass, from the potential and the energies.
+def _collocation_pass(p, lams, rtol, trackers, log_scale):
+    """The state at x = 1, from blocks of equal collocation pieces over [0, 1].
 
-    A step must resolve the local wavelength, which sup|v| + max|lambda|
-    bounds, and the scale on which v itself bends, which sup|v''| <=
-    sum (2 pi k)^2 |c_k| sets.  With the energies at full weight, the first
-    block of a high-energy pass on the test fixtures passes at about twice
-    the constant that a low-energy pass allows; at half weight both start
-    near their largest passing step, and at a quarter high-energy blocks
-    begin to fail.
-    """
-    scale = p.sup_norm_bound + math.sqrt(p.curvature_bound) + 0.5 * float(np.max(np.abs(lams)))
-    return 0.065 / math.sqrt(max(1.0, scale))
-
-
-def _rk_segment(p, lams, u, x0, x1, rtol, atol, trackers, log_scale):
-    """Advance the batch state from x0 to x1 in blocks of equal RK steps.
-
-    Each block keeps its steps before the first that fails the error test.
-    The controller sets the next step size from the largest error ratio of
-    the rejected tail, or of the whole block when every step passes.
-    The state is renormalized at the end of each block.
+    A piece passes when its tail is at most 0.1 sqrt(rtol); the error of its
+    end values is about the square of that.  Each block keeps its pieces
+    before the first that fails and renormalizes the state at its end.  The
+    next block's piece length comes from the worst tail of the rejected
+    pieces, or of the whole block when every piece passes, with exponent
+    1 / NODES.  The first pieces are 5 / sqrt(sup|v| + max|lambda| + 1)
+    long.  A block holds at most LANE_BUDGET lanes, and its exact solution
+    grows by at most e^MAX_BLOCK_GROWTH.
     """
     n = lams.size
-    max_steps = max(1, LANE_BUDGET // n)
+    bar = 0.1 * math.sqrt(rtol)
+    max_pieces = max(1, LANE_BUDGET // n)
     q_max = p.sup_norm_bound - float(np.min(lams))
-    h = min(x1 - x0, _first_step(p, lams))
-    x = x0
-    S = u.reshape(2, 2, 2, n)
-    while x < x1 - 1e-15:
-        rest = x1 - x
-        steps = min(max_steps, math.ceil(rest / h))
+    h = min(1.0, 5.0 / math.sqrt(p.sup_norm_bound + float(np.max(np.abs(lams))) + 1.0))
+    x = 0.0
+    S = _initial_state(n).reshape(2, 2, 2, n)
+    while x < 1.0 - 1e-15:
+        rest = 1.0 - x
+        pieces = min(max_pieces, math.ceil(rest / h))
         if q_max > 0.0:
-            steps = max(1, min(steps, int(MAX_BLOCK_GROWTH / (h * math.sqrt(q_max)))))
-        last = steps * h >= rest
+            pieces = max(1, min(pieces, int(MAX_BLOCK_GROWTH / (h * math.sqrt(q_max)))))
+        last = pieces * h >= rest
         if last:
-            h = rest / steps
-        U, ratio = _block_trial(p, lams, S, x, h, steps, rtol, atol)
-        fail = np.nonzero(~(ratio <= 1.0))[0]
-        accepted = int(fail[0]) if fail.size else steps
-        if accepted < steps and not math.isfinite(ratio[accepted]):
-            raise StepUnderflow(f"non-finite state during integration near x={x + accepted * h:.6g}")
+            h = rest / pieces
+        maps, Y, tail = _piece_maps(p, lams, x, h, pieces)
+        fail = np.flatnonzero(~(tail <= bar))  # a nan tail fails
+        accepted = int(fail[0]) if fail.size else pieces
+        if accepted < pieces and tail[accepted] <= _ROUNDING:
+            raise StepUnderflow(
+                f"piece tail {tail[accepted]:.1e} at x={x:.6g} is rounding, above 0.1 sqrt(rtol) = {bar:.1e}"
+            )
         if accepted:
-            x = x1 if accepted == steps and last else x + accepted * h
-            if trackers is not None:
-                trackers.update(U[0, 0, 0, :accepted], U[0, 1, 0, :accepted])
-            S = U[..., accepted - 1, :].copy()
+            x = 1.0 if accepted == pieces and last else x + accepted * h
+            S = _advance(S, maps[..., :accepted, :], Y[:accepted], trackers)
             _renormalize(S, log_scale)
-        # past the first failure a state may have overflowed: its nan ratio
-        # is left out (the first failure is finite)
-        r = float(np.nanmax(ratio[accepted:] if accepted < steps else ratio))
-        factor = 0.9 * r**-_ORDER_EXP if r > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+        r = float(np.max(tail[accepted:] if accepted < pieces else tail)) / bar
+        # a nan r (a nan tail) shrinks by the largest step, as r = inf does
+        h *= min(5.0, max(0.2, 0.9 * r ** (-1.0 / NODES) if r > 0.0 else 5.0))
         if h < 1e-14:
-            raise StepUnderflow(f"step size underflow at x={x:.6g}")
+            raise StepUnderflow(f"piece length underflow at x={x:.6g}")
     return S.reshape(8, n)
 
 
 class _SignTrackers:
-    """Counts sign changes of phi (row 2) and theta (row 0) between steps.
+    """Counts sign changes of phi and theta along the samples of a pass.
 
     Solutions of a second-order ODE have simple zeros, and the Prufer phase
-    crosses multiples of pi strictly upward, so sign changes at the accepted
-    step endpoints count zeros exactly as long as steps stay well below one
-    oscillation period (guaranteed by the per-step tolerance).
+    crosses multiples of pi strictly upward, so sign changes at the nodes
+    and piece ends count zeros exactly as long as no two zeros fall between
+    neighbouring samples.  The tail test guarantees that: a piece's basis
+    is resolved by a degree-19 polynomial, so it turns through far fewer
+    half periods than the piece has nodes.
     """
 
     def __init__(self, n: int):
@@ -432,7 +366,7 @@ class _SignTrackers:
         self.theta_count = np.zeros(n, dtype=int)
 
     def update(self, theta, phi) -> None:
-        """Add the sign changes along node values of shape (steps, n)."""
+        """Add the sign changes along values of shape (samples, n)."""
         self.theta_sign = self._count(self.theta_sign, theta, self.theta_count)
         self.phi_sign = self._count(self.phi_sign, phi, self.phi_count)
 
@@ -547,7 +481,6 @@ def integrate_batch(
     p: Potential,
     lams,
     rtol: float = RTOL,
-    atol: float = ATOL,
     count_zeros: bool = False,
 ) -> MonodromyBatch:
     """Monodromy data for a vector of energies in one pass."""
@@ -559,17 +492,17 @@ def integrate_batch(
         return MonodromyBatch(lams, state, pc, tc, log_scale)
     log_scale = np.zeros(lams.size)
     trackers = _SignTrackers(lams.size) if count_zeros else None
-    u = _rk_segment(p, lams, _initial_state(lams.size), 0.0, 1.0, rtol, atol, trackers, log_scale)
+    u = _collocation_pass(p, lams, rtol, trackers, log_scale)
     pc = trackers.phi_count if trackers else None
     tc = trackers.theta_count if trackers else None
     return MonodromyBatch(lams, u, pc, tc, log_scale)
 
 
-def integrate(p: Potential, lam: float, rtol: float = RTOL, atol: float = ATOL) -> MonodromyData:
+def integrate(p: Potential, lam: float, rtol: float = RTOL) -> MonodromyData:
     """Monodromy data for a single energy."""
     if not math.isfinite(lam):
         raise NonFiniteInput(f"lambda must be finite, got {lam}")
-    return integrate_batch(p, [lam], rtol=rtol, atol=atol).item(0)
+    return integrate_batch(p, [lam], rtol=rtol).item(0)
 
 
 def discriminant(p: Potential, lam: float) -> float:

@@ -128,13 +128,6 @@ class Potential:
             return max(abs(self.constant + s.value) for s in self.piecewise)
         return abs(self.constant) + float(np.sum(np.abs(self._ac)) + np.sum(np.abs(self._as)))
 
-    @property
-    def curvature_bound(self) -> float:
-        """Upper bound for sup |v''|: sum (2 pi k)^2 sqrt(a_k^2 + b_k^2)."""
-        if self.piecewise:
-            raise SpecFormatError("curvature_bound requires a Fourier-form potential")
-        return float(np.sum(self._ks**2 * np.hypot(self._ac, self._as)))
-
     def effective_fourier(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Shift-absorbed (constant, k, cos, sin) arrays.
 

@@ -180,8 +180,9 @@ def test_classify_and_xi_ops(asym_potential):
     bs = bands.band_structure(asym_potential, 4)
     for (mu, sign), s in zip(states, bs.states):
         assert mu == pytest.approx(s.mu) and sign == s.sign
-    # sign encoding feeds xi2's sign
+    # sign encoding feeds xi2's sign; log|F| is that of the finite F
     for i, s in enumerate(bs.states):
+        assert s.log_abs_discriminant == pytest.approx(math.log(abs(s.discriminant)), rel=1e-14)
         if s.sign != 0:
             assert math.copysign(1, xi[i, 1]) == s.sign
 

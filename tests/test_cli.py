@@ -63,10 +63,11 @@ def test_discriminant_sweep(tmp_path):
     )
     assert rc == 0
     header, rows = read_csv(out / "discriminant.csv")
-    assert header == ["lambda", "discriminant", "a", "phi1"]
+    assert header == ["lambda", "discriminant", "a", "phi1", "log_abs_discriminant"]
     assert len(rows) == 32
     lam, F = float(rows[-1][0]), float(rows[-1][1])
     assert F == pytest.approx(math.cos(math.sqrt(lam)), abs=1e-9)
+    assert float(rows[-1][4]) == pytest.approx(math.log(abs(F)), rel=1e-12)
 
 
 def test_halfsolid_free_potential_empty(tmp_path):

@@ -348,6 +348,18 @@ def test_deep_model_meets_the_benchmark_checks(deep_n2_d3):
     assert [s.sign for s in bs.states] == [1, 1]
 
 
+def test_matrix_band_structure_keeps_log_f_finite(mathieu):
+    # a cheap batch whose log_scale passes 709 stands in for a deep
+    # design's Dirichlet points: F and a read +-inf, log|F| stays finite
+    mb = mo.integrate_batch(mathieu, [-1e6])
+    edges = (-1.1e6, np.array([-1.05e6]), np.array([-0.95e6]), -0.9e6)
+    bs = dz._matrix_band_structure(mathieu, 1, mb, edges, [-1e6], [-1.2e6, -0.8e6])
+    s = bs.state(1)
+    assert math.isinf(s.discriminant) and math.isinf(s.a_value)
+    assert s.log_abs_discriminant == float(mb.log_abs_discriminant[0])
+    assert s.log_abs_discriminant == pytest.approx(1e3 - math.log(2.0), abs=1e-6)
+
+
 def test_deep_design_reports_matrix_routes(deep_n2_d3):
     # the deep band structure is assembled from the Hill matrices, and the
     # normalizing shift keeps its route labels

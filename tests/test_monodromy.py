@@ -18,18 +18,6 @@ from conftest import random_corpus
 from oracles import rk4_monodromy
 
 
-def test_dop853_coefficients_satisfy_the_order_conditions():
-    # catches transcription errors in the inlined tableau: the weights
-    # integrate x^(k-1) exactly for k = 1..8, each row of A sums to its
-    # node, and both error weights annihilate constants
-    c, b = mo._C, mo._B
-    for k in range(1, 9):
-        assert b @ c ** (k - 1) == pytest.approx(1.0 / k, abs=1e-14)
-    assert np.max(np.abs(mo._A_MAT.sum(axis=1) - c)) < 1e-14
-    assert abs(np.sum(mo._E5)) < 1e-14
-    assert abs(np.sum(mo._E3)) < 1e-14
-
-
 def free_discriminant(lam):
     if lam >= 0:
         return math.cos(math.sqrt(lam))
@@ -214,7 +202,7 @@ def test_zero_counts_match_transfer_and_rk(mathieu):
     # same potential through both routes: a piecewise sampling of the
     # cosine converges to it, so counts must agree on safe interior points
     lams = np.array([3.0, 30.0, 77.0, 150.0, 260.0])
-    rk = mo.integrate_batch(mathieu, lams, count_zeros=True)
+    colloc = mo.integrate_batch(mathieu, lams, count_zeros=True)
     segs = 400
     edges = np.linspace(0.0, 1.0, segs + 1)
     vals = mathieu.evaluate(0.5 * (edges[:-1] + edges[1:]))
@@ -222,8 +210,8 @@ def test_zero_counts_match_transfer_and_rk(mathieu):
         [(edges[i], edges[i + 1], float(vals[i])) for i in range(segs)]
     )
     tr = mo.integrate_batch(steps, lams, count_zeros=True)
-    assert list(rk.phi_zeros) == list(tr.phi_zeros)
-    assert list(rk.theta_zeros) == list(tr.theta_zeros)
+    assert list(colloc.phi_zeros) == list(tr.phi_zeros)
+    assert list(colloc.theta_zeros) == list(tr.theta_zeros)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.15])
@@ -266,7 +254,7 @@ def _states(mb):
 
 
 def test_batch_matches_each_energy_alone(asym_potential):
-    # a wide batch takes few steps per block, a single energy hundreds
+    # a batch sizes its pieces by its largest energy, one energy by its own
     lams = np.linspace(-8.0, 420.0, 24)
     mb = mo.integrate_batch(asym_potential, lams, count_zeros=True)
     batch = _states(mb)
@@ -307,16 +295,17 @@ def test_deep_well_renormalized_across_blocks():
 
 def test_unattainable_tolerance_raises_step_underflow(asym_potential):
     with pytest.raises(StepUnderflow):
-        mo.integrate_batch(asym_potential, [1.0], rtol=1e-30, atol=1e-300)
+        mo.integrate_batch(asym_potential, [1.0], rtol=1e-30)
 
 
 @pytest.mark.parametrize("lam, rtol, tol", [(-1e6, mo.RTOL, 1e-6), (-1e8, 1e-6, 1e-2)])
 def test_far_below_the_spectrum_stays_finite(mathieu, lam, rtol, tol):
     # v - lambda ~ -lambda: F ~ e^sqrt(-lambda) / 2 (WKB), a growth that no
-    # single block may reach, least of all at a loose tolerance's long steps
+    # single block may reach, least of all at a loose tolerance's long
+    # pieces.  F itself reads inf there; log|F| is finite
     mb = mo.integrate_batch(mathieu, [lam], rtol=rtol)
-    F_scaled = 0.5 * (mb.phi_prime_1[0] + mb.theta_1[0])
-    log_F = mb.log_scale[0] + math.log(F_scaled)
+    assert mb.log_scale[0] > 709 and np.isinf(mb.discriminant[0])
+    log_F = float(mb.log_abs_discriminant[0])
     assert log_F == pytest.approx(math.sqrt(-lam) - math.log(2.0), abs=tol)
 
 
@@ -363,26 +352,30 @@ def test_zero_counts_match_galerkin_sturm_counts():
         assert list(mb.theta_zeros + half_turn) == [int(np.sum(nu < lam)) for lam in lams]
 
 
-def _counted_blocks(monkeypatch):
-    """Every trial block of `_rk_segment` as a flag: True where a step failed."""
-    log, trial = [], mo._block_trial
+def _logged_pieces(monkeypatch, edit=None):
+    """Every trial block of collocation pieces as (x, h, pieces, tails);
+    edit(maps, tails), if given, changes the first block's in place."""
+    log, piece_maps = [], mo._piece_maps
 
-    def counted(*args):
-        U, ratio = trial(*args)
-        log.append(not np.all(ratio <= 1.0))
-        return U, ratio
+    def logged(p, lams, x, h, pieces):
+        maps, Y, tail = piece_maps(p, lams, x, h, pieces)
+        if edit is not None and not log:
+            edit(maps, tail)
+        log.append((x, h, pieces, tail))
+        return maps, Y, tail
 
-    monkeypatch.setattr(mo, "_block_trial", counted)
+    monkeypatch.setattr(mo, "_piece_maps", logged)
     return log
 
 
 def test_deep_cross_check_pass_takes_few_blocks(deep_n2_d3, monkeypatch):
-    # the 48-mode design's two-energy pass: lanes and growth alone cap its
-    # blocks (it took 90 blocks of 28 steps under a mode-count cap)
+    # the 48-mode design's two-energy pass: the growth cap alone sets its
+    # blocks (4 blocks of 82 pieces, none failed)
     (p, _, bs, _), *_ = deep_n2_d3
-    blocks = _counted_blocks(monkeypatch)
+    blocks = _logged_pieces(monkeypatch)
     mb = mo.integrate_batch(p, bs.dirichlet, count_zeros=True)
-    assert len(blocks) <= 10
+    assert len(blocks) <= 6
+    assert sum(pieces for _, _, pieces, _ in blocks) <= 120
     assert mb.a_sign.tolist() == [1.0, -1.0]
     # at mu_n itself phi(1) = 0 up to the matrix route's 1e-10 relative
     # error; 1e-9 above it phi has its n zeros
@@ -390,13 +383,58 @@ def test_deep_cross_check_pass_takes_few_blocks(deep_n2_d3, monkeypatch):
     assert mo.integrate_batch(p, above, count_zeros=True).phi_zeros.tolist() == [1, 2]
 
 
-def test_first_step_rejects_no_block_at_low_energy(modest_design, monkeypatch):
-    # criterion 6's design at its Dirichlet points: the first step accounts
-    # for the potential's curvature, so no block is thrown away
-    p, bs = modest_design
-    blocks = _counted_blocks(monkeypatch)
-    mo.integrate_batch(p, bs.dirichlet)
-    assert blocks and not any(blocks)
+@pytest.mark.parametrize("lam", [-250.0, 40.0, 600.0])
+def test_collocation_matches_rk4_on_a_deep_well(lam):
+    # a well 400 deep: solutions grow like e^20 under the barrier and
+    # oscillate 8 half-waves per period at lambda = 600
+    p = fourier_potential([(1, -300.0, 40.0), (2, 100.0, -60.0)])
+    d = mo.integrate(p, lam)
+    u = rk4_monodromy(p, lam, nsteps=8192)
+    got = np.array([d.theta_1, d.theta_prime_1, d.phi_1, d.phi_prime_1,
+                    d.theta_lam, d.theta_prime_lam, d.phi_lam, d.phi_prime_lam])
+    for rows in (slice(0, 4), slice(4, 8)):
+        assert np.max(np.abs(got[rows] - u[rows])) < 1e-9 * np.max(np.abs(u[rows]))
+    # the Wronskian 1 against its terms, which reach 1e12 below the well
+    assert abs(d.wronskian - 1.0) < 1e-12 * max(1.0, abs(d.theta_1 * d.phi_prime_1))
+
+
+def test_a_failing_tail_shortens_the_pieces(asym_potential, monkeypatch):
+    # report the second piece of the first block as unresolved: the block
+    # keeps its first piece, the next block's pieces are shorter, and the
+    # pass lands on the same monodromy
+    lams = np.array([-4.0, 13.7, 95.2])
+    plain = mo.integrate_batch(asym_potential, lams, count_zeros=True)
+
+    def fail_the_second(maps, tail):
+        tail[1] = 1.0
+
+    blocks = _logged_pieces(monkeypatch, fail_the_second)
+    mb = mo.integrate_batch(asym_potential, lams, count_zeros=True)
+    (x0, h0, pieces0, _), (x1, h1, _, _), *_ = blocks
+    assert pieces0 >= 2 and x0 == 0.0
+    assert x1 == h0 and h1 < h0
+    scale = np.max(np.abs(_states(plain)), axis=0)
+    assert np.max(np.abs(_states(mb) - _states(plain)) / scale) < 1e-12
+    assert np.array_equal(mb.phi_zeros, plain.phi_zeros)
+    assert np.array_equal(mb.theta_zeros, plain.theta_zeros)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_zero_on_a_piece_end_is_counted_once(monkeypatch, exact):
+    # v = 0 through the collocation route at lambda = (3 pi)^2 takes two
+    # pieces of length 1/2, and theta = cos(3 pi x) vanishes at x = 1/2,
+    # the end of the first: to rounding, or exactly when the first piece's
+    # map is made to put theta(1/2) = 0
+    p = fourier_potential([(1, 0.0, 0.0)])
+
+    def zero_theta_at_the_first_end(maps, tail):
+        maps[0, 0, 0, 0] = 0.0  # [T, column theta, row value, piece 0]
+
+    blocks = _logged_pieces(monkeypatch, zero_theta_at_the_first_end if exact else None)
+    mb = mo.integrate_batch(p, [9.0 * math.pi**2], count_zeros=True)
+    assert [(x, h, pieces) for x, h, pieces, _ in blocks] == [(0.0, 0.5, 2)]
+    assert mb.theta_1[0] == pytest.approx(-1.0, abs=1e-12)
+    assert mb.theta_zeros.tolist() == [3]  # 1/6, 1/2 and 5/6
 
 
 def test_repeated_passes_agree_bit_for_bit(asym_potential):
