@@ -28,9 +28,13 @@ first, bracket exactly one sign change of (-1)^n F - 1 for every band
 edge, of a sign known at each end, and the same bracketed Newton
 iteration resolves it, on Delta / ((-1)^n F + 1) where (-1)^n F > 0 and
 on (-1)^n F - 1 elsewhere, all at the integrator's default tolerance.
-For Fourier potentials each edge search starts at its Hill-matrix edge
-(the bracket midpoint when that falls outside): the bracket certifies the
-shooting root, and the seed only cuts the passes it takes.
+For Fourier potentials each edge search starts at its matrix-route edge,
+an eigenvalue of the periodic or anti-periodic Legendre-Galerkin pencil
+(`spectral_matrix.hill_band_edges`; the bracket midpoint when it falls
+outside): the bracket certifies the shooting root, and the seed only cuts
+the passes it takes.  A band narrower than F's rounding (a deep well's
+band 0) stops its edge searches where Delta is within its bar
+(`_edge_roots`), and the edge clamps order the two edges.
 
 A gap whose hull midpoint is unresolved too has mu_n and nu_n on opposite
 edges within the bar, and the hull [min(mu, nu), max(mu, nu)] gives its
@@ -116,10 +120,6 @@ class BandStructure:
         lo = np.concatenate(([self.lambda0], self.gap_hi))
         hi = np.concatenate((self.gap_lo, [self.next_band_end]))
         return list(zip(lo.tolist(), hi.tolist()))
-
-    def gaps(self) -> list[tuple[float, float]]:
-        """gamma_1 .. gamma_N (closed ones have zero length)."""
-        return list(zip(self.gap_lo.tolist(), self.gap_hi.tolist()))
 
     @property
     def gap_lengths(self) -> np.ndarray:
@@ -351,12 +351,29 @@ def _gap_function(mb, parities):
 def _edge_roots(p, lo, hi, s_lo, parities, x0):
     """Roots of (-1)^parity F(lambda) = 1, one sign change per bracket, with
     (-1)^parity F - 1 of sign s_lo at the lower end; each search starts at
-    its seed x0 where that lies inside the bracket."""
+    its seed x0 where that lies inside the bracket.
+
+    An iterate where Delta lies within its `_excess` bar is an edge as far
+    as F can tell, and there the sign of g and its Newton step are
+    rounding: a step out of the bracket from such an iterate stops the
+    search at the iterate instead of bisecting.  This holds a band
+    narrower than F's rounding, whose two edges may then come out in
+    either order (the caller's clamps order them).
+    """
+    noise = np.zeros(lo.size, dtype=bool)
 
     def evaluate(x, idx):
-        return _gap_function(mo.integrate_batch(p, x), parities[idx])
+        mb = mo.integrate_batch(p, x)
+        delta, _, bar = _excess(mb)
+        noise[idx] = np.abs(delta) <= bar
+        return _gap_function(mb, parities[idx])
 
-    return _bracketed_newton(evaluate, lo, hi, s_lo, 1e-12, x0)
+    def iterate(x, g, dg, idx):
+        x_new = x - g / dg
+        leaves = ~((x_new > lo[idx]) & (x_new < hi[idx]))  # true for NaN too
+        return np.where(leaves & noise[idx], x, x_new)
+
+    return _bracketed_newton(evaluate, lo, hi, s_lo, 1e-12, x0, iterate=iterate)
 
 
 def _gap_anchors(p, mu, nu, mb_mu, mb_nu):
@@ -401,9 +418,9 @@ def band_structure(p: Potential, N: int) -> BandStructure:
     # and phi'(1) are at least cosh 1 there, and so is F: no pass needed
     x_anchor = np.concatenate(([-p.sup_norm_bound - 1.0], anchor))
 
-    # the Hill matrices seed the Newton search of every edge of a Fourier
-    # potential; the bracket alone certifies the root, so a poor seed costs
-    # only passes
+    # the periodic and anti-periodic pencils seed the Newton search of every
+    # edge of a Fourier potential; the bracket alone certifies the root, so a
+    # poor seed costs only passes
     if p.fourier:
         m_lam0, m_lo, m_hi, m_next = sm.hill_band_edges(p, N)
     else:

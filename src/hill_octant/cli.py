@@ -141,7 +141,7 @@ def cmd_bands(args) -> int:
     )
     lo = bs.lambda0 - 1.0
     hi = bs.next_band_end + 1.0
-    grid = np.linspace(lo, hi, int(_opt(args, cfg, "sweep_points", 800)))
+    grid = np.linspace(lo, hi, 800)
     _write_discriminant(out, p, grid)
     return EXIT_OK
 

@@ -20,11 +20,12 @@ route checks the other.
 `perturb_and_recount` tests the paper's stability claim: the counts in the
 separating intervals survive v_j -> v_j + eps w_j with eps <= kappa^3 and
 sup|w_j| <= 1.  Its "after" spectra are not fresh eigensolves.  They are
-Rayleigh-Ritz values of the truncated perturbed Hill blocks and Dirichlet
-pencil on the unperturbed eigenvectors (`spectral_matrix.ritz_enclosures`),
-each with a Kato-Temple enclosure, and a factor or a count that the
-enclosures cannot settle falls back to a full solve.  The enclosures are
-for the truncated matrices; they do not cover the truncation tail.
+Rayleigh-Ritz values of the truncated perturbed periodic, anti-periodic
+and Dirichlet pencils on the unperturbed eigenvectors
+(`spectral_matrix.ritz_enclosures`), each with a Kato-Temple enclosure,
+and a factor or a count that the enclosures cannot settle falls back to a
+full solve.  The enclosures are for the truncated matrices; they do not
+cover the truncation tail.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .bands import BandStructure
 from .errors import CountChanged, NoGroundState, SeparationFail
@@ -73,19 +73,9 @@ class NormalizedSpectrum1D:
         lo, hi = self.bands[i]
         return Interval(lo, hi)
 
-    def eigenvalue(self, i: int) -> float | None:
-        for n, e in self.eigenvalues:
-            if n == i:
-                return e
-        return None
-
     @property
     def n_bands(self) -> int:
         return len(self.bands)
-
-    @property
-    def n_eigen(self) -> int:
-        return max((n for n, _ in self.eigenvalues), default=0)
 
 
 @dataclass
@@ -341,7 +331,7 @@ def count_in_interval(cs: ClusterSpectrum, interval) -> tuple[int, list, bool]:
 class _Eigenbasis:
     """A factor's matrix-route eigenpairs, at the basis sizes they were solved at."""
 
-    hill: dict  # Hill block offset -> (lowest N + 1 eigenvalues, real vectors as columns)
+    hill: dict  # "periodic", "antiperiodic" -> (lowest N + 1 eigenvalues, M-orthonormal vectors as columns)
     mu: np.ndarray  # Dirichlet points mu_1 .. mu_(N+1)
     Y: np.ndarray  # their M-orthonormal Legendre-Galerkin eigenvectors (columns)
 
@@ -362,12 +352,12 @@ def _normalized(edges, mu, signs, N, gamma) -> NormalizedSpectrum1D:
 
 
 def _solve_factor(p: Potential, N: int, gamma: float):
-    """(spectrum, eigenbasis) of one factor: both Hill blocks and one Dirichlet solve.
+    """(spectrum, eigenbasis) of one factor: the Hill pencils and one Dirichlet solve.
 
     The Dirichlet solve keeps mu_(N+1) as well, so that a Ritz step on
     these vectors has a computed neighbour above mu_N.
     """
-    *edges, _, hill = sm._hill_edges(p, N, None)
+    *edges, hill = sm._hill_edges(p, N, None)
     mu, Y = sm.galerkin_dirichlet_vectors(p, N + 1)
     spectrum = _normalized(edges, mu, sm.dirichlet_sheets(Y[:, :N]), N, gamma)
     return spectrum, _Eigenbasis(hill, mu, Y)
@@ -393,33 +383,27 @@ def _ritz_factor(basis: _Eigenbasis, q: Potential, spread: float, N: int, gamma:
     """The factor spectrum of q from the eigenvectors of a nearby factor, or None.
 
     q differs from the solved factor by a potential of sup norm at most
-    `spread`.  The Hill blocks and the Dirichlet pencil (A, M) of q are
+    `spread`.  The periodic, anti-periodic and Dirichlet pencils of q are
     built at the solved factor's basis sizes, and `ritz_enclosures`
-    projects each onto the solved vectors (`spectral_matrix._dirichlet_ritz`
-    for the pencil).  Returns (spectrum, radius), where every Dirichlet
-    point lies within radius (normalized by gamma) of its Ritz value, or
-    None where two enclosures in one block overlap (a nearly closed gap) or
-    a sheet is uncertain: |psi'(0)| - |psi'(1)| of a Ritz vector must
-    exceed twice the error its angle bound allows in each wall derivative.
+    projects each onto the solved vectors (`spectral_matrix._pencil_ritz`).
+    Returns (spectrum, radius), where every Dirichlet point lies within
+    radius (normalized by gamma) of its Ritz value, or None where two
+    enclosures in one pencil overlap (a nearly closed gap) or a sheet is
+    uncertain: |psi'(0)| - |psi'(1)| of a Ritz vector must exceed twice
+    the error its angle bound allows in each wall derivative.
     """
-    mu, ritz_Y, mu_radius, readout = sm._dirichlet_ritz(q, basis.Y, basis.mu, spread)
+    mu, ritz_Y, mu_radius, readout = sm._pencil_ritz(q, basis.Y, basis.mu, spread)
     if _enclosures_overlap(mu, mu_radius):
         return None
     d0, d1 = sm._wall_derivatives(ritz_Y[:, :N])
     if not np.all(np.abs(d0 - d1) > 2.0 * readout[:N]):
         return None
-    const, a, b = sm._mode_arrays(q)
     thetas = {}
-    for offset, (values, X) in basis.hill.items():
-        dim = X.shape[0]
-        band, bw, _ = sm._hill_band(a, b, offset, dim // 2, const)
-        # H is symmetric: its lower band starts at the diagonal, row 2 bw
-        HX = np.column_stack([sla.blas.dsbmv(bw, 1.0, band[2 * bw :], x, lower=1) for x in X.T])
-        norm = np.abs(band, out=band).sum(axis=0).max()  # largest absolute column sum
-        theta, _, radius, _ = sm.ritz_enclosures(HX, X, values, spread, norm)
+    for kind, (values, Y) in basis.hill.items():
+        theta, _, radius, _ = sm._pencil_ritz(q, Y, values, spread, kind)
         if _enclosures_overlap(theta, radius):
             return None
-        thetas[offset] = theta
+        thetas[kind] = theta
     spectrum = _normalized(sm._block_edges(thetas, N), mu, sm.dirichlet_sheets(ritz_Y[:, :N]), N, gamma)
     return spectrum, float(mu_radius[:N].max()) / gamma
 
@@ -448,9 +432,9 @@ def perturb_and_recount(
 
     Each distinct v_j is solved once through the matrix route, as in
     `fast_factor_spectrum`, and its eigenvectors are kept.  The "after"
-    values of v_j + eps w_j are Ritz values of its truncated Hill blocks and
-    Dirichlet pencil on those vectors, at the same basis sizes, and its
-    sheets are read off the Ritz vectors.  Each Ritz value carries a
+    values of v_j + eps w_j are Ritz values of its truncated periodic,
+    anti-periodic and Dirichlet pencils on those vectors, at the same basis
+    sizes, and its sheets are read off the Ritz vectors.  Each Ritz value carries a
     Kato-Temple radius, whose gap comes from the unperturbed neighbours less
     eps sup|w_j| (Weyl).  A perturbed factor is solved in full
     (`fast_factor_spectrum`) instead where two of its enclosures overlap (a

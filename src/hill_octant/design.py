@@ -154,18 +154,14 @@ def _forward_map(p: Potential, N: int, M: int, positions=True):
     the eigenvalues behind them (mu None without `positions`).  Row n of a
     gradient holds the derivatives in the coefficients of cos(2 pi k x),
     then of sin(2 pi k x), k = 1..M: each edge and Dirichlet point is a
-    simple eigenvalue, so its derivative comes from its Hill or Dirichlet
-    eigenvector.  Without `positions` the offsets are None and no Galerkin
-    pencil is solved.
+    simple eigenvalue, so its derivative comes from its eigenvector of the
+    periodic, anti-periodic or Dirichlet pencil.  Without `positions` the
+    offsets are None and no Dirichlet pencil is solved.
     """
-    lam0, lo, hi, nbe, info, _ = sm.hill_edges_and_vectors(p, N)
-
-    def edge_gradients(edge):
-        return np.array([np.concatenate(sm.exp_vector_gradient(info[(edge, n)][1], M))
-                         for n in range(1, N + 1)])
-
-    d_lo = edge_gradients("lo")
-    d_len = edge_gradients("hi") - d_lo
+    lam0, lo, hi, nbe, blocks = sm.hill_edges_and_vectors(p, N)
+    gradients = {kind: np.hstack(sm._vector_gradient(Y, M, kind)) for kind, (_, Y) in blocks.items()}
+    _, d_lo, d_hi, _ = sm._block_edges(gradients, N)
+    d_len = d_hi - d_lo
     if not positions:
         return hi - lo, None, d_len, None, (lam0, lo, hi, nbe, None)
     mu, Y = sm.galerkin_dirichlet_vectors(p, N)

@@ -103,10 +103,6 @@ class MonodromyData:
         return 0.5 * (self.phi_prime_lam + self.theta_lam)
 
     @property
-    def a_lam(self) -> float:
-        return 0.5 * (self.phi_prime_lam - self.theta_lam)
-
-    @property
     def wronskian(self) -> float:
         return self.theta_1 * self.phi_prime_1 - self.theta_prime_1 * self.phi_1
 
@@ -165,10 +161,6 @@ class MonodromyBatch:
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             return (self.phi_prime_1 - self.theta_1) / self.phi_lam
-
-    @property
-    def discriminant_lam(self):
-        return self._rescale(0.5 * (self.phi_prime_lam + self.theta_lam))
 
     @property
     def wronskian(self):

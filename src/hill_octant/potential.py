@@ -93,9 +93,6 @@ class Potential:
 
     # --- evaluation -----------------------------------------------------
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
     def evaluate(self, x):
         """v((x + shift) mod 1); accepts scalars or numpy arrays."""
         # reduce x mod 1 before adding the shift: exact periodicity whenever

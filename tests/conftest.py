@@ -150,15 +150,15 @@ def reflect(p):
 def logged_model_design(N, kappa, d):
     """construct_model_potential(N, kappa, d) with its solves logged.
 
-    Returns (result, events, blocks, hill_args, seconds).  `events` orders
-    the end of the gap-length fit, each Hill solve, each Dirichlet Galerkin
-    solve (values or vectors) and each Gauss-Newton solve; `blocks` holds
-    (dimension, Lanczos steps, shift) per Hill block, `hill_args` the
-    arguments of each Hill solve and `seconds` the build time.
+    Returns (result, events, hill_calls, seconds).  `events` orders the
+    end of the gap-length fit, each Hill solve, each Dirichlet Galerkin
+    solve (values or vectors) and each Gauss-Newton solve; `hill_calls`
+    holds (arguments, shift) of each Hill solve, the shift the one sigma
+    of its periodic and anti-periodic pencils, and `seconds` the build time.
     """
-    events, blocks, hill_args, widths, shifts = [], [], [], set(), []
+    events, hill_calls, shifts = [], [], []
     lengths, solve = dz.design_gap_lengths, dz._gauss_newton
-    hill_edges, block, shift, orth = sm._hill_edges, sm._hill_lanczos, sm._shift, sm._orthonormal_block
+    hill_edges, shift = sm._hill_edges, sm._shift
 
     def logged_lengths(*args):
         out = lengths(*args)
@@ -171,8 +171,9 @@ def logged_model_design(N, kappa, d):
 
     def logged_edges(*args, **kwargs):
         events.append("hill")
-        hill_args.append(args)
-        return hill_edges(*args, **kwargs)
+        out = hill_edges(*args, **kwargs)
+        hill_calls.append((args, shifts[-1]))
+        return out
 
     def logged_galerkin(galerkin):
         def logged(*args, **kwargs):
@@ -185,40 +186,28 @@ def logged_model_design(N, kappa, d):
         shifts.append(shift(*args))
         return shifts[-1]
 
-    def logged_block(a, b, offset, K, *args, **kwargs):
-        widths.clear()
-        out = block(a, b, offset, K, *args, **kwargs)
-        # one basis width per Lanczos step; the block's shift is the last one taken
-        blocks.append([2 * K + (1 if offset == 0.0 else 0), len(widths), shifts[-1]])
-        return out
-
-    def logged_orth(V, Q, rng):
-        widths.add(V.shape[1])
-        return orth(V, Q, rng)
-
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dz, "design_gap_lengths", logged_lengths)
         m.setattr(dz, "_gauss_newton", logged_solve)
         for name, fn in [("_hill_edges", logged_edges), ("_shift", logged_shift),
-                         ("_hill_lanczos", logged_block), ("_orthonormal_block", logged_orth),
                          ("galerkin_dirichlet", logged_galerkin(sm.galerkin_dirichlet)),
                          ("galerkin_dirichlet_vectors", logged_galerkin(sm.galerkin_dirichlet_vectors))]:
             m.setattr(sm, name, fn)
         t0 = time.time()
         result = dz.construct_model_potential(N, kappa, d)
         seconds = time.time() - t0
-    return result, events, blocks, hill_args, seconds
+    return result, events, hill_calls, seconds
 
 
 @pytest.fixture(scope="session")
 def deep_n2_d3():
     """construct_model_potential(2, 0.1, 3), the benchmark's design, logged
-    as (result, events, blocks, hill_args): see `logged_model_design`."""
-    return logged_model_design(2, 0.1, 3)[:4]
+    as (result, events, hill_calls): see `logged_model_design`."""
+    return logged_model_design(2, 0.1, 3)[:3]
 
 
 @pytest.fixture(scope="session")
 def criterion5_design():
     """construct_model_potential(3, 0.05, 2), criterion 5's design, logged
-    as (result, events, blocks, hill_args, seconds): see `logged_model_design`."""
+    as (result, events, hill_calls, seconds): see `logged_model_design`."""
     return logged_model_design(3, 0.05, 2)

@@ -2,8 +2,8 @@
 
 The fixed-step fourth-order integrator below shares no code with the
 adaptive engine in the package; it is the oracle the monodromy outputs are
-checked against.  The dense Hill block below, over exponentials and turned
-into the real cos / sin basis, is the reference for the banded eigensolver,
+checked against.  The dense Hill blocks below, over exponentials, are the
+reference for the periodic and anti-periodic Legendre-Galerkin pencils,
 and the closed-form Kronig-Penney discriminant for piecewise band edges.
 """
 
@@ -115,23 +115,25 @@ def dense_hill_block(p, offset, modes):
     return sla.eigh(dense_hill_matrix(p, offset, modes))
 
 
-def real_hill_matrix(p, offset, modes):
-    """U^H H U of `dense_hill_matrix`, U the real basis over the exponentials.
+def dense_hill_edges(p, n_gaps, modes):
+    """(lambda0, gap_lo, gap_hi, next_band_end) from the dense Fourier blocks of `modes` modes.
 
-    The columns of U are the constant 1 (offset 0 only), then for each
-    q = 1 - offset, 2 - offset, .. the pair sqrt(2) cos 2 pi q x =
-    (e_q + e_-q) / sqrt(2) and sqrt(2) sin 2 pi q x = -i (e_q - e_-q) / sqrt(2),
-    with e_q = exp(2 pi i q x).
+    Each eigenvalue is the Rayleigh quotient u^H H u of its `eigh` vector:
+    `eigh` rounds every value by about eps ||H||, which grows like
+    (2 pi modes)^2, while the quotient of a vector whose coefficients decay
+    rounds by about eps sum |H| |u| |u|, near the eigenvalue's own size.
+    The periodic block carries the even-index edges, the anti-periodic one
+    the odd-index ones.
     """
-    H = dense_hill_matrix(p, offset, modes)
-    n = H.shape[0]
-    U = np.zeros((n, n), dtype=complex)
-    first = 1 if offset == 0.0 else 0
-    if first:
-        U[modes, 0] = 1.0
-    for pair in range(modes):
-        plus = modes + pair + first  # row of e_q, q = pair + 1 - offset
-        minus = modes - pair - 1  # row of e_-q
-        U[[plus, minus], first + 2 * pair] = np.sqrt(0.5)
-        U[[plus, minus], first + 2 * pair + 1] = np.array([-1j, 1j]) * np.sqrt(0.5)
-    return U.conj().T @ H @ U
+    values = []
+    for offset in (0.0, 0.5):
+        H = dense_hill_matrix(p, offset, modes)
+        U = sla.eigh(H, subset_by_index=(0, n_gaps))[1]
+        values.append(np.real(np.sum(U.conj() * (H @ U), axis=0)))
+
+    def block(m):
+        return values[m % 2]
+
+    lo = np.array([block(m)[m - 1] for m in range(1, n_gaps + 1)])
+    hi = np.array([block(m)[m] for m in range(1, n_gaps + 1)])
+    return values[0][0], lo, hi, block(n_gaps + 1)[n_gaps]

@@ -75,6 +75,23 @@ def test_deep_well_states_keep_their_sheet_when_a_and_f_overflow(criterion5_desi
     assert list(bands.sheet_signs(mb)) == [1, 1, 1]
 
 
+@pytest.mark.parametrize("name", ["(2, 0.1, 3)", "(3, 0.05, 2)"])
+def test_shooting_reproduces_the_deep_designs(name, deep_n2_d3, criterion5_design):
+    # the design's signs, and mu and every edge within criterion 2's 1e-6,
+    # here of gamma.  Band 0 of both designs is narrower than F's rounding
+    # (1e-10 wide on (3, 0.05, 2)): where Delta is within its bar at an edge
+    # iterate, a Newton step out of the bracket stops the search there, and
+    # the clamps order the two edges.  Bisecting instead crept from
+    # -sup|v| back up to band 0 for MAX_NEWTON passes and raised
+    # NoConvergence on both designs
+    (p, gamma, want, _), *_ = deep_n2_d3 if "(2" in name else criterion5_design
+    bs = bands.band_structure(p, want.n_gaps)
+    assert [s.sign for s in bs.states] == [s.sign for s in want.states]
+    got = np.concatenate(([bs.lambda0], bs.gap_lo, bs.gap_hi, [bs.next_band_end], bs.dirichlet))
+    ref = np.concatenate(([want.lambda0], want.gap_lo, want.gap_hi, [want.next_band_end], want.dirichlet))
+    assert np.all(np.abs(got - ref) <= 1e-6 * gamma)
+
+
 def test_shooting_edges_match_hill_matrix(asym_potential):
     bs = bands.band_structure(asym_potential, 5)
     lam0, glo, ghi, nbe = sm.hill_band_edges(asym_potential, 5)

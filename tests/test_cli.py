@@ -8,7 +8,16 @@ import pytest
 
 from hill_octant import bands, halfsolid as hsm
 from hill_octant.cli import main
-from hill_octant.potential import save_spec, zero_potential, fourier_potential
+from hill_octant.potential import (
+    fourier_potential,
+    load_spec,
+    piecewise_potential,
+    save_spec,
+    to_spec_dict,
+    zero_potential,
+)
+
+from oracles import kronig_penney_discriminant
 
 
 def write_pot(tmp_path, p, name="pot.json"):
@@ -204,6 +213,43 @@ def test_design_roundtrip_through_bands(tmp_path):
     _, rows = read_csv(out2 / "bands.csv")
     lengths = [float(r[2]) - float(r[1]) for r in rows]
     assert np.allclose(lengths, [5.0, 5.0], rtol=1e-3)
+
+
+def test_kronig_penney_spec_round_trip_through_bands(tmp_path):
+    # a piecewise spec with a constant and a shift survives save and load
+    # unchanged, and the bands CLI puts every edge on F = +-1 of the closed
+    # form (the constant moves lambda, the shift nothing)
+    p = piecewise_potential([(0.0, 0.4, 25.0), (0.4, 1.0, 0.0)], constant=1.5, shift=0.3)
+    spec = write_pot(tmp_path, p)
+    assert to_spec_dict(load_spec(spec)) == to_spec_dict(p)
+    out = tmp_path / "out"
+    assert main(["bands", "--potential", str(spec), "--N", "3", "--out", str(out)]) == 0
+    _, rows = read_csv(out / "bands.csv")
+    edges = [float(r[i]) for r in rows for i in (1, 2)]
+    assert len(rows) == 3
+    assert max(abs(kronig_penney_discriminant(0.4, 25.0, lam - 1.5) ** 2 - 1.0) for lam in edges) <= 1e-9
+
+
+def test_design_kappa_then_cluster_without_gamma(tmp_path):
+    # the model construction path of `design` on the octant design
+    # (2, 0.1, 3), then `cluster` on its potential with gamma taken from the
+    # mean matrix-route gap length: the counts of three factors
+    out = tmp_path / "design"
+    assert main(["design", "--N", "2", "--kappa", "0.1", "--dim", "3", "--out", str(out)]) == 0
+    report = json.loads((out / "design_report.json").read_text())
+    gamma = 4.0 * math.pi**2 * 9 / 0.1
+    assert (report["N"], report["kappa"], report["d"]) == (2, 0.1, 3)
+    assert report["converged"] and report["signs"] == [1, 1]
+    assert report["gamma"] == pytest.approx(gamma, rel=1e-15)
+    assert report["gap_lengths"] == pytest.approx([gamma] * 2, rel=1e-4)
+    assert report["state_positions"] == pytest.approx([1 / 12] * 2, abs=1e-3)
+    out2 = tmp_path / "cluster"
+    rc = main(["cluster", "--potential", str(out / "potential.json"), "--N", "2", "--kappa", "0.1",
+               "--dim", "3", "--out", str(out2)])
+    assert rc == 0
+    cluster = json.loads((out2 / "cluster_report.json").read_text())
+    assert cluster["gamma"] == pytest.approx(np.mean(report["gap_lengths"]), rel=1e-12)
+    assert cluster["all_valid"] and cluster["counts_in_separating"] == {"0": 1, "1": 3, "2": 3}
 
 
 def test_design_infeasible_basis_exits_2(tmp_path):

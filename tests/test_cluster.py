@@ -22,7 +22,6 @@ from hill_octant.intervals import Interval, IntervalSet, minkowski_sum
 from hill_octant.potential import fourier_potential, zero_potential
 
 from conftest import separable_perturbations
-from oracles import real_hill_matrix
 
 KAPPA = 0.05
 E1 = 0.125  # designed first normalized eigenvalue, 1/(4d) at d = 2
@@ -253,7 +252,7 @@ def test_perturbation_moving_a_count_raises(bound_state_potential):
 
 def test_fast_factor_spectrum_integrates_nothing(deep_n2_d3, monkeypatch):
     # the sheets come from the Dirichlet eigenvectors, not from a shooting pass
-    (p, gamma, _, _), _, _, _ = deep_n2_d3
+    (p, gamma, _, _), *_ = deep_n2_d3
 
     def refuse(*args, **kwargs):
         raise AssertionError("fast_factor_spectrum ran an integrator pass")
@@ -274,17 +273,16 @@ def ritz_against_same_size_solves(p, gamma, N, kappa, trials, intervals):
     """Ritz recounts of separable perturbations of p, each checked against full solves.
 
     Each perturbed factor q gets a full solve at the basis sizes of the Ritz
-    step: the dense solve of its Dirichlet pencil and the Lanczos solve of
-    its Hill blocks (converged far below eps ||H||).  Every Ritz value lies
-    within RITZ_TOL eps norm of that solve and inside its own enclosure,
-    the Ritz sheets are `dirichlet_sheets` of the full-solve vectors, and
-    the counts in `intervals` agree.  norm is the rounding scale that the
-    Ritz step itself uses: ||H|| for a Hill block, the size of the pencil's
-    products on its vectors for the Dirichlet pencil.
+    step: the dense solves of its Dirichlet, periodic and anti-periodic
+    pencils.  Every Ritz value lies within RITZ_TOL eps norm of that solve
+    and inside its own enclosure, the Ritz sheets are `dirichlet_sheets` of
+    the full-solve vectors, and the counts in `intervals` agree.  norm is
+    the rounding scale that the Ritz step itself uses, the size of each
+    pencil's products on its vectors.
     """
     eps = kappa**3
     _, basis = cluster._solve_factor(p, N, gamma)
-    K, dim = basis.hill[0.0][1].shape[0] // 2, basis.Y.shape[0]
+    modes, dim = basis.hill["periodic"][1].shape[0], basis.Y.shape[0]
     ritz_steps = []
     enclosures = sm.ritz_enclosures
 
@@ -302,9 +300,10 @@ def ritz_against_same_size_solves(p, gamma, N, kappa, trials, intervals):
                 m.setattr(sm, "ritz_enclosures", recorded)
                 ritz = cluster._ritz_factor(basis, q, eps * w.sup_norm_bound, N, gamma)
             assert ritz is not None  # no fallback on these trials
-            *edges, _, hill = sm._hill_edges(q, N, K)
+            *edges, hill = sm._hill_edges(q, N, modes)
             mu, Y = sm.galerkin_dirichlet_vectors(q, N + 1, dim=dim)
-            for (theta, radius, norm), want in zip(ritz_steps, [mu, hill[0.0][0], hill[0.5][0]], strict=True):
+            wants = [mu, hill["periodic"][0], hill["antiperiodic"][0]]
+            for (theta, radius, norm), want in zip(ritz_steps, wants, strict=True):
                 err = np.abs(theta - want)
                 assert np.all(err <= RITZ_TOL * np.finfo(float).eps * norm)
                 assert np.all(err <= radius)
@@ -338,32 +337,6 @@ def test_ritz_recount_matches_full_solves_on_the_benchmark_design(deep_n2_d3):
         assert perturb_and_recount([p] * 3, ws, kappa**3, intervals, kappa, gamma, N) == ([1, 3, 3], [1, 3, 3])
 
 
-def test_ritz_recount_on_blocks_shorter_than_three_bandwidths(monkeypatch):
-    # a 10-mode potential at N = 2: Hill blocks of dimensions 51 and 50 at
-    # bandwidth 21, fewer rows than the 3 bw + 1 = 64 that scipy's general
-    # band product demands.  The symmetric band product takes any size, and
-    # its H X matches the dense block of the perturbed potential
-    p = fourier_potential([(k, 15.0 / k, 10.5 / k) for k in range(1, 11)])
-    N, gamma, kappa = 2, 40.0, 0.1
-    _, basis = cluster._solve_factor(p, N, gamma)
-    assert all(X.shape[0] < 3 * 21 + 1 for _, X in basis.hill.values())
-    products, enclosures = [], sm.ritz_enclosures
-
-    def recorded(HX, X, *args):
-        products.append((HX, X))
-        return enclosures(HX, X, *args)
-
-    monkeypatch.setattr(sm, "ritz_enclosures", recorded)
-    for ws in separable_perturbations(11, 2, 2):
-        products.clear()
-        assert perturb_and_recount([p, p], ws, kappa**3, [], kappa, gamma, N) == ([], [])
-        q = _add_potentials(p, ws[1], kappa**3)
-        (HX_per, X_per), (HX_anti, X_anti) = products[-2:]  # q's Hill blocks, periodic first
-        for offset, HX, X in ((0.0, HX_per, X_per), (0.5, HX_anti, X_anti)):
-            H = real_hill_matrix(q, offset, X.shape[0] // 2).real
-            assert np.abs(HX - H @ X).max() <= 1e-13 * np.abs(H @ X).max()
-
-
 def test_recount_solves_each_factor_once_and_integrates_nothing(deep_n2_d3, monkeypatch):
     # three copies of one factor: one Hill solve and one Galerkin solve in
     # all; the three perturbed factors come from Ritz steps
@@ -395,7 +368,7 @@ def test_recount_solves_each_factor_once_and_integrates_nothing(deep_n2_d3, monk
 
 FALLBACK_CASES = {
     # gap 2 is 1.4e-4 long, under 2 eps sup|w|: by Weyl the perturbed edges
-    # may cross, so the Ritz enclosures of the periodic block overlap (and
+    # may cross, so the Ritz enclosures of the periodic pencil overlap (and
     # mu_2, inside that gap, has an uncertain sheet as well)
     "nearly closed gap": (
         fourier_potential([(1, 30.0, -12.0), (2, -9.575, 9.119)]),

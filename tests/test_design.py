@@ -315,7 +315,7 @@ def _translation_solves(events):
 def test_translation_scan_solves_the_hill_blocks_once(deep_n2_d3):
     # translation moves no band edge: one Hill solve, then a bracketed Newton
     # in t makes a few Dirichlet solves
-    (_, _, _, rep), events, _, _ = deep_n2_d3
+    (_, _, _, rep), events, _ = deep_n2_d3
     scan = _translation_solves(events)
     assert scan.count("hill") == 1
     assert scan.count("galerkin") <= 6
@@ -339,7 +339,7 @@ def test_wrong_shooting_sheets_raise_sign_unreachable(monkeypatch):
 
 
 def test_deep_model_meets_the_benchmark_checks(deep_n2_d3):
-    (p, gamma, bs, rep), _, _, _ = deep_n2_d3
+    (p, gamma, bs, rep), *_ = deep_n2_d3
     assert rep.converged
     _, glo, ghi, _ = sm.hill_band_edges(p, 2, modes=400)
     mu = sm.galerkin_dirichlet(p, 2, dim=800)
@@ -368,19 +368,30 @@ def test_deep_design_reports_matrix_routes(deep_n2_d3):
     assert {s.certified_by for s in bs.states} == {"matrix"}
 
 
-def test_deep_blocks_converge_within_step_budget(deep_n2_d3):
-    # the blocks of the finished design's default size (K = 102, dimensions
-    # 205 and 204), which the position fit solves, each from a cold start
-    _, _, blocks, hill_args = deep_n2_d3
-    K = sm._turning_index(hill_args[-1][0], 2)
-    steps = [n for dim, n, _ in blocks if dim in (2 * K + 1, 2 * K)]
-    assert steps and max(steps) <= 24
+def test_deep_blocks_converge_within_step_budget(deep_n2_d3, monkeypatch):
+    # each Hill solve of the position fit, on the design's 48-mode
+    # potentials, builds one bordered pencil at its default size: one dense
+    # solve per pencil, no regrowth
+    _, _, hill_calls = deep_n2_d3
+    sizes, build = [], sm._galerkin_pencil
+
+    def recorded(p, dim, kind):
+        sizes.append(dim)
+        return build(p, dim, kind)
+
+    monkeypatch.setattr(sm, "_galerkin_pencil", recorded)
+    solves = [args for args, _ in hill_calls if max(t.k for t in args[0].fourier) == 48]
+    for p, n, modes in solves:
+        sizes.clear()
+        sm._hill_edges(p, n, modes)
+        assert sizes == [sm._default_size(p, n + 1) + 1]
+    assert len(solves) >= 6
 
 
 def test_shift_lies_below_a_deep_design_block(deep_n2_d3):
-    # the last Hill solve is on the finished design, periodic block first
-    _, _, blocks, hill_args = deep_n2_d3
-    p = hill_args[-1][0]
-    (dim_per, _, sigma_per), (dim_anti, _, sigma_anti) = blocks[-2:]
-    assert sigma_per < dense_hill_block(p, 0.0, (dim_per - 1) // 2)[0][0]
-    assert sigma_anti < dense_hill_block(p, 0.5, dim_anti // 2)[0][0]
+    # the last Hill solve is on the finished design; its one shift serves
+    # both pencils, so it lies below lambda_0, the lowest periodic eigenvalue
+    # of the dense Fourier matrix at 102 modes
+    _, _, hill_calls = deep_n2_d3
+    (p, *_), sigma = hill_calls[-1]
+    assert p.constant + sigma < dense_hill_block(p, 0.0, 102)[0][0]

@@ -1,8 +1,9 @@
-"""Hill-block and Galerkin eigenpairs against dense eigensolvers of the full matrices."""
+"""Hill and Galerkin pencils against dense eigensolvers of the full matrices."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from numpy.polynomial import legendre
 
 from hill_octant import bands, monodromy as mo, spectral_matrix as sm
 from hill_octant.cluster import _add_potentials
@@ -10,7 +11,7 @@ from hill_octant.errors import NoConvergence
 from hill_octant.potential import fourier_potential, translate, zero_potential
 
 from conftest import random_corpus, reflect
-from oracles import dense_hill_block, real_hill_matrix
+from oracles import dense_hill_block, dense_hill_edges, dense_hill_matrix
 
 MODES = 24
 N_GAPS = 4
@@ -25,47 +26,57 @@ POTENTIALS = {
 }
 
 
+def legendre_series(y, kind):
+    """Legendre coefficients of the function with coefficients y in the basis of a `kind` pencil."""
+    border = {"periodic": (0,), "antiperiodic": (1,)}.get(kind, ())
+    inner = y[len(border):]
+    k = np.arange(inner.size)
+    s = 1.0 / np.sqrt(4.0 * k + 6.0)
+    c = np.zeros(inner.size + 2)
+    c[list(border)] = y[: len(border)]
+    c[:-2] += s * inner
+    c[2:] -= s * inner
+    return c
+
+
+def exponential_vector(y, kind, modes):
+    """A pencil eigenvector over the exponentials of `dense_hill_matrix`: its coefficients on
+    exp(2 pi i (j + offset) x), j = -modes..modes (periodic) or -modes..modes-1 (anti-periodic)."""
+    offset = 0.0 if kind == "periodic" else 0.5
+    js = np.arange(-modes, modes + 1) if offset == 0.0 else np.arange(-modes, modes)
+    x = np.arange(8 * modes) / (8 * modes)
+    psi = legendre.legval(2.0 * x - 1.0, legendre_series(y, kind))
+    return np.exp(-2j * np.pi * np.outer(js + offset, x)) @ psi / x.size
+
+
 def edge_pairs(p, n_gaps=N_GAPS, modes=MODES):
-    """(lambda, u, reference values, reference vectors) for every returned edge."""
-    lam0, glo, ghi, nbe, info, _ = sm.hill_edges_and_vectors(p, n_gaps, modes=modes)
-    blocks = {0.0: dense_hill_block(p, 0.0, modes), 0.5: dense_hill_block(p, 0.5, modes)}
-    values = {("lambda0", 0): lam0, ("next", n_gaps + 1): nbe}
-    for n in range(1, n_gaps + 1):
-        values[("lo", n)] = glo[n - 1]
-        values[("hi", n)] = ghi[n - 1]
-    return [(values[key], info[key][1], *blocks[info[key][0]]) for key in values]
+    """(lambda, u, reference values, reference vectors) for every pencil eigenpair, u over exponentials."""
+    blocks = sm.hill_edges_and_vectors(p, n_gaps)[4]
+    out = []
+    for kind, offset in (("periodic", 0.0), ("antiperiodic", 0.5)):
+        w, v = dense_hill_block(p, offset, modes)
+        values, Y = blocks[kind]
+        out += [(lam, exponential_vector(y, kind, modes), w, v) for lam, y in zip(values, Y.T)]
+    return out
 
 
 def assert_edges_match_dense_eigh(p):
-    lam0, glo, ghi, nbe = sm.hill_band_edges(p, N_GAPS, modes=MODES)
-    w_per, _ = dense_hill_block(p, 0.0, MODES)
-    w_anti, _ = dense_hill_block(p, 0.5, MODES)
-    # edges of gap m are eigenvalues m - 1 and m of the block of m's parity
-    want_lo = [(w_anti if m % 2 else w_per)[m - 1] for m in range(1, N_GAPS + 1)]
-    want_hi = [(w_anti if m % 2 else w_per)[m] for m in range(1, N_GAPS + 1)]
-    want_next = (w_anti if (N_GAPS + 1) % 2 else w_per)[N_GAPS]
-    got = np.concatenate(([lam0], glo, ghi, [nbe]))
-    want = np.concatenate(([w_per[0]], want_lo, want_hi, [want_next]))
+    got = np.hstack(sm.hill_band_edges(p, N_GAPS))
+    want = np.hstack(dense_hill_edges(p, N_GAPS, MODES))
     assert np.allclose(got, want, rtol=1e-12, atol=1e-11)
 
 
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
 def test_hill_edges_match_dense_eigh(name):
-    assert 2 * MODES + 1 <= sm.BAND_SOLVER_DIM  # both blocks go to the band solver
-    assert_edges_match_dense_eigh(POTENTIALS[name])
-
-
-@pytest.mark.parametrize("name", sorted(POTENTIALS))
-def test_hill_lanczos_matches_dense_eigh(name, monkeypatch):
-    # the same blocks through the solver of the blocks above BAND_SOLVER_DIM
-    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
+    # the pencils at their default sizes against the dense Fourier blocks
     assert_edges_match_dense_eigh(POTENTIALS[name])
 
 
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
 def test_hill_eigenvectors_span_dense_eigenspaces(name):
     # double eigenvalues (zero potential, closed gaps) have no unique
-    # eigenvector: each returned u must lie in the reference eigenspace
+    # eigenvector: each pencil eigenfunction, over exponentials, must lie
+    # in the reference eigenspace
     for lam, u, w, v in edge_pairs(POTENTIALS[name]):
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
         space = v[:, np.abs(w - lam) <= 1e-9 * max(1.0, abs(lam))]
@@ -79,62 +90,69 @@ def test_simple_eigenvector_overlap():
         assert abs(np.vdot(v[:, i], u)) == pytest.approx(1.0, abs=1e-12)
 
 
-def banded_to_dense(band, bw):
-    """The matrix of a `_hill_band` layout: H[i, j] at band[2 bw + i - j, j]."""
-    dim = band.shape[1]
-    i, j = np.indices((dim, dim))
-    inside = np.abs(i - j) <= bw
-    H = np.zeros((dim, dim))
-    H[inside] = band[2 * bw + i[inside] - j[inside], j[inside]]
-    return H
-
-
-def assert_real_blocks_match_the_oracle(p, modes):
-    const, a, b = sm._mode_arrays(p)
-    for offset in (0.0, 0.5):
-        band, bw, _ = sm._hill_band(a, b, offset, modes, const)
-        want = real_hill_matrix(p, offset, modes)
-        scale = np.linalg.norm(want, 2)
-        assert np.max(np.abs(want.imag)) <= 1e-12 * scale
-        assert np.max(np.abs(banded_to_dense(band, bw) - want.real)) <= 1e-12 * scale
-
-
 @pytest.mark.parametrize("name", ["asym", "translated"])
 def test_real_blocks_match_the_rotated_exponential_blocks(name):
-    assert_real_blocks_match_the_oracle(POTENTIALS[name], MODES)
+    # the real pencil eigenpairs, rotated to exponentials, satisfy the dense
+    # Fourier block: each eigenfunction errs by about its tail, so the
+    # residual lies within TAIL_BAR of max(1, |lambda|) (4.7e-8 seen)
+    p = POTENTIALS[name]
+    for kind, offset in (("periodic", 0.0), ("antiperiodic", 0.5)):
+        H = dense_hill_matrix(p, offset, MODES)
+        values, Y = sm.hill_edges_and_vectors(p, N_GAPS)[4][kind]
+        for lam, y in zip(values, Y.T):
+            u = exponential_vector(y, kind, MODES)
+            assert np.linalg.norm(H @ u - lam * u) <= sm.TAIL_BAR * max(1.0, abs(lam))
 
 
-def test_real_blocks_of_the_deep_design_match_the_oracle(deep_n2_d3):
-    # a Hill solve of the position fit, at the default size (102 modes): a
-    # potential of 48 modes with sine terms
-    _, _, _, hill_args = deep_n2_d3
-    p, n_gaps, modes = hill_args[-2][:3]
-    assert modes is None and max(t.k for t in p.fourier) == 48
-    assert_real_blocks_match_the_oracle(p, sm._turning_index(p, n_gaps))
+def pencil_by_quadrature(p, dim, kind):
+    """(A, M) of `kind` from the basis functions as Legendre series, by 400-point Gauss-Legendre quadrature."""
+    t, w = legendre.leggauss(400)
+    x, w = 0.5 * (t + 1.0), 0.5 * w
+    identity = np.eye(dim)
+    series = [legendre_series(identity[i], kind) for i in range(dim)]
+    f = np.array([legendre.legval(t, c) for c in series])
+    df = np.array([2.0 * legendre.legval(t, legendre.legder(c)) for c in series])  # d/dx = 2 d/dt
+    A = (df * w) @ df.T + (f * (w * (p.evaluate(x) - p.constant))) @ f.T
+    return A, (f * w) @ f.T
 
 
-def lanczos_on_both_blocks(p):
-    """`_hill_lanczos` on the periodic, then the anti-periodic block of MODES modes."""
-    const, a, b = sm._mode_arrays(p)
-    symbol = sm._symbol_bounds(a, b)
-    for offset in (0.0, 0.5):
-        sm._hill_lanczos(a, b, offset, MODES, const, N_GAPS + 1, symbol)
+@pytest.mark.parametrize("kind", ["dirichlet", "periodic", "antiperiodic"])
+def test_pencils_match_a_quadrature_reference(kind):
+    # the analytic stiffness and mass and the border couplings, against
+    # plain quadrature of the basis functions and their derivatives, whose
+    # Legendre series round by up to 2.2e-12 (A) and 1.8e-14 (M)
+    p = POTENTIALS["translated"]
+    A, M = sm._galerkin_pencil(p, 20, kind)
+    want_A, want_M = pencil_by_quadrature(p, 20, kind)
+    assert np.abs(A - want_A).max() <= 1e-11
+    assert np.abs(M - want_M).max() <= 1e-13
+
+
+def test_hill_pencils_are_principal_submatrices_of_the_bordered_pair():
+    # one quadrature for both pencils: the "hill" pencil holds L_0, L_1, then
+    # the Dirichlet functions, and each single pencil drops one border
+    p = POTENTIALS["asym"]
+    A, M = sm._galerkin_pencil(p, 21, "hill")
+    for border, kind in enumerate(("periodic", "antiperiodic")):
+        i = np.r_[border, 2:21]
+        A_k, M_k = sm._galerkin_pencil(p, 20, kind)
+        assert np.allclose(A[np.ix_(i, i)], A_k, rtol=0, atol=1e-13) and np.array_equal(M[np.ix_(i, i)], M_k)
 
 
 def test_every_block_is_solved_in_real_arithmetic(monkeypatch):
-    # with and without sine terms, both blocks reach the Lanczos loop real
-    orth, dims = sm._orthonormal_block, []
+    # with and without sine terms, both pencils reach the eigensolver real
+    solve, dims = sm._pencil_eigh, []
 
-    def real_only(V, Q, rng):
-        assert np.isrealobj(V) and np.isrealobj(Q)
-        dims.append(V.shape[0])
-        return orth(V, Q, rng)
+    def real_only(A, M, sigma, count):
+        assert np.isrealobj(A) and np.isrealobj(M)
+        dims.append(M.shape[0])
+        return solve(A, M, sigma, count)
 
-    monkeypatch.setattr(sm, "_orthonormal_block", real_only)
+    monkeypatch.setattr(sm, "_pencil_eigh", real_only)
     for name in ("even", "translated"):
         dims.clear()
-        lanczos_on_both_blocks(POTENTIALS[name])
-        assert set(dims) == {2 * MODES + 1, 2 * MODES}  # the periodic and the anti-periodic block
+        sm.hill_band_edges(POTENTIALS[name], N_GAPS, modes=MODES)
+        assert dims == [MODES, MODES]  # the periodic and the anti-periodic pencil
 
 
 def gathered_galerkin_matrices(p, dim):
@@ -180,23 +198,27 @@ def test_galerkin_matrices_match_the_gathered_reference(name, deep_n2_d3):
     assert np.all(np.abs(sm.galerkin_neumann(p, 6) - want_nu) <= bound)
 
 
-def test_exp_vector_gradient_matches_finite_difference():
+def test_edge_vector_gradient_matches_finite_difference():
+    # the design's edge gradients: Hellmann-Feynman on each pencil's
+    # eigenvectors, mapped to the edges as the eigenvalues are
     terms = [(1, 2.0, 1.5), (2, -1.0, 0.7), (3, 0.0, 0.0)]
-    keys = [("lo", n) for n in (1, 2, 3)] + [("hi", n) for n in (1, 2, 3)]
-    info = sm.hill_edges_and_vectors(fourier_potential(terms), 3, modes=MODES)[4]
-    grads = [sm.exp_vector_gradient(info[key][1], 3) for key in keys]
+    blocks = sm.hill_edges_and_vectors(fourier_potential(terms), 3)[4]
+    dim = blocks["periodic"][1].shape[0]
+    grads = {kind: sm._vector_gradient(Y, 3, kind) for kind, (_, Y) in blocks.items()}
+    _, da_lo, da_hi, _ = sm._block_edges({kind: da for kind, (da, _) in grads.items()}, 3)
+    _, db_lo, db_hi, _ = sm._block_edges({kind: db for kind, (_, db) in grads.items()}, 3)
     h = 1e-4
 
     def edges(k, da, db):
         bumped = [(kk, a + da * (kk == k), b + db * (kk == k)) for kk, a, b in terms]
-        _, glo, ghi, _ = sm.hill_band_edges(fourier_potential(bumped), 3, modes=MODES)
+        _, glo, ghi, _ = sm.hill_band_edges(fourier_potential(bumped), 3, modes=dim)
         return np.concatenate((glo, ghi))
 
     for k in (1, 2, 3):
         fd_cos = (edges(k, h, 0.0) - edges(k, -h, 0.0)) / (2 * h)
         fd_sin = (edges(k, 0.0, h) - edges(k, 0.0, -h)) / (2 * h)
-        assert np.allclose([da[k - 1] for da, _ in grads], fd_cos, rtol=0, atol=1e-6)
-        assert np.allclose([db[k - 1] for _, db in grads], fd_sin, rtol=0, atol=1e-6)
+        assert np.allclose(np.concatenate((da_lo, da_hi))[:, k - 1], fd_cos, rtol=0, atol=1e-6)
+        assert np.allclose(np.concatenate((db_lo, db_hi))[:, k - 1], fd_sin, rtol=0, atol=1e-6)
 
 
 def test_dirichlet_vector_gradient_matches_finite_difference():
@@ -223,8 +245,8 @@ def test_repeated_calls_are_bit_identical():
     for a, b in zip(first[:4], second[:4]):
         assert np.array_equal(a, b)
     assert first[4].keys() == second[4].keys()
-    for key in first[4]:
-        assert np.array_equal(first[4][key][1], second[4][key][1])
+    for kind in first[4]:
+        assert np.array_equal(first[4][kind][1], second[4][kind][1])
 
 
 def test_only_small_legendre_tables_are_kept(asym_potential):
@@ -240,8 +262,8 @@ def test_only_small_legendre_tables_are_kept(asym_potential):
 
 
 def test_values_only_edges_match_the_vector_solve_bit_for_bit():
-    # the band solver's values-only path bisects the same tridiagonal
-    # matrix; the edge seeds of `bands` cannot move by a bit
+    # both entry points make the same solve; the edge seeds of `bands`
+    # cannot move by a bit
     for p in random_corpus(100, seed=777):
         values_only = sm.hill_band_edges(p, 6)
         with_vectors = sm.hill_edges_and_vectors(p, 6)[:4]
@@ -256,8 +278,8 @@ def test_too_few_modes_rejected(n_gaps, modes):
 
 
 def test_fewest_modes_accepted():
-    # the anti-periodic block of 2 modes holds exactly n_gaps + 1 eigenvalues
-    lam0, glo, ghi, nbe = sm.hill_band_edges(POTENTIALS["asym"], 3, modes=2)
+    # pencils of n_gaps + 1 functions hold exactly n_gaps + 1 eigenvalues
+    lam0, glo, ghi, nbe = sm.hill_band_edges(POTENTIALS["asym"], 3, modes=4)
     assert lam0 < glo[0] < ghi[0] < glo[1] < ghi[1] < glo[2] < ghi[2] <= nbe
 
 
@@ -271,12 +293,14 @@ SHIFT_CASES = {
 
 @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
 def test_shift_lies_below_both_blocks(name, monkeypatch):
+    # one shift for the periodic and the anti-periodic pencil, below the
+    # lowest eigenvalue of each dense Fourier block
     p, shift, seen = SHIFT_CASES[name], sm._shift, []
     monkeypatch.setattr(sm, "_shift", lambda *args: seen.append(shift(*args)) or seen[-1])
-    lanczos_on_both_blocks(p)
-    sigma_per, sigma_anti = seen  # the periodic block is solved first
-    assert sigma_per < dense_hill_block(p, 0.0, MODES)[0][0]
-    assert sigma_anti < dense_hill_block(p, 0.5, MODES)[0][0]
+    sm.hill_band_edges(p, N_GAPS)
+    (sigma,) = seen
+    assert p.constant + sigma < dense_hill_block(p, 0.0, MODES)[0][0]
+    assert p.constant + sigma < dense_hill_block(p, 0.5, MODES)[0][0]
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3])
@@ -436,152 +460,80 @@ def test_indefinite_shift_raises_no_convergence(kind, monkeypatch):
         solve(CORPUS_POTENTIAL, 3)
 
 
-# --- the Hill blocks: the size rule and shift-invert Lanczos -------------------
-
-EIGH_TOL = 4  # Lanczos values against eigh, in units of eps ||H||; 0.72 seen at most
+# --- the Hill pencils: the size rule and the dense Fourier reference ----------
 
 
 def default_hill_solve(p, count, monkeypatch):
-    """`_hill_edges` at the default size with vectors, and the K of every block it solved, in order."""
-    Ks, block = [], sm._hill_block
+    """`_hill_edges` at the default size, and the dimension of every bordered pencil built, in order."""
+    dims, build = [], sm._galerkin_pencil
 
-    def recorded(a, b, offset, K, *args):
-        Ks.append(K)
-        return block(a, b, offset, K, *args)
+    def recorded(q, dim, kind):
+        dims.append(dim - 1)  # the "hill" pencil holds both borders: each pencil is one smaller
+        return build(q, dim, kind)
 
-    monkeypatch.setattr(sm, "_hill_block", recorded)
+    monkeypatch.setattr(sm, "_galerkin_pencil", recorded)
     out = sm._hill_edges(p, count, None)
-    monkeypatch.setattr(sm, "_hill_block", block)
-    return out, Ks
-
-
-def hill_tail(blocks):
-    """Largest of each vector's last 16 coefficients (8 mode pairs), relative to its largest one."""
-    return np.concatenate([np.abs(X[-16:]).max(axis=0) / np.abs(X).max(axis=0) for _, X in blocks.values()])
+    monkeypatch.setattr(sm, "_galerkin_pencil", build)
+    return out, dims
 
 
 @pytest.mark.parametrize("case", sorted(TAIL_CASES) + ["bound state", "design (2, 0.1, 3)", "design (3, 0.05, 2)"])
 def test_default_hill_sizes_meet_the_tail_bar(case, bound_state_potential, deep_n2_d3, criterion5_design, monkeypatch):
-    # the first K the rule picks is the last: one solve of each block, every
-    # returned vector's tail below TAIL_BAR, and every edge within 1e-12 of
-    # the top edge from the blocks at twice the size (a normalized design's
-    # lambda_0 is 0 to the rounding of its constant, 2e5)
+    # the first size the rule picks is the last: one bordered pencil per
+    # solve, every returned vector's tail below TAIL_BAR, and every edge
+    # within 1e-12 of the top edge from the pencils at twice the size, or
+    # on the designs within the Legendre rounding of
+    # `test_large_bases_keep_the_digits_of_the_default_size`, 1e-11 (a
+    # normalized design's lambda_0 is 0 to the rounding of its constant)
     potentials, count = TAIL_CASES.get(case, (None, None))
     if case == "bound state":
         potentials, count = [bound_state_potential], 2
     elif case.startswith("design"):
         (p, _, bs, _), *_ = deep_n2_d3 if "(2" in case else criterion5_design
         potentials, count = [p], bs.n_gaps
+    bar = 1e-11 if case.startswith("design") else 1e-12
     for p in potentials:
-        (*edges, _, blocks), Ks = default_hill_solve(p, count, monkeypatch)
-        assert Ks == [sm._turning_index(p, count)] * 2
-        assert np.all(hill_tail(blocks) <= sm.TAIL_BAR)
-        got, want = (np.hstack(e) for e in (edges, sm.hill_band_edges(p, count, modes=2 * Ks[0])))
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+        (*edges, blocks), dims = default_hill_solve(p, count, monkeypatch)
+        assert dims == [blocks["periodic"][1].shape[0]]
+        assert np.all(np.hstack([tail_ratio(Y) for _, Y in blocks.values()]) <= sm.TAIL_BAR)
+        got, want = (np.hstack(e) for e in (edges, sm.hill_band_edges(p, count, modes=2 * dims[0])))
+        assert np.all(np.abs(got - want) <= bar * np.abs(want).max())
 
 
 def test_hill_basis_grows_by_half_until_the_tail_meets_the_bar(bound_state_potential, monkeypatch):
-    # under a stricter bar the bound-state potential's blocks (tails up to
-    # 3.2e-15 at K = 17) grow 1.5x at a time, and end where the bar holds,
-    # at the same edges
+    # under a stricter bar the bound-state potential's pencils grow 1.5x at
+    # a time, and end where the bar holds, at the same edges
     p = bound_state_potential
     want = np.hstack(sm.hill_band_edges(p, 2))
     monkeypatch.setattr(sm, "TAIL_BAR", 1e-15)
-    (*edges, _, blocks), Ks = default_hill_solve(p, 2, monkeypatch)
-    grown = Ks[::2]
-    assert Ks[1::2] == grown  # both blocks at each size
-    assert len(grown) >= 2 and grown[1:] == [int(1.5 * K) for K in grown[:-1]]
-    assert np.all(hill_tail(blocks) <= 1e-15)
+    (*edges, blocks), dims = default_hill_solve(p, 2, monkeypatch)
+    assert len(dims) >= 2 and dims[1:] == [int(1.5 * d) for d in dims[:-1]]
+    assert np.all(np.hstack([tail_ratio(Y) for _, Y in blocks.values()]) <= 1e-15)
     assert np.allclose(np.hstack(edges), want, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("case", ["design", "design 2x", "corpus"])
-def test_hill_lanczos_matches_eigh_on_large_blocks(case, deep_n2_d3, monkeypatch):
-    # `_lanczos` on the blocks it serves: the (2, 0.1, 3) design at its
-    # default size (dimensions 205 and 204) and at twice that, and a corpus
-    # potential's blocks taken off the band solver.  The values lie within
-    # EIGH_TOL eps ||H|| of a dense eigh of the same block, and the vectors
-    # span the same lines
-    if case == "corpus":
-        monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
-        p, count = CORPUS_POTENTIAL, 6
-    else:
-        p, count = deep_n2_d3[0][0], 2
-    K = sm._turning_index(p, count) * (2 if case == "design 2x" else 1)
-    assert 2 * K > sm.BAND_SOLVER_DIM
-    const, a, b = sm._mode_arrays(p)
-    symbol = sm._symbol_bounds(a, b)
-    for offset in (0.0, 0.5):
-        values, X = sm._hill_block(a, b, offset, K, const, count + 1, symbol)
-        H = banded_to_dense(*sm._hill_band(a, b, offset, K, const)[:2])
-        want, V = sla.eigh(H, subset_by_index=(0, count))
-        assert np.all(np.abs(values - want) <= EIGH_TOL * np.finfo(float).eps * np.linalg.norm(H, 2))
-        assert np.allclose(np.abs(np.sum(X * V, axis=0)), 1.0, rtol=0, atol=1e-10)
+DENSE_CASES = {
+    "corpus": ([(p, 6) for p in random_corpus(100, seed=777)], 32),
+    "asym": ([(POTENTIALS["asym"], 5)], 28),
+}
 
 
-@pytest.fixture
-def lanczos_steps(monkeypatch):
-    """Counts the Lanczos steps of each solve: one basis width per step."""
-    widths, orth = set(), sm._orthonormal_block
-
-    def counted(V, Q, rng):
-        widths.add(V.shape[1])
-        return orth(V, Q, rng)
-
-    monkeypatch.setattr(sm, "_orthonormal_block", counted)
-    return widths
+@pytest.mark.parametrize("case", sorted(DENSE_CASES) + ["bound state"])
+def test_default_hill_edges_match_the_dense_fourier_reference(case, bound_state_potential):
+    # within 1e-12 relative of the dense Fourier blocks at about the modes
+    # the Fourier route used to take by default (32 or 33 on the corpus)
+    cases, modes = DENSE_CASES.get(case, ([(bound_state_potential, 2)], 17))
+    for p, n in cases:
+        got, want = (np.hstack(e) for e in (sm.hill_band_edges(p, n), dense_hill_edges(p, n, modes)))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
-def test_full_basis_returns_its_pairs_at_the_rounding_floor(asym_potential, lanczos_steps, monkeypatch):
-    # asym at 24 modes: a periodic block of dimension 49.  Under a stop that
-    # no residual meets, Lanczos fills the basis; there the Ritz pairs are
-    # exact but for rounding, so they are returned, not refused.
-    modes = 24
-    reference = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes)  # the band solver
-    monkeypatch.setattr(sm, "BAND_SOLVER_DIM", 0)
-    monkeypatch.setattr(sm, "LANCZOS_TOL", 0.0)
-    lanczos_steps.clear()
-    full = sm.hill_edges_and_vectors(asym_potential, 4, modes=modes)
-    assert max(lanczos_steps) + sm.LANCZOS_BLOCK >= 2 * modes + 1  # the last step filled the basis
-    assert_same_pairs(asym_potential, modes, reference, full)
-
-
-def test_third_pass_stops_before_the_full_basis(lanczos_steps):
-    # an inverse with three isolated top values over a cluster 1e-8 below
-    # them, from the cold start.  Once the top vectors converge, the new
-    # block's two columns are nearly parallel outside the basis, and its QR
-    # amplifies the rounding along the basis.  Without the third pass the
-    # basis lost orthogonality and the residual stayed above the stop up to
-    # the full basis of 60; with it the stop is met at 12
-    dim = 60
-    theta = np.concatenate(([1.0, 0.5, 0.25], 1e-8 * (1.0 + np.arange(dim - 3) / dim)))
-    U = np.linalg.qr(np.random.default_rng(dim).standard_normal((dim, dim)))[0]
-    A = (U * theta) @ U.T
-    got, X = sm._lanczos(lambda Q: A @ Q, dim, 2)
-    assert max(lanczos_steps) + sm.LANCZOS_BLOCK < dim
-    assert np.all(np.abs(got - theta[:2]) <= EIGH_TOL * np.finfo(float).eps)
-    assert np.allclose(np.abs(np.sum(X * U[:, :2], axis=0)), 1.0, rtol=0, atol=1e-12)
-
-
-def assert_same_pairs(p, modes, reference, other):
-    norm = (2.0 * np.pi * modes) ** 2 + p.sup_norm_bound
-    for a, b in zip(reference[:4], other[:4]):
-        assert np.all(np.abs(a - b) <= EIGH_TOL * np.finfo(float).eps * norm)
-    for key, (offset, u) in reference[4].items():
-        assert abs(np.vdot(other[4][key][1], u)) == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("offset, spread", [(1e-9, 1.0), (1e-3, 1e-4)])
-def test_block_near_the_basis_comes_back_orthonormal(offset, spread):
-    # a block within `offset` of span(V): its columns share one direction
-    # outside V and differ from each other by `spread` of it.  At spread
-    # 1e-4 the QR divides by what is left of the later columns after the
-    # first, 1e-7 of their norms, and two passes alone left them 8e-13 off
-    # orthogonal to V; the third pass brings them back to rounding
-    rng = np.random.default_rng(3)
-    V = np.linalg.qr(rng.standard_normal((60, 40)))[0]
-    shared, own = rng.standard_normal((60, 1)), rng.standard_normal((60, 3))
-    Q = V @ rng.standard_normal((40, 3)) + offset * (shared + spread * own)
-    out = sm._orthonormal_block(V, Q, np.random.default_rng(0))
-    assert np.abs(V.T @ out).max() <= 1e-14
-    assert np.abs(out.T @ out - np.eye(3)).max() <= 1e-14
+def test_real_blocks_of_the_deep_design_match_the_oracle(deep_n2_d3, criterion5_design):
+    # both designs' edges at the default pencil size, within 1e-11 of the top
+    # edge of the dense Fourier blocks at 102 and 338 modes, the sizes the
+    # Fourier route used to take: the Legendre rounding the Dirichlet and
+    # Neumann points carry as well
+    for ((p, _, bs, _), *_), modes in ((deep_n2_d3, 102), (criterion5_design, 338)):
+        got = np.hstack(sm.hill_band_edges(p, bs.n_gaps))
+        want = np.hstack(dense_hill_edges(p, bs.n_gaps, modes))
+        assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want).max())
